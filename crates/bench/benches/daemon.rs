@@ -1,16 +1,19 @@
 //! Daemon-path benchmarks: what does serving a search through
 //! `hgnas-serve` cost over calling `run_fleet` directly?
 //!
-//! The daemon adds admission rounds (one scheduler construction per
-//! round), wire-frame encoding of every event, and channel hops between
-//! the engine and connection threads. This bench times the same two-shard
-//! cold search both ways and splits out the client-visible latencies:
-//! submit→first-event (how quickly a tenant sees life) and submit→report.
+//! The daemon adds admission rounds (budgeted calls into its one
+//! long-lived engine), wire-frame encoding of every event, and channel
+//! hops between the engine and connection threads. This bench times the
+//! same two-shard cold search both ways and splits out the client-visible
+//! latencies: submit→first-event (how quickly a tenant sees life) and
+//! submit→report.
 //!
 //! Besides the criterion sweep, the bench always writes
 //! `BENCH_daemon.json` (flat `*_ms` keys for `bench_diff`):
 //! `direct_run_fleet_ms`, `daemon_request_to_report_ms`,
-//! `daemon_request_to_first_event_ms`, `admission_overhead_ms`.
+//! `daemon_request_to_first_event_ms`, `admission_overhead_ms`, and next to
+//! them the work counts that explain the overhead: `direct_prefix_builds`,
+//! `daemon_prefix_builds` and the daemon's admission `rounds`.
 //! `HGNAS_BENCH_JSON=only` skips the sweep and emits just the record.
 
 use criterion::{black_box, criterion_group, Criterion};
@@ -82,7 +85,7 @@ impl Drop for TempStore {
     }
 }
 
-/// The scheduler shape both paths share: 2 threads, stride 1.
+/// The engine shape both paths share: 2 threads, stride 1.
 fn fleet_config() -> FleetConfig {
     let mut fleet = FleetConfig::new(DEVICES.to_vec());
     fleet.threads = 2;
@@ -99,17 +102,26 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-/// One cold direct run; wall-clock ms.
-fn time_direct() -> f64 {
+/// One cold direct run; (wall-clock ms, prefix builds).
+fn time_direct() -> (f64, u64) {
     let temp = TempStore::new();
     let store = temp.open();
     let t = Instant::now();
-    black_box(run_fleet(&tiny_task(), &tiny_config(), &fleet_config(), Some(&store)).unwrap());
-    t.elapsed().as_secs_f64() * 1e3
+    let report =
+        black_box(run_fleet(&tiny_task(), &tiny_config(), &fleet_config(), Some(&store)).unwrap());
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    (ms, report.reports.iter().map(|r| r.prefix_builds).sum())
 }
 
-/// One cold daemon-served run; (submit→first-event ms, submit→report ms).
-fn time_daemon() -> (f64, f64) {
+/// One cold daemon-served run.
+struct Served {
+    first_event_ms: f64,
+    report_ms: f64,
+    prefix_builds: u64,
+    rounds: u64,
+}
+
+fn time_daemon() -> Served {
     let temp = TempStore::new();
     let server = Server::start(temp.open(), serve_config());
     let mut client = server.connect();
@@ -125,13 +137,15 @@ fn time_daemon() -> (f64, f64) {
         })
         .unwrap();
     let report_ms = t.elapsed().as_secs_f64() * 1e3;
-    black_box(report);
+    let report = black_box(report);
     drop(client);
     server.shutdown();
-    (
-        first_event_ms.expect("events precede the report"),
+    Served {
+        first_event_ms: first_event_ms.expect("events precede the report"),
         report_ms,
-    )
+        prefix_builds: report.shards.iter().map(|s| s.prefix_builds).sum(),
+        rounds: report.rounds,
+    }
 }
 
 fn bench_paths(c: &mut Criterion) {
@@ -142,37 +156,45 @@ fn bench_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Best-of-3 over `f`, which returns its own measured milliseconds.
-fn best_of_3(mut f: impl FnMut() -> f64) -> f64 {
-    (0..3).map(|_| f()).fold(f64::INFINITY, f64::min)
-}
-
+/// Best of 3 runs each way: the direct run and the daemon run with the
+/// lowest wall-clock, with their counts.
 fn emit_bench_json() {
-    let direct_ms = best_of_3(time_direct);
-    let (mut first_event_ms, mut report_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        let (fe, rp) = time_daemon();
-        if rp < report_ms {
-            report_ms = rp;
-            first_event_ms = fe;
-        }
-    }
-    let overhead_ms = report_ms - direct_ms;
+    let (direct_ms, direct_builds) = (0..3)
+        .map(|_| time_direct())
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("three runs");
+    let d = (0..3)
+        .map(|_| time_daemon())
+        .min_by(|a, b| a.report_ms.total_cmp(&b.report_ms))
+        .expect("three runs");
+    let overhead_ms = d.report_ms - direct_ms;
     let json = format!(
         "{{\n  \"bench\": \"serve/daemon-vs-direct\",\n  \"shards\": {},\n  \
          \"preemption_stride\": 1,\n  \"threads\": 2,\n  \"slices_per_round\": 4,\n  \
          \"direct_run_fleet_ms\": {direct_ms:.3},\n  \
-         \"daemon_request_to_first_event_ms\": {first_event_ms:.3},\n  \
-         \"daemon_request_to_report_ms\": {report_ms:.3},\n  \
-         \"admission_overhead_ms\": {overhead_ms:.3}\n}}\n",
+         \"daemon_request_to_first_event_ms\": {:.3},\n  \
+         \"daemon_request_to_report_ms\": {:.3},\n  \
+         \"admission_overhead_ms\": {overhead_ms:.3},\n  \
+         \"direct_prefix_builds\": {direct_builds},\n  \
+         \"daemon_prefix_builds\": {},\n  \"rounds\": {}\n}}\n",
         DEVICES.len(),
+        d.first_event_ms,
+        d.report_ms,
+        d.prefix_builds,
+        d.rounds,
     );
     let path = std::env::var("HGNAS_BENCH_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_daemon.json").into());
     std::fs::write(&path, json).expect("write bench json");
     println!(
-        "{path}: direct {direct_ms:.0} ms, daemon {report_ms:.0} ms \
-         (first event {first_event_ms:.0} ms, overhead {overhead_ms:.0} ms)"
+        "{path}: direct {direct_ms:.0} ms ({direct_builds} prefix builds), daemon {:.0} ms \
+         ({} prefix builds over {} rounds; first event {:.0} ms, overhead {overhead_ms:.0} ms \
+         = {:.1}% of direct)",
+        d.report_ms,
+        d.prefix_builds,
+        d.rounds,
+        d.first_event_ms,
+        100.0 * overhead_ms / direct_ms,
     );
 }
 

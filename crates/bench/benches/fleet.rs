@@ -1,11 +1,11 @@
-//! Fleet-layer benchmarks: oracle throughput and scheduler shapes.
+//! Fleet-layer benchmarks: oracle throughput and engine shapes.
 //!
 //! - `fleet/oracle64`: inline measurement vs. asynchronous pipelined
 //!   submission through the per-device worker pool. The oracle's win is
 //!   overlap: with W workers per device, a shard can keep W measurements
 //!   in flight while it scores other candidates.
 //! - `fleet/scheduler`: one tiny 3-shard fleet searched under different
-//!   scheduler shapes — the legacy thread-per-shard form vs. bounded
+//!   engine shapes — the legacy thread-per-shard form vs. bounded
 //!   thread budgets, unpreempted vs. generation-granular slicing. Results
 //!   are bit-identical across shapes; this measures the scheduling
 //!   overhead. With the session cache (PR 5) fine strides no longer
@@ -25,8 +25,8 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hgnas_core::{LatencyMode, SearchConfig, TaskConfig};
 use hgnas_device::{builtin_slug, DeviceKind, PersonaRegistry, Workload, WorkloadOp};
 use hgnas_fleet::{
-    cross_scenarios, MeasurementOracle, ObjectiveSpec, OracleConfig, Scheduler, SchedulerConfig,
-    ShardSpec, Ticket,
+    cross_scenarios, Engine, EngineReport, FleetConfig, MeasurementOracle, ObjectiveSpec,
+    OracleConfig, ShardSpec, Ticket,
 };
 use hgnas_pointcloud::TaskKind;
 use hgnas_predictor::PredictorConfig;
@@ -103,6 +103,23 @@ fn tiny_config(device: DeviceKind, seed: u64) -> SearchConfig {
     cfg
 }
 
+/// One fresh storeless engine running `specs` to completion.
+fn run_engine(
+    specs: &[ShardSpec],
+    threads: usize,
+    stride: usize,
+    session_memory_budget: Option<u64>,
+) -> EngineReport {
+    let mut fleet = FleetConfig::new(Vec::new());
+    fleet.threads = threads;
+    fleet.preemption_stride = stride;
+    fleet.session_memory_budget = session_memory_budget;
+    let all: Vec<usize> = (0..specs.len()).collect();
+    Engine::new(&fleet, None)
+        .run(0, specs, &all, None, None)
+        .expect("storeless run")
+}
+
 /// One tiny predictor-mode shard per (device, seed).
 fn tiny_specs(shards: &[(DeviceKind, u64)]) -> Vec<ShardSpec> {
     let task = TaskConfig::tiny(3);
@@ -126,42 +143,21 @@ fn bench_scheduler(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("shape", label),
             &(threads, stride),
-            |b, &(threads, stride)| {
-                b.iter(|| {
-                    let scheduler = Scheduler::new(
-                        specs.clone(),
-                        SchedulerConfig {
-                            threads,
-                            preemption_stride: stride,
-                            ..SchedulerConfig::default()
-                        },
-                    );
-                    black_box(scheduler.run(None, None).expect("storeless run"))
-                })
-            },
+            |b, &(threads, stride)| b.iter(|| black_box(run_engine(&specs, threads, stride, None))),
         );
     }
     group.finish();
 }
 
-/// Times one stride-1 scheduler run of `specs` under a session budget;
+/// Times one stride-1 engine run of `specs` under a session budget;
 /// returns (wall-clock ms, total prefix builds across shards, phase
 /// breakdown).
 fn time_fleet(
     specs: &[ShardSpec],
     session_memory_budget: Option<u64>,
 ) -> (f64, u64, hgnas_fleet::PhaseTimings) {
-    let scheduler = Scheduler::new(
-        specs.to_vec(),
-        SchedulerConfig {
-            threads: 2,
-            preemption_stride: 1,
-            session_memory_budget,
-            ..SchedulerConfig::default()
-        },
-    );
     let t = std::time::Instant::now();
-    let report = scheduler.run(None, None).expect("storeless run");
+    let report = run_engine(specs, 2, 1, session_memory_budget);
     let ms = t.elapsed().as_secs_f64() * 1e3;
     let builds = report.shards.iter().map(|s| s.prefix_builds).sum();
     (ms, builds, report.phase_timings)
@@ -255,15 +251,7 @@ fn scenario_rows() -> String {
     for s in &scenarios {
         let spec = ShardSpec::new(s.task.clone(), s.config.clone()).with_scenario(s.label.clone());
         let t = std::time::Instant::now();
-        let scheduler = Scheduler::new(
-            vec![spec],
-            SchedulerConfig {
-                threads: 1,
-                preemption_stride: 1,
-                ..SchedulerConfig::default()
-            },
-        );
-        let report = scheduler.run(None, None).expect("scenario shard");
+        let report = run_engine(&[spec], 1, 1, None);
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         let ph = &report.phase_timings;
         let front = report.shards[0].pareto.len();

@@ -54,6 +54,6 @@ pub use pareto::{pareto_front, pareto_front_nd};
 pub use search::{
     Checkpoint, Hgnas, JointGenome, LatencyMode, MeasureBackend, OneStageCheckpoint, PrefixParams,
     PretrainedPredictor, RunOptions, RunOutput, ScoredCandidate, SearchCheckpoint, SearchConfig,
-    SearchOutcome, SearchedModel, SessionSnapshot, SessionState, Strategy, TaskConfig,
+    SearchOutcome, SearchedModel, SessionSnapshot, SessionState, Strategy, TaskConfig, TaskError,
 };
 pub use supernet::Supernet;

@@ -9,7 +9,7 @@ use hgnas_device::{
     DeviceKind, DevicePersona, DeviceProfile, ExecutionReport, MeasureError, Workload,
 };
 use hgnas_ops::{lower_edgeconv, Architecture, DgcnnConfig, FunctionSet, OpType};
-use hgnas_pointcloud::{Batch, DatasetConfig, PointCloud, SynthNet40, Task, TaskKind};
+use hgnas_pointcloud::{Batch, DatasetConfig, PointCloud, SynthNet40, Task, TaskKind, NUM_CLASSES};
 use hgnas_predictor::{LatencyPredictor, PredictorConfig, PredictorContext, TrainStats};
 use hgnas_tensor::threads::with_kernel_threads;
 use rand::rngs::StdRng;
@@ -146,7 +146,75 @@ impl TaskConfig {
             head_hidden: self.head_hidden.clone(),
         }
     }
+
+    /// Checks the geometry and dataset counts a search would otherwise
+    /// panic on deep inside lowering or dataset generation.
+    ///
+    /// # Errors
+    ///
+    /// The first [`TaskError`] found.
+    pub fn validate(&self) -> Result<(), TaskError> {
+        let d = &self.dataset;
+        if self.k == 0 || self.k >= d.points {
+            return Err(TaskError::Neighbours {
+                k: self.k,
+                points: d.points,
+            });
+        }
+        if d.classes == 0 || d.classes > NUM_CLASSES {
+            return Err(TaskError::Classes(d.classes));
+        }
+        if d.train_per_class == 0 || d.test_per_class == 0 {
+            return Err(TaskError::EmptySplit {
+                train_per_class: d.train_per_class,
+                test_per_class: d.test_per_class,
+            });
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`TaskConfig`] cannot be searched (see [`TaskConfig::validate`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TaskError {
+    /// The neighbour fanout must be at least 1 and below the points per
+    /// cloud.
+    Neighbours {
+        /// The requested fanout.
+        k: usize,
+        /// Points per cloud.
+        points: usize,
+    },
+    /// The dataset must have between 1 and [`NUM_CLASSES`] classes.
+    Classes(usize),
+    /// Every class needs at least one training and one test cloud.
+    EmptySplit {
+        /// Training clouds per class.
+        train_per_class: usize,
+        /// Base test clouds per class.
+        test_per_class: usize,
+    },
+}
+
+impl fmt::Display for TaskError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TaskError::Neighbours { k, points } => {
+                write!(f, "k = {k} must be in 1..{points} (points per cloud)")
+            }
+            TaskError::Classes(c) => write!(f, "{c} classes, need 1..={NUM_CLASSES}"),
+            TaskError::EmptySplit {
+                train_per_class,
+                test_per_class,
+            } => write!(
+                f,
+                "empty split: {train_per_class} train and {test_per_class} test clouds per class"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TaskError {}
 
 /// Search hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -2022,6 +2090,39 @@ fn crossover_genome(a: &Vec<OpType>, b: &Vec<OpType>, rng: &mut StdRng) -> Vec<O
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_validation_catches_what_the_search_would_panic_on() {
+        for task in [
+            TaskConfig::tiny(1),
+            TaskConfig::small(1),
+            TaskConfig::paper(1),
+        ] {
+            assert_eq!(task.validate(), Ok(()));
+        }
+        let broken = |f: fn(&mut TaskConfig)| {
+            let mut t = TaskConfig::tiny(1);
+            f(&mut t);
+            t.validate().unwrap_err()
+        };
+        let points = TaskConfig::tiny(1).points();
+        assert_eq!(
+            broken(|t| t.k = 10_000),
+            TaskError::Neighbours { k: 10_000, points }
+        );
+        assert_eq!(
+            broken(|t| t.k = t.points()),
+            TaskError::Neighbours { k: points, points }
+        );
+        assert_eq!(broken(|t| t.k = 0), TaskError::Neighbours { k: 0, points });
+        assert_eq!(broken(|t| t.dataset.classes = 0), TaskError::Classes(0));
+        assert_eq!(broken(|t| t.dataset.classes = 41), TaskError::Classes(41));
+        assert!(matches!(
+            broken(|t| t.dataset.train_per_class = 0),
+            TaskError::EmptySplit { .. }
+        ));
+        assert!(broken(|t| t.k = 10_000).to_string().contains("k = 10000"));
+    }
 
     fn tiny_config(device: DeviceKind) -> SearchConfig {
         let mut cfg = SearchConfig::fast(device);

@@ -26,7 +26,7 @@
 //!   weights, constraints, the Stage-2 EA, the latency mode and the
 //!   predictor settings, because the session a prefix build produces is
 //!   bit-identical across all of them. [`ArtifactKind::Session`] spills
-//!   and the scheduler's resident session LRU are keyed by it (via
+//!   and the engine's resident session LRU are keyed by it (via
 //!   [`PrefixKey`]), so N shards differing only in Stage-2 seed, α/β, or
 //!   eval budget share **one** pre-trained supernet instead of N.
 //!
@@ -125,7 +125,7 @@ impl ArtifactKey {
 
 /// Identifies one *shared* session slot: the device-free prefix
 /// fingerprint (see [`prefix_fingerprint`]). [`ArtifactKind::Session`]
-/// spills and the scheduler's resident session LRU use this key, so
+/// spills and the engine's resident session LRU use this key, so
 /// shards that agree on the deterministic prefix share one supernet
 /// whatever their device, Stage-2 seed, or objective weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -661,7 +661,7 @@ impl ArtifactStore {
 
     /// Persists a spilled session (`hgnas_core::SessionState::export`):
     /// the Stage-1 outcome plus the pre-trained supernet weights. What the
-    /// scheduler's session cache writes when a memory budget evicts a
+    /// engine's session cache writes when a memory budget evicts a
     /// parked shard's session, so the next slice restores it instead of
     /// replaying Stage 1 + pre-training. Keyed by [`PrefixKey`] — no
     /// device — so any shard sharing the prefix restores it (see the

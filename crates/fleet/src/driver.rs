@@ -1,19 +1,19 @@
-//! The fleet driver: the blocking one-shard-per-device API, now a thin
-//! wrapper over the [`crate::scheduler`].
+//! The fleet driver: the blocking fleet API, a fresh [`Engine`] serving
+//! one request.
 //!
-//! [`run_fleet`] shards one search configuration across N devices, runs
-//! the shards through a [`Scheduler`] (shared measurement oracle in
-//! measured mode, shared artifact store, optional preemptive time
-//! slicing under a bounded thread budget) and blocks until the merged
-//! [`FleetReport`] is ready. Every shard's outcome is bit-identical to a
-//! serial single-device run of that configuration — the fleet adds
-//! breadth, never noise. [`run_fleet_with_events`] is the same call with
-//! a live [`FleetEvent`] stream for incremental reporting.
+//! [`run_fleet`] shards one search across devices or scenarios
+//! ([`shard_specs`]), runs the shards through an [`Engine`] (shared
+//! measurement oracle in measured mode, shared artifact store, optional
+//! preemptive time slicing under a bounded thread budget) and blocks until
+//! the merged [`FleetReport`] is ready. Every shard's outcome is
+//! bit-identical to a serial single-device run of that configuration — the
+//! fleet adds breadth, never noise. [`run_fleet_with_events`] is the same
+//! call with a live [`FleetEvent`] stream for incremental reporting.
 
 use crate::artifacts::{search_fingerprint, ArtifactKey, ArtifactStore, StoreError};
-use crate::events::FleetEvent;
+use crate::engine::{Engine, ShardSpec};
+use crate::events::{FleetEvent, ShardId};
 use crate::oracle::{OracleConfig, OracleStats};
-use crate::scheduler::{Scheduler, SchedulerConfig, ShardSpec};
 use crossbeam::channel::Sender;
 use hgnas_core::{SearchConfig, SearchOutcome, Strategy, TaskConfig};
 use hgnas_device::{DeviceKind, DevicePersona};
@@ -147,8 +147,9 @@ pub fn cross_scenarios(
 }
 
 /// Fleet-level configuration: which devices or scenarios to shard over,
-/// how the shared oracle behaves, and how the scheduler multiplexes the
-/// shards.
+/// how the shared oracle behaves, and how the [`Engine`] multiplexes the
+/// shards (the daemon's engine takes the same five fields from its
+/// `ServeConfig`).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Target devices, one search shard each (the legacy fleet shape;
@@ -164,11 +165,11 @@ pub struct FleetConfig {
     /// Persist a checkpoint every N generations (1 = every boundary).
     /// Ignored without an artifact store (events still fire per boundary).
     pub checkpoint_every: usize,
-    /// Total kernel-thread budget the scheduler multiplexes shards over.
+    /// Total kernel-thread budget the engine multiplexes shards over.
     /// `0` (the default) keeps the legacy shape: one worker per shard,
     /// each with the base config's own `eval_threads`.
     pub threads: usize,
-    /// Generations per scheduler time slice; `0` (the default) runs every
+    /// Generations per engine time slice; `0` (the default) runs every
     /// shard to completion unpreempted. Results are bit-identical either
     /// way — slicing only changes scheduling.
     pub preemption_stride: usize,
@@ -179,13 +180,16 @@ pub struct FleetConfig {
     /// `eval_stats.imported`. Needs an artifact store; a missing source
     /// cache is simply a cold start.
     pub warm_start_seed: Option<u64>,
-    /// Approximate byte budget for the scheduler's session cache (the
-    /// per-shard Stage-1 outcome + pre-trained supernet kept resident
-    /// across preemption slices). `None` (the default) keeps every
-    /// session; a budget evicts least-recently-used sessions — spilled to
-    /// the artifact store when one is attached, replayed otherwise.
-    /// Results are bit-identical at any budget; see
-    /// [`crate::SchedulerConfig::session_memory_budget`].
+    /// Approximate byte budget for the engine's session cache — the LRU
+    /// of prefix-keyed sessions (dataset + Stage-1 outcome + pre-trained
+    /// supernet), each shared by every shard whose prefix fingerprint
+    /// matches, kept resident across slices so a resumed shard never
+    /// replays its deterministic prefix. `None` (the default) keeps every
+    /// session a parked shard still needs; a budget evicts
+    /// least-recently-used sessions — spilled to the artifact store when
+    /// one is attached, dropped otherwise (the next slice then restores or
+    /// replays). Results are bit-identical at any budget; `Some(0)`
+    /// disables residency entirely.
     pub session_memory_budget: Option<u64>,
 }
 
@@ -253,7 +257,7 @@ pub struct DeviceReport {
     pub warm_predictor: bool,
     /// The generation this shard resumed from, when a checkpoint existed.
     pub resumed_from_generation: Option<usize>,
-    /// Scheduler time slices the shard consumed (1 without preemption).
+    /// Engine time slices the shard consumed (1 without preemption).
     pub slices: u64,
     /// How many times the shard's deterministic prefix (Stage 1 +
     /// supernet pre-training) was computed; 1 unless a session memory
@@ -324,9 +328,35 @@ impl FleetReport {
     }
 }
 
-/// Shards `base` across `fleet.devices` and runs every shard through the
-/// scheduler against the shared oracle (measured mode) and artifact
-/// store, blocking until all of them finish.
+/// The shards one fleet request runs, in report order: one per scenario,
+/// or — the legacy device-list shape, when `scenarios` is empty — one per
+/// device over `task`/`base`, labelled by device name. [`run_fleet`] and
+/// the `hgnas-serve` daemon both build their shards here.
+pub fn shard_specs(
+    task: &TaskConfig,
+    base: &SearchConfig,
+    devices: &[DeviceKind],
+    scenarios: &[ScenarioSpec],
+) -> Vec<ShardSpec> {
+    if !scenarios.is_empty() {
+        return scenarios
+            .iter()
+            .map(|s| ShardSpec::new(s.task.clone(), s.config.clone()).with_scenario(&s.label))
+            .collect();
+    }
+    devices
+        .iter()
+        .map(|&device| {
+            let mut cfg = base.clone();
+            cfg.device = device;
+            ShardSpec::new(task.clone(), cfg).with_scenario(device.name())
+        })
+        .collect()
+}
+
+/// Shards `base` across `fleet.devices` (or runs `fleet.scenarios`) on a
+/// fresh [`Engine`] against the shared oracle (measured mode) and artifact
+/// store, blocking until every shard finishes.
 ///
 /// Every shard's `SearchOutcome` is bit-identical to what a serial
 /// `Hgnas::new(task, base-with-that-device).run()` produces: the oracle is
@@ -341,7 +371,7 @@ impl FleetReport {
 ///
 /// # Panics
 ///
-/// Panics if `fleet` names no devices and no scenarios, or a scheduler
+/// Panics if `fleet` names no devices and no scenarios, or an engine
 /// worker panics.
 pub fn run_fleet(
     task: &TaskConfig,
@@ -352,8 +382,8 @@ pub fn run_fleet(
     run_fleet_with_events(task, base, fleet, store, None)
 }
 
-/// [`run_fleet`] with a live event stream: every scheduler event is
-/// forwarded to `events` as it happens, so a consumer thread (e.g. a
+/// [`run_fleet`] with a live event stream: every engine event is forwarded
+/// to `events` as it happens, so a consumer thread (e.g. a
 /// [`crate::StreamingReporter`] loop) can render incremental fleet
 /// reports while the search is still running. Dropping the receiver
 /// never blocks the fleet.
@@ -372,61 +402,24 @@ pub fn run_fleet_with_events(
     store: Option<&ArtifactStore>,
     events: Option<Sender<FleetEvent>>,
 ) -> Result<FleetReport, StoreError> {
-    // Scenario cells win over the legacy one-shard-per-device shape; each
-    // carries its own task/config, with `task`/`base` only supplying the
-    // legacy path.
-    let cells: Vec<(String, TaskConfig, SearchConfig)> = if fleet.scenarios.is_empty() {
-        assert!(!fleet.devices.is_empty(), "fleet needs at least one device");
-        fleet
-            .devices
-            .iter()
-            .map(|&device| {
-                let mut cfg = base.clone();
-                cfg.device = device;
-                (device.name().to_string(), task.clone(), cfg)
-            })
-            .collect()
-    } else {
-        fleet
-            .scenarios
-            .iter()
-            .map(|s| (s.label.clone(), s.task.clone(), s.config.clone()))
-            .collect()
-    };
-    let mut specs = Vec::with_capacity(cells.len());
-    for (label, task, cfg) in cells {
-        let imported_cache = match (fleet.warm_start_seed, store) {
-            (Some(seed), Some(store)) if cfg.strategy == Strategy::MultiStage => {
-                let mut source = cfg.clone();
-                source.seed = seed;
-                let key = ArtifactKey {
-                    device: cfg.device,
-                    fingerprint: search_fingerprint(&task, &source),
-                };
-                store.load_score_cache(&key)?
-            }
-            _ => None,
-        };
-        specs.push(ShardSpec {
-            scenario: label,
-            task,
-            config: cfg,
-            imported_cache,
-        });
+    let mut specs = shard_specs(task, base, &fleet.devices, &fleet.scenarios);
+    assert!(!specs.is_empty(), "fleet needs at least one device");
+    if let (Some(seed), Some(store)) = (fleet.warm_start_seed, store) {
+        for spec in specs
+            .iter_mut()
+            .filter(|s| s.config.strategy == Strategy::MultiStage)
+        {
+            let mut source = spec.config.clone();
+            source.seed = seed;
+            let key = ArtifactKey {
+                device: spec.config.device,
+                fingerprint: search_fingerprint(&spec.task, &source),
+            };
+            spec.imported_cache = store.load_score_cache(&key)?;
+        }
     }
-    let scheduler = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: fleet.threads,
-            preemption_stride: fleet.preemption_stride,
-            checkpoint_every: fleet.checkpoint_every,
-            oracle: fleet.oracle.clone(),
-            max_slices: None,
-            session_memory_budget: fleet.session_memory_budget,
-            stop: None,
-        },
-    );
-    let report = scheduler.run(store, events)?;
+    let all: Vec<ShardId> = (0..specs.len()).collect();
+    let report = Engine::new(fleet, store.cloned()).run(0, &specs, &all, None, events)?;
     let reports = report
         .shards
         .into_iter()
@@ -435,7 +428,7 @@ pub fn run_fleet_with_events(
             device: s.device,
             outcome: s
                 .outcome
-                .expect("an unbudgeted scheduler runs every shard to completion"),
+                .expect("an ungranted engine call runs every shard to completion"),
             pareto: s.pareto,
             predictor_epochs_run: s.predictor_epochs_run,
             warm_predictor: s.warm_predictor,

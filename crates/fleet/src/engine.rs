@@ -1,47 +1,50 @@
-//! The fleet scheduler: multiplex N search shards over one host's kernel
-//! thread budget with generation-granular preemptive time slices.
+//! The fleet engine: multiplex search shards over one host's kernel
+//! thread budget with generation-granular preemptive time slices, and keep
+//! everything warm across calls.
 //!
-//! PR 3's fleet driver ran one thread per device shard — fine for one
-//! shard per [`DeviceKind`], oversubscribed the moment a tenant queues
-//! more shards (several seeds or tasks per device) than the host has
-//! cores. The scheduler fixes the shape: shards wait in a shared ready
-//! queue, a bounded pool of workers pulls the next ready shard
-//! (work-stealing at shard granularity — an idle worker always takes the
-//! oldest runnable shard), runs it for a *time slice* of
-//! [`SchedulerConfig::preemption_stride`] generations, checkpoints it at
-//! the boundary, and re-queues it behind its peers. Because
+//! Shards wait in a shared ready queue; a bounded pool of workers pulls
+//! the next ready shard (work-stealing at shard granularity — an idle
+//! worker always takes the oldest runnable shard), runs it for a *time
+//! slice* of [`FleetConfig::preemption_stride`] generations, checkpoints it
+//! at the boundary, and re-queues it behind its peers. Because
 //! checkpoint/resume is bit-identical (the core contract every prior PR
-//! locked in), preemption is transparent: any (shard count × thread
-//! budget × stride) cell produces per-shard results bit-identical to a
-//! serial [`Hgnas::run_with`] of the same options.
+//! locked in), preemption is transparent: any (shard count × thread budget
+//! × stride) cell produces per-shard results bit-identical to a serial
+//! [`Hgnas::run_with`] of the same options. Each worker hands its slice a
+//! proportional share of the kernel thread budget
+//! ([`FleetConfig::threads`]), so shards across workers and matmuls inside
+//! a shard never oversubscribe the machine; `eval_threads` is
+//! bit-transparent, so the split never changes results either.
 //!
-//! Each worker hands its slice a proportional share of the total kernel
-//! thread budget ([`SchedulerConfig::threads`]), so the two levels of
-//! parallelism — shards across workers, matmuls inside a shard — never
-//! oversubscribe the machine. `eval_threads` is bit-transparent, so the
-//! split never changes results either.
+//! An [`Engine`] lives across calls. Each [`Engine::run`] serves shards of
+//! one request, optionally under a slice grant; shards the grant does not
+//! finish **park inside the engine** — in-memory checkpoint, latency
+//! predictor and counters, keyed by (request, shard index) — and the next
+//! call resumes them without a store round-trip. The engine also owns the
+//! measurement-oracle pools (one per device profile) and the **session
+//! cache**: each deterministic prefix (dataset + Stage 1 + supernet
+//! pre-training), keyed by [`prefix_fingerprint`], so every shard whose
+//! prefix-relevant inputs match — whatever its device, objective weights or
+//! Stage-2 seed, and whichever call runs it — shares one resident (or
+//! spilled) session. Builds are **single-flight**: while one worker builds
+//! a prefix, any other slice wanting it defers — it re-queues (its budget
+//! unit refunded) and its worker takes other work, so a prefix build
+//! overlaps other shards' search slices instead of serialising the fleet.
+//! At the end of every call the engine drops the sessions and oracle pools
+//! no parked shard still needs. Checkpoints still reach the artifact store
+//! at every slice boundary, so a fresh engine over the same store resumes a
+//! parked shard bit-identically (daemon drain, mid-run kill).
 //!
-//! The deterministic prefix (dataset + Stage 1 + supernet pre-training)
-//! is kept in a budgeted **session cache keyed by prefix fingerprint**
-//! ([`prefix_fingerprint`]): every shard whose prefix-relevant inputs
-//! match — same task, strategy, Stage-1 EA, epoch counts, seed, eval
-//! budget, whatever its device, objective weights or Stage-2 seed —
-//! shares one resident (or spilled) session, so a K-shard sweep over one
-//! prefix builds it exactly once. Builds are **single-flight**: while one
-//! worker builds a prefix, any other slice wanting it defers — it
-//! re-queues (its budget unit refunded) and its worker takes other work,
-//! which is what lets a prefix build overlap other shards' search slices
-//! instead of serialising the fleet behind it.
-//!
-//! Progress streams out as [`FleetEvent`]s; [`crate::StreamingReporter`]
-//! renders them incrementally, and the blocking [`crate::run_fleet`] API
-//! is a thin wrapper over `Scheduler::run`.
+//! [`crate::run_fleet`] is a fresh engine serving one request to
+//! completion; the `hgnas-serve` daemon keeps one engine for its lifetime
+//! and runs each admission round as one budgeted call. Progress streams
+//! out as [`FleetEvent`]s numbered by the request's own shard indices.
 
 use crate::artifacts::{
     persona_predictor_fingerprint, prefix_fingerprint, search_fingerprint, ArtifactKey,
     ArtifactStore, PrefixKey, StoreError,
 };
-use crate::driver::ParetoPoint;
+use crate::driver::{FleetConfig, ParetoPoint};
 use crate::events::{FleetEvent, SessionAction, ShardId};
 use crate::oracle::{MeasurementOracle, OracleConfig, OracleStats};
 use crossbeam::channel::Sender;
@@ -49,7 +52,7 @@ use hgnas_core::{
     pareto_front_nd, Checkpoint, Hgnas, LatencyMode, MeasureBackend, PretrainedPredictor,
     RunOptions, ScoredCandidate, SearchConfig, SearchOutcome, SessionState, Strategy, TaskConfig,
 };
-use hgnas_device::DeviceKind;
+use hgnas_device::{DeviceKind, DeviceProfile};
 use hgnas_ops::OpType;
 use hgnas_predictor::LatencyPredictor;
 use hgnas_tensor::threads::with_kernel_threads;
@@ -94,67 +97,10 @@ impl ShardSpec {
     }
 }
 
-/// Scheduler tuning knobs.
-#[derive(Debug, Clone)]
-pub struct SchedulerConfig {
-    /// Total kernel-thread budget multiplexed across shards. `0` (the
-    /// default) runs one worker per shard, each with its spec's own
-    /// `eval_threads` — the pre-scheduler fleet behaviour.
-    pub threads: usize,
-    /// Generations per time slice. `0` (the default) disables preemption:
-    /// a worker runs its shard to completion before taking the next one.
-    pub preemption_stride: usize,
-    /// Persist (and announce) a checkpoint every N generations within a
-    /// slice (0 is treated as 1). Slice boundaries always checkpoint.
-    pub checkpoint_every: usize,
-    /// Measurement-oracle tuning (shards in [`LatencyMode::Measured`]).
-    pub oracle: OracleConfig,
-    /// Total slice budget across all shards; when it runs out, unfinished
-    /// shards stay parked (their checkpoints persisted to the store) and
-    /// [`Scheduler::run`] returns them with `outcome: None`. `None` (the
-    /// default) runs every shard to completion. This is the budgeted
-    /// scheduling-round lever — and the mid-run-kill test hook.
-    pub max_slices: Option<u64>,
-    /// Approximate byte budget for the session cache — the LRU of
-    /// prefix-keyed [`SessionState`]s (dataset + Stage-1 outcome +
-    /// pre-trained supernet), each shared by every shard whose
-    /// [`prefix_fingerprint`] matches, kept resident across time slices
-    /// so a resumed shard never replays its deterministic prefix. `None` (the
-    /// default) keeps every session for the run's lifetime; under a
-    /// budget, least-recently-used sessions are evicted — spilled to the
-    /// artifact store when one is attached, dropped otherwise (the next
-    /// slice then restores or replays; results are bit-identical in every
-    /// case). `Some(0)` disables residency entirely, which without a
-    /// store is exactly the pre-session replay-per-slice behaviour.
-    pub session_memory_budget: Option<u64>,
-    /// External drain flag: when set mid-run, workers stop picking up new
-    /// slices at the next boundary — *before* decrementing `max_slices` —
-    /// and unfinished shards park exactly as if the slice budget had run
-    /// out (checkpoints persisted, `outcome: None`). The `hgnas-serve`
-    /// daemon uses this for graceful shutdown; a parked shard resumed
-    /// through the same store later is bit-identical. `None` (the
-    /// default) never stops early.
-    pub stop: Option<Arc<AtomicBool>>,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            threads: 0,
-            preemption_stride: 0,
-            checkpoint_every: 1,
-            oracle: OracleConfig::default(),
-            max_slices: None,
-            session_memory_budget: None,
-            stop: None,
-        }
-    }
-}
-
-/// Aggregate counters of the scheduler's session cache. `hits`, `builds`
-/// and `restores` are **disjoint**: every executed slice claims its
-/// session through exactly one of the three, so they sum to the executed
-/// slice count.
+/// Aggregate counters of the engine's session cache since the engine
+/// started. `hits`, `builds` and `restores` are **disjoint**: every
+/// executed slice claims its session through exactly one of the three, so
+/// they sum to the executed slice count.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SessionCacheStats {
     /// Slices that reused a resident session (no prefix work at all).
@@ -178,9 +124,9 @@ pub struct SessionCacheStats {
     pub deferrals: u64,
 }
 
-/// Coarse wall-clock breakdown of a scheduler run, aggregated across all
+/// Coarse wall-clock breakdown of an engine's calls, aggregated across all
 /// workers and shards (phases running on two workers at once both count,
-/// so the sum can exceed the run's wall-clock).
+/// so the sum can exceed the wall-clock).
 ///
 /// This is the re-profiling instrument for the perf roadmap: after each
 /// optimisation lands, the fleet bench records these numbers so the next
@@ -235,11 +181,22 @@ impl PhaseClock {
     }
 }
 
+/// A shard's identity across engine calls: its request and its index in
+/// that request's report order.
+type ShardKey = (u64, ShardId);
+
+/// The shard whose slice built a session. The session can outlive the
+/// call that built it, so evictions are attributed by the stable key, not
+/// by a position in some call's shard list.
+#[derive(Debug, Clone, Copy)]
+struct Owner {
+    key: ShardKey,
+    device: DeviceKind,
+}
+
 /// One resident session.
 struct SessionEntry {
-    /// The shard whose slice created the entry (used to attribute
-    /// eviction events).
-    owner: ShardId,
+    owner: Owner,
     session: Arc<SessionState>,
     bytes: u64,
     /// Whether a spill artifact for this session already exists — sessions
@@ -247,11 +204,11 @@ struct SessionEntry {
     on_disk: bool,
 }
 
-/// The budgeted LRU of [`SessionState`]s the scheduler keeps across time
-/// slices, keyed by **prefix fingerprint** so every shard sharing a
-/// deterministic prefix (same task, strategy, Stage-1 EA, epoch counts,
-/// seed, eval budget — whatever its device, Stage-2 seed or objective
-/// weights) shares one resident session.
+/// The budgeted LRU of [`SessionState`]s the engine keeps across time
+/// slices and calls, keyed by **prefix fingerprint** so every shard
+/// sharing a deterministic prefix (same task, strategy, Stage-1 EA, epoch
+/// counts, seed, eval budget — whatever its device, Stage-2 seed or
+/// objective weights) shares one resident session.
 ///
 /// Builds are **single-flight**: [`SessionCache::claim`] hands exactly
 /// one caller a [`BuildGuard`] per missing key; every other worker
@@ -277,7 +234,8 @@ struct SessionCacheState {
     order: Vec<u64>,
     /// Total resident bytes (maintained incrementally).
     resident_bytes: u64,
-    /// Prefix fingerprints some worker is currently building.
+    /// Prefix fingerprints some worker is currently building, or spilling
+    /// after an eviction.
     in_flight: HashSet<u64>,
     stats: SessionCacheStats,
 }
@@ -312,19 +270,19 @@ impl BuildGuard<'_> {
     /// `(owner, spilled)` per eviction for event emission.
     fn fulfil(
         mut self,
-        owner: ShardId,
+        owner: Owner,
         session: Arc<SessionState>,
         on_disk: bool,
         store: Option<&ArtifactStore>,
-    ) -> Result<Vec<(ShardId, bool)>, StoreError> {
+    ) -> Result<Vec<(Owner, bool)>, StoreError> {
         self.fulfilled = true;
         let bytes = session.approx_bytes();
         let fp = self.key.fingerprint;
         // Evictions are decided under the lock but *spilled* outside it:
         // serializing supernet weights to disk under the only cache mutex
-        // would stall every other worker's slice boundary. A racing worker
-        // that misses the evicted key before its spill lands simply
-        // rebuilds — bit-identical, like any other cache miss.
+        // would stall every other worker's slice boundary. Until its spill
+        // lands, a victim stays marked in flight, so a racing claimant
+        // defers and then restores it instead of building it again.
         let mut to_spill = Vec::new();
         {
             let mut st = self.cache.inner.lock().unwrap();
@@ -345,31 +303,41 @@ impl BuildGuard<'_> {
                     let e = st.entries.remove(&victim).expect("order tracks entries");
                     st.resident_bytes -= e.bytes;
                     st.stats.evictions += 1;
-                    to_spill.push((victim, e));
+                    let spill = store.is_some() && !e.on_disk;
+                    if spill {
+                        st.in_flight.insert(victim);
+                    }
+                    to_spill.push((victim, e, spill));
                 }
             }
         }
         self.cache.build_done.notify_all();
         let mut evicted = Vec::new();
         let mut spills = 0;
-        for (victim, mut e) in to_spill {
-            if !e.on_disk {
+        let mut result = Ok(());
+        for (victim, e, spill) in &mut to_spill {
+            if *spill && result.is_ok() {
                 if let (Some(store), Some(snap)) = (store, e.session.export()) {
-                    store.save_session(
-                        &PrefixKey {
-                            fingerprint: victim,
-                        },
-                        &snap,
-                    )?;
-                    e.on_disk = true;
-                    spills += 1;
+                    let key = PrefixKey {
+                        fingerprint: *victim,
+                    };
+                    result = store.save_session(&key, &snap).map(|_| ());
+                    e.on_disk = result.is_ok();
+                    spills += u64::from(e.on_disk);
                 }
             }
             evicted.push((e.owner, e.on_disk));
         }
-        if spills > 0 {
-            self.cache.inner.lock().unwrap().stats.spills += spills;
+        let mut st = self.cache.inner.lock().unwrap();
+        st.stats.spills += spills;
+        for (victim, _, spill) in &to_spill {
+            if *spill {
+                st.in_flight.remove(victim);
+            }
         }
+        drop(st);
+        self.cache.build_done.notify_all();
+        result?;
         Ok(evicted)
     }
 }
@@ -442,12 +410,27 @@ impl SessionCache {
         }
     }
 
-    fn note_built(&self) {
-        self.inner.lock().unwrap().stats.builds += 1;
+    /// Drops every resident session whose prefix is not in `keep`.
+    fn retain(&self, keep: &HashSet<u64>) {
+        let mut st = self.inner.lock().unwrap();
+        let SessionCacheState {
+            entries,
+            order,
+            resident_bytes,
+            ..
+        } = &mut *st;
+        order.retain(|fp| keep.contains(fp));
+        entries.retain(|fp, e| {
+            let kept = keep.contains(fp);
+            if !kept {
+                *resident_bytes -= e.bytes;
+            }
+            kept
+        });
     }
 
-    fn note_restored(&self) {
-        self.inner.lock().unwrap().stats.restores += 1;
+    fn note(&self, count: impl FnOnce(&mut SessionCacheStats)) {
+        count(&mut self.inner.lock().unwrap().stats);
     }
 
     fn stats(&self) -> SessionCacheStats {
@@ -455,37 +438,40 @@ impl SessionCache {
     }
 }
 
-/// What one shard produced.
+/// Where one shard stands after an engine call.
 #[derive(Debug)]
 pub struct ShardResult {
-    /// The shard's index in the spec list.
+    /// The shard's index in its request's report order.
     pub shard: ShardId,
     /// Its scenario label (from the spec).
     pub scenario: String,
     /// Its target device.
     pub device: DeviceKind,
     /// The search outcome — bit-identical to a serial
-    /// [`Hgnas::run_with`] of the same options. `None` only when the
-    /// slice budget ran out first.
+    /// [`Hgnas::run_with`] of the same options. `None` while the shard is
+    /// parked (the call's slice grant ran out first, or a drain stopped
+    /// it).
     pub outcome: Option<SearchOutcome>,
     /// Latency/accuracy Pareto front over every constraint-satisfying
     /// candidate the shard scored so far, fastest first.
     pub pareto: Vec<ParetoPoint>,
-    /// Predictor-training epochs this run actually executed (0 on a warm
-    /// start from the artifact store).
+    /// Predictor-training epochs the engine actually executed for this
+    /// shard (0 on a warm start from the artifact store).
     pub predictor_epochs_run: usize,
     /// Whether the predictor came from the artifact store.
     pub warm_predictor: bool,
-    /// The generation a persisted checkpoint resumed the shard from.
+    /// The generation a persisted checkpoint resumed the shard from when
+    /// the engine first picked it up.
     pub resumed_from_generation: Option<usize>,
-    /// Time slices the shard consumed this run (deferred slices are not
-    /// counted — they did no work and their budget unit was refunded).
+    /// Time slices the shard consumed across every call so far (deferred
+    /// slices are not counted — they did no work and their budget unit
+    /// was refunded).
     pub slices: u64,
     /// How many times this shard's slices computed the deterministic
     /// prefix from scratch (Stage 1 + supernet pre-training for
     /// multi-stage shards). With an adequate session memory budget, at
-    /// most 1 across **all shards sharing the prefix** — the tentpole
-    /// invariant; every extra unit is a replay the budget forced.
+    /// most 1 across **all shards sharing the prefix** — every extra unit
+    /// is a replay the budget forced.
     pub prefix_builds: u64,
     /// Slices that reused a *resident* session. Disjoint from
     /// `session_restores` and `prefix_builds`; the three sum to `slices`.
@@ -499,20 +485,25 @@ pub struct ShardResult {
     pub session_deferrals: u64,
 }
 
-/// Everything a scheduler run produced.
+/// What one [`Engine::run`] call produced.
 #[derive(Debug)]
-pub struct SchedulerReport {
-    /// Per-shard results, in spec order.
+pub struct EngineReport {
+    /// The call's shards, in the order they were passed.
     pub shards: Vec<ShardResult>,
-    /// Oracle counters (when any shard measured).
+    /// Slices executed by this call — what a budgeted host charges.
+    pub slices: u64,
+    /// Counters of the engine's oracle pools, summed since each pool
+    /// started (`None` when no parked or running shard measured).
     pub oracle_stats: Option<OracleStats>,
-    /// Session-cache counters for the whole run.
+    /// Session-cache counters since the engine started.
     pub session_stats: SessionCacheStats,
-    /// Where the run's wall-clock went, summed across workers.
+    /// Where the engine's wall-clock went since it started, summed across
+    /// workers.
     pub phase_timings: PhaseTimings,
 }
 
-/// Mutable per-shard state carried between time slices.
+/// Mutable per-shard state carried between time slices — and, parked,
+/// between calls.
 #[derive(Default)]
 struct ShardState {
     predictor: Option<PretrainedPredictor>,
@@ -530,16 +521,45 @@ struct ShardState {
     session_hits: u64,
     session_restores: u64,
     session_deferrals: u64,
+    /// The prefix fingerprint and (measured shards) the device profile
+    /// the shard needs: what a parked shard keeps alive in the engine.
+    prefix: Option<u64>,
+    measured: Option<DeviceProfile>,
     /// `(latency bits, accuracy bits)` signature of the last announced
     /// Pareto front, for change detection.
     last_front: Vec<(u64, u64)>,
     finished: Option<ShardResult>,
 }
 
+impl ShardState {
+    /// The result of a shard that has not finished (yet).
+    fn parked_result(&self, shard: ShardId, spec: &ShardSpec) -> ShardResult {
+        ShardResult {
+            shard,
+            scenario: spec.scenario.clone(),
+            device: spec.config.device,
+            outcome: None,
+            pareto: self
+                .checkpoint
+                .as_ref()
+                .map(checkpoint_pareto)
+                .unwrap_or_default(),
+            predictor_epochs_run: self.predictor_epochs_run,
+            warm_predictor: self.warm_predictor,
+            resumed_from_generation: self.resumed_from_generation,
+            slices: self.slices,
+            prefix_builds: self.prefix_builds,
+            session_hits: self.session_hits,
+            session_restores: self.session_restores,
+            session_deferrals: self.session_deferrals,
+        }
+    }
+}
+
 /// What the ready queue carries.
 enum Job {
-    /// Run one slice of this shard.
-    Slice(ShardId),
+    /// Run one slice of the call's `i`-th shard.
+    Slice(usize),
     /// Worker shutdown pill.
     Stop,
 }
@@ -557,20 +577,34 @@ enum SliceOutcome {
     Deferred,
 }
 
-/// The fleet scheduler. See the module docs.
-#[derive(Debug)]
-pub struct Scheduler {
-    specs: Vec<ShardSpec>,
-    cfg: SchedulerConfig,
+/// The long-lived fleet engine. See the module docs.
+pub struct Engine {
+    /// Total kernel-thread budget; `0` runs one worker per shard, each
+    /// with its spec's own `eval_threads`.
+    threads: usize,
+    /// Generations per time slice; `0` runs every shard unpreempted.
+    preemption_stride: usize,
+    /// Checkpoint cadence within a slice (0 is treated as 1).
+    checkpoint_every: usize,
+    oracle: OracleConfig,
+    store: Option<ArtifactStore>,
+    stop: Option<Arc<AtomicBool>>,
+    sessions: SessionCache,
+    /// Oracle pools by device profile, started on first use.
+    oracles: Vec<(DeviceProfile, MeasurementOracle)>,
+    /// Unfinished shards between calls.
+    parked: HashMap<ShardKey, ShardState>,
+    phases: PhaseClock,
 }
 
 /// Builds the Pareto front from a checkpoint's score cache: every valid
 /// scored candidate competes on (latency, accuracy), with energy and
 /// peak-memory axes joining exactly when the shard's objective priced
 /// them (then any candidate carries them). With only the two classic
-/// axes, [`pareto_front_nd`] membership matches the 2-D [`pareto_front`]
-/// exactly, so legacy fronts are bit-identical.
-pub(crate) fn checkpoint_pareto(cp: &Checkpoint) -> Vec<ParetoPoint> {
+/// axes, [`pareto_front_nd`] membership matches the 2-D
+/// [`hgnas_core::pareto_front`] exactly, so legacy fronts are
+/// bit-identical.
+fn checkpoint_pareto(cp: &Checkpoint) -> Vec<ParetoPoint> {
     let entries: Vec<(&[OpType], &ScoredCandidate)> = match cp {
         Checkpoint::MultiStage(cp) => cp.cache.iter().map(|(g, c)| (g.as_slice(), c)).collect(),
         Checkpoint::OneStage(cp) => cp.cache.iter().map(|(g, c)| (g.2.as_slice(), c)).collect(),
@@ -614,102 +648,115 @@ pub(crate) fn checkpoint_pareto(cp: &Checkpoint) -> Vec<ParetoPoint> {
 
 fn emit(events: Option<&Sender<FleetEvent>>, ev: FleetEvent) {
     if let Some(tx) = events {
-        // A consumer that hung up is not the scheduler's problem.
+        // A consumer that hung up is not the engine's problem.
         let _ = tx.send(ev);
     }
 }
 
-impl Scheduler {
-    /// A scheduler over `specs` with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` is empty.
-    pub fn new(specs: Vec<ShardSpec>, cfg: SchedulerConfig) -> Self {
-        assert!(!specs.is_empty(), "scheduler needs at least one shard");
-        Scheduler { specs, cfg }
+impl Engine {
+    /// An engine with `fleet`'s thread budget, preemption stride,
+    /// checkpoint cadence, oracle tuning and session memory budget (the
+    /// fleet's device and scenario lists are per request, see
+    /// [`Engine::run`]). `store` enables predictor/checkpoint/score-cache
+    /// persistence, session spills and store-based resume.
+    pub fn new(fleet: &FleetConfig, store: Option<ArtifactStore>) -> Self {
+        Engine {
+            threads: fleet.threads,
+            preemption_stride: fleet.preemption_stride,
+            checkpoint_every: fleet.checkpoint_every,
+            oracle: fleet.oracle.clone(),
+            store,
+            stop: None,
+            sessions: SessionCache::new(fleet.session_memory_budget),
+            oracles: Vec::new(),
+            parked: HashMap::new(),
+            phases: PhaseClock::default(),
+        }
     }
 
-    /// The shard specs, in the order results are reported.
-    pub fn specs(&self) -> &[ShardSpec] {
-        &self.specs
+    /// Wires in an external drain flag: once set, workers stop picking up
+    /// new slices at the next boundary — *before* charging the grant — and
+    /// unfinished shards park exactly as if the grant had run out. The
+    /// `hgnas-serve` daemon uses this for graceful shutdown.
+    pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Self {
+        self.stop = Some(stop);
+        self
     }
 
-    /// Runs every shard (within the slice budget, if one is set) and
-    /// returns per-shard results in spec order. `store` enables
-    /// predictor/checkpoint/score-cache persistence and store-based
-    /// resume; `events` streams [`FleetEvent`]s to a consumer on another
-    /// thread.
+    /// Runs the `pending` shards of request `request` (indices into
+    /// `specs`, the request's shards in report order) until each finishes
+    /// or, with a `grant`, until `grant` slices have run. Unfinished
+    /// shards park in the engine and resume from there on a later call
+    /// with the same request id; results come back in `pending` order.
+    /// `events` streams [`FleetEvent`]s, numbered by `specs` index, to a
+    /// consumer on another thread.
     ///
     /// # Errors
     ///
-    /// The first [`StoreError`] any shard hit; remaining shards are
-    /// stopped at their next slice boundary.
+    /// The first [`StoreError`] any shard hit; the remaining shards stop at
+    /// their next slice boundary and the call's shards are dropped rather
+    /// than parked.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics.
+    /// Panics if `pending` is empty, names a shard outside `specs`, or a
+    /// worker thread panics.
     pub fn run(
-        &self,
-        store: Option<&ArtifactStore>,
+        &mut self,
+        request: u64,
+        specs: &[ShardSpec],
+        pending: &[ShardId],
+        grant: Option<u64>,
         events: Option<Sender<FleetEvent>>,
-    ) -> Result<SchedulerReport, StoreError> {
-        let n = self.specs.len();
-        let measured: Vec<hgnas_device::DeviceProfile> = {
-            let mut seen: Vec<hgnas_device::DeviceProfile> = Vec::new();
-            for s in &self.specs {
-                if s.config.latency_mode == LatencyMode::Measured {
-                    let p = s.config.device_profile();
-                    if !seen.contains(&p) {
-                        seen.push(p);
-                    }
-                }
+    ) -> Result<EngineReport, StoreError> {
+        assert!(
+            !pending.is_empty(),
+            "an engine call needs at least one shard"
+        );
+        for &i in pending {
+            let cfg = &specs[i].config;
+            let p = cfg.device_profile();
+            if cfg.latency_mode == LatencyMode::Measured && !self.oracles.iter().any(|o| o.0 == p) {
+                let pool =
+                    MeasurementOracle::start_profiles(std::slice::from_ref(&p), &self.oracle);
+                self.oracles.push((p, pool));
             }
-            seen
-        };
-        let oracle = (!measured.is_empty())
-            .then(|| MeasurementOracle::start_profiles(&measured, &self.cfg.oracle));
-
-        let workers = if self.cfg.threads == 0 {
+        }
+        let n = pending.len();
+        let states: Vec<Mutex<ShardState>> = pending
+            .iter()
+            .map(|&i| Mutex::new(self.parked.remove(&(request, i)).unwrap_or_default()))
+            .collect();
+        let workers = if self.threads == 0 {
             n
         } else {
-            self.cfg.threads.min(n).max(1)
+            self.threads.min(n).max(1)
         };
-        let sessions = SessionCache::new(self.cfg.session_memory_budget);
-        let phases = PhaseClock::default();
-        let states: Vec<Mutex<ShardState>> = (0..n).map(|_| Mutex::default()).collect();
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
-        for i in 0..n {
-            let _ = tx.send(Job::Slice(i));
+        for j in 0..n {
+            let _ = tx.send(Job::Slice(j));
         }
         let remaining = AtomicUsize::new(n);
-        let budget = self.cfg.max_slices.map(AtomicU64::new);
+        let executed = AtomicU64::new(0);
+        let budget = grant.map(AtomicU64::new);
         let failure: Mutex<Option<StoreError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
 
+        let this = &*self;
         crossbeam::scope(|s| {
             for w in 0..workers {
                 let rx = rx.clone();
                 let tx = tx.clone();
                 let events = events.clone();
-                let (states, remaining, budget, failure, abort, oracle, sessions, phases) = (
-                    &states,
-                    &remaining,
-                    &budget,
-                    &failure,
-                    &abort,
-                    oracle.as_ref(),
-                    &sessions,
-                    &phases,
-                );
+                let (states, remaining, executed, budget, failure, abort) =
+                    (&states, &remaining, &executed, &budget, &failure, &abort);
                 // 0 tells the slice to use the spec's own eval_threads
                 // (legacy one-worker-per-shard mode); otherwise split the
                 // budget, spreading the remainder over the first workers.
-                let kernel_budget = if self.cfg.threads == 0 {
+                let kernel_budget = if this.threads == 0 {
                     0
                 } else {
-                    (self.cfg.threads / workers + usize::from(w < self.cfg.threads % workers))
-                        .max(1)
+                    (this.threads / workers + usize::from(w < this.threads % workers)).max(1)
                 };
                 s.spawn(move |_| {
                     let finish_one = || {
@@ -720,17 +767,13 @@ impl Scheduler {
                         }
                     };
                     // Exit on a Stop pill or channel teardown alike.
-                    while let Ok(Job::Slice(i)) = rx.recv() {
+                    while let Ok(Job::Slice(j)) = rx.recv() {
                         // The drain flag is checked *before* the budget
-                        // decrement so a drained round leaves the
-                        // remaining grant intact (nothing is charged for
-                        // slices that never ran).
+                        // decrement so a drained call leaves the remaining
+                        // grant intact (nothing is charged for slices that
+                        // never ran).
                         let stopping = abort.load(Ordering::SeqCst)
-                            || self
-                                .cfg
-                                .stop
-                                .as_ref()
-                                .is_some_and(|s| s.load(Ordering::SeqCst));
+                            || this.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst));
                         let budget_left = !stopping
                             && budget.as_ref().is_none_or(|b| {
                                 b.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
@@ -744,42 +787,43 @@ impl Scheduler {
                             finish_one();
                             continue;
                         }
-                        let mut st = states[i].lock().unwrap();
-                        match self.run_slice(
-                            i,
+                        let i = pending[j];
+                        let mut st = states[j].lock().unwrap();
+                        let ran = this.run_slice(
+                            (request, i),
+                            &specs[i],
                             &mut st,
                             kernel_budget,
-                            store,
-                            oracle,
-                            sessions,
-                            phases,
                             events.as_ref(),
-                        ) {
+                        );
+                        match ran {
                             Ok(SliceOutcome::Finished) => {
                                 drop(st);
+                                executed.fetch_add(1, Ordering::SeqCst);
                                 finish_one();
                             }
                             Ok(SliceOutcome::Preempted) => {
                                 drop(st);
-                                let _ = tx.send(Job::Slice(i));
+                                executed.fetch_add(1, Ordering::SeqCst);
+                                let _ = tx.send(Job::Slice(j));
                             }
                             Ok(SliceOutcome::Deferred) => {
                                 drop(st);
                                 // The slice did no work: hand its budget
                                 // unit back before re-queueing, so a
                                 // deferral can never starve a budgeted
-                                // run of real slices.
+                                // call of real slices.
                                 if let Some(b) = budget.as_ref() {
                                     b.fetch_add(1, Ordering::SeqCst);
                                 }
-                                let _ = tx.send(Job::Slice(i));
+                                let _ = tx.send(Job::Slice(j));
                             }
                             Err(e) => {
                                 emit(
                                     events.as_ref(),
                                     FleetEvent::ShardFailed {
                                         shard: i,
-                                        device: self.specs[i].config.device,
+                                        device: specs[i].config.device,
                                         error: e.to_string(),
                                     },
                                 );
@@ -793,65 +837,65 @@ impl Scheduler {
                 });
             }
         })
-        .expect("scheduler worker panicked");
+        .expect("engine worker panicked");
 
-        let oracle_stats = oracle.map(MeasurementOracle::shutdown);
-        if let Some(e) = failure.into_inner().unwrap() {
+        let oracle_stats = self
+            .oracles
+            .iter()
+            .map(|(_, o)| o.stats())
+            .reduce(|a, b| OracleStats {
+                requests: a.requests + b.requests,
+                batches: a.batches + b.batches,
+                max_batch: a.max_batch.max(b.max_batch),
+                retries: a.retries + b.retries,
+                injected_faults: a.injected_faults + b.injected_faults,
+            });
+        let failure = failure.into_inner().unwrap();
+        let mut shards = Vec::with_capacity(n);
+        for (&i, st) in pending.iter().zip(states) {
+            let st = st.into_inner().unwrap();
+            if let Some(done) = st.finished {
+                shards.push(done);
+            } else if failure.is_none() {
+                shards.push(st.parked_result(i, &specs[i]));
+                self.parked.insert((request, i), st);
+            }
+        }
+        // Keep only what a parked shard will resume with.
+        let live: HashSet<u64> = self.parked.values().filter_map(|s| s.prefix).collect();
+        self.sessions.retain(&live);
+        let parked = &self.parked;
+        self.oracles
+            .retain(|(p, _)| parked.values().any(|s| s.measured.as_ref() == Some(p)));
+        if let Some(e) = failure {
             return Err(e);
         }
-        let shards = states
-            .into_iter()
-            .enumerate()
-            .map(|(i, st)| {
-                let st = st.into_inner().unwrap();
-                st.finished.unwrap_or_else(|| ShardResult {
-                    shard: i,
-                    scenario: self.specs[i].scenario.clone(),
-                    device: self.specs[i].config.device,
-                    outcome: None,
-                    pareto: st
-                        .checkpoint
-                        .as_ref()
-                        .map(checkpoint_pareto)
-                        .unwrap_or_default(),
-                    predictor_epochs_run: st.predictor_epochs_run,
-                    warm_predictor: st.warm_predictor,
-                    resumed_from_generation: st.resumed_from_generation,
-                    slices: st.slices,
-                    prefix_builds: st.prefix_builds,
-                    session_hits: st.session_hits,
-                    session_restores: st.session_restores,
-                    session_deferrals: st.session_deferrals,
-                })
-            })
-            .collect();
-        Ok(SchedulerReport {
+        Ok(EngineReport {
             shards,
+            slices: executed.into_inner(),
             oracle_stats,
-            session_stats: sessions.stats(),
-            phase_timings: phases.snapshot(),
+            session_stats: self.sessions.stats(),
+            phase_timings: self.phases.snapshot(),
         })
     }
 
-    /// Runs one time slice of shard `i`. See [`SliceOutcome`] for the
+    /// Runs one time slice of shard `key`. See [`SliceOutcome`] for the
     /// three ways it can return.
-    #[allow(clippy::too_many_arguments)]
     fn run_slice(
         &self,
-        i: ShardId,
+        key: ShardKey,
+        spec: &ShardSpec,
         st: &mut ShardState,
         kernel_budget: usize,
-        store: Option<&ArtifactStore>,
-        oracle: Option<&MeasurementOracle>,
-        sessions: &SessionCache,
-        phases: &PhaseClock,
         events: Option<&Sender<FleetEvent>>,
     ) -> Result<SliceOutcome, StoreError> {
-        let spec = &self.specs[i];
+        let shard = key.1;
+        let store = self.store.as_ref();
+        let phases = &self.phases;
         let mut cfg = spec.config.clone();
         if kernel_budget > 0 {
-            // Bit-transparent by the evaluator contract, so the scheduler
-            // is free to re-split the budget as the worker pool shrinks.
+            // Bit-transparent by the evaluator contract, so the engine is
+            // free to re-split the budget as the worker pool shrinks.
             cfg.eval_threads = kernel_budget;
         }
         let device = cfg.device;
@@ -938,7 +982,7 @@ impl Scheduler {
             emit(
                 events,
                 FleetEvent::ShardStarted {
-                    shard: i,
+                    shard,
                     device,
                     resumed_from: st.resumed_from_generation,
                     warm_predictor: st.warm_predictor,
@@ -947,9 +991,9 @@ impl Scheduler {
         }
 
         // Session: the shard's deterministic prefix (dataset, Stage-1
-        // winners, pre-trained supernet), resident across slices AND
-        // shared across every shard with the same prefix fingerprint, so
-        // a resumed slice skips straight to its checkpointed generation.
+        // winners, pre-trained supernet), resident across slices and calls
+        // AND shared across every shard with the same prefix fingerprint,
+        // so a resumed slice skips straight to its checkpointed generation.
         // Cache → store spill → fresh build, in that order; every path is
         // bit-identical, later ones just pay more. Builds are
         // single-flight: a second shard wanting an in-flight prefix
@@ -957,14 +1001,15 @@ impl Scheduler {
         let prefix_key = PrefixKey {
             fingerprint: prefix_fingerprint(&spec.task, &cfg),
         };
+        st.prefix = Some(prefix_key.fingerprint);
         let hgnas = Hgnas::new(spec.task.clone(), cfg);
-        let session = match sessions.claim(prefix_key) {
+        let session = match self.sessions.claim(prefix_key) {
             SessionClaim::Ready(session) => {
                 st.session_hits += 1;
                 emit(
                     events,
                     FleetEvent::SessionCache {
-                        shard: i,
+                        shard,
                         device,
                         action: SessionAction::Hit,
                     },
@@ -979,7 +1024,7 @@ impl Scheduler {
                 emit(
                     events,
                     FleetEvent::SessionCache {
-                        shard: i,
+                        shard,
                         device,
                         action: SessionAction::Deferred,
                     },
@@ -1003,12 +1048,12 @@ impl Scheduler {
                 let (session, action) = match restored {
                     Some(session) => {
                         st.session_restores += 1;
-                        sessions.note_restored();
+                        self.sessions.note(|s| s.restores += 1);
                         (session, SessionAction::Restored)
                     }
                     None => {
                         st.prefix_builds += 1;
-                        sessions.note_built();
+                        self.sessions.note(|s| s.builds += 1);
                         let built = PhaseClock::time(&phases.session_build, || {
                             Arc::new(hgnas.prepare_session())
                         });
@@ -1018,18 +1063,22 @@ impl Scheduler {
                 emit(
                     events,
                     FleetEvent::SessionCache {
-                        shard: i,
+                        shard,
                         device,
                         action,
                     },
                 );
-                let evicted = guard.fulfil(i, Arc::clone(&session), on_disk, store)?;
-                for (owner, spilled) in evicted {
+                let me = Owner { key, device };
+                let evicted = guard.fulfil(me, Arc::clone(&session), on_disk, store)?;
+                // Evictions of another request's session would be numbered
+                // in that request's shard order; they count in the cache
+                // stats but are not streamed to this request.
+                for (owner, spilled) in evicted.into_iter().filter(|(o, _)| o.key.0 == key.0) {
                     emit(
                         events,
                         FleetEvent::SessionCache {
-                            shard: owner,
-                            device: self.specs[owner].config.device,
+                            shard: owner.key.1,
+                            device: owner.device,
                             action: SessionAction::Evicted { spilled },
                         },
                     );
@@ -1040,8 +1089,8 @@ impl Scheduler {
 
         let start_gen = resume.as_ref().map(Checkpoint::generation).unwrap_or(0);
         let iterations = hgnas.config().ea_stage2.iterations;
-        let abort_after = (self.cfg.preemption_stride > 0)
-            .then(|| start_gen + self.cfg.preemption_stride)
+        let abort_after = (self.preemption_stride > 0)
+            .then(|| start_gen + self.preemption_stride)
             .filter(|&g| g < iterations);
 
         let mut sink_err: Option<StoreError> = None;
@@ -1072,7 +1121,7 @@ impl Scheduler {
             emit(
                 events,
                 FleetEvent::GenerationDone {
-                    shard: i,
+                    shard,
                     device,
                     generation: cp.generation(),
                     iterations,
@@ -1090,17 +1139,28 @@ impl Scheduler {
             (Some(c), Strategy::MultiStage, 0) => Some(c.clone()),
             _ => None,
         };
+        // Measured shards go through their profile's oracle pool, which
+        // `run` started for them.
+        let mut backend: Option<Arc<dyn MeasureBackend>> = None;
+        if hgnas.config().latency_mode == LatencyMode::Measured {
+            let profile = hgnas.config().device_profile();
+            let (_, pool) = self
+                .oracles
+                .iter()
+                .find(|(p, _)| *p == profile)
+                .expect("run starts a pool per measured profile");
+            backend = Some(Arc::new(pool.client_for(&profile)));
+            st.measured = Some(profile);
+        }
         // Search time is run_with's wall-clock minus whatever the sink
         // spent persisting checkpoints inside it.
         let search_t = std::time::Instant::now();
         let out = hgnas.run_with(RunOptions {
-            backend: oracle.map(|o| {
-                Arc::new(o.client_for(&hgnas.config().device_profile())) as Arc<dyn MeasureBackend>
-            }),
+            backend,
             predictor: st.predictor.clone(),
             resume,
             checkpoint_sink: want_sink.then_some(&mut sink as &mut dyn FnMut(&Checkpoint)),
-            checkpoint_every: self.cfg.checkpoint_every,
+            checkpoint_every: self.checkpoint_every,
             abort_after_generation: abort_after,
             imported_cache: imported,
             session: Some(&session),
@@ -1125,7 +1185,7 @@ impl Scheduler {
                     emit(
                         events,
                         FleetEvent::ParetoUpdated {
-                            shard: i,
+                            shard,
                             device,
                             front,
                         },
@@ -1139,7 +1199,7 @@ impl Scheduler {
                 emit(
                     events,
                     FleetEvent::ShardPreempted {
-                        shard: i,
+                        shard,
                         device,
                         generation: out.checkpoint.as_ref().map_or(0, Checkpoint::generation),
                     },
@@ -1158,16 +1218,12 @@ impl Scheduler {
                         store.save_score_cache(&search_key, &spec.task, cp.functions, &cp.cache)
                     })?;
                 }
-                let pareto = out
-                    .checkpoint
-                    .as_ref()
-                    .map(checkpoint_pareto)
-                    .unwrap_or_default();
+                st.checkpoint = out.checkpoint;
                 let stats = outcome.eval_stats;
                 emit(
                     events,
                     FleetEvent::ShardFinished {
-                        shard: i,
+                        shard,
                         device,
                         latency_ms: outcome.best.latency_ms,
                         accuracy: outcome.best.supernet_accuracy,
@@ -1180,21 +1236,9 @@ impl Scheduler {
                         imported: stats.map_or(0, |e| e.imported),
                     },
                 );
-                st.finished = Some(ShardResult {
-                    shard: i,
-                    scenario: spec.scenario.clone(),
-                    device,
-                    outcome: Some(outcome),
-                    pareto,
-                    predictor_epochs_run: st.predictor_epochs_run,
-                    warm_predictor: st.warm_predictor,
-                    resumed_from_generation: st.resumed_from_generation,
-                    slices: st.slices,
-                    prefix_builds: st.prefix_builds,
-                    session_hits: st.session_hits,
-                    session_restores: st.session_restores,
-                    session_deferrals: st.session_deferrals,
-                });
+                let mut result = st.parked_result(shard, spec);
+                result.outcome = Some(outcome);
+                st.finished = Some(result);
                 Ok(SliceOutcome::Finished)
             }
         }

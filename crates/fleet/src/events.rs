@@ -1,7 +1,7 @@
-//! Streaming fleet reports: the event stream the scheduler publishes and
-//! an incremental Table-1-style renderer consuming it.
+//! Streaming fleet reports: the event stream the engine publishes and an
+//! incremental Table-1-style renderer consuming it.
 //!
-//! The scheduler emits a [`FleetEvent`] whenever a shard makes observable
+//! The engine emits a [`FleetEvent`] whenever a shard makes observable
 //! progress (started, generation boundary, Pareto-front change, preempted,
 //! finished, failed). Events travel over a `crossbeam::channel` shim
 //! channel, so a consumer can live on any thread; [`StreamingReporter`]
@@ -15,18 +15,18 @@ use hgnas_device::DeviceKind;
 use std::fmt::Write as _;
 
 /// An unbounded [`FleetEvent`] channel: hand the sender to
-/// [`crate::run_fleet_with_events`] (or [`crate::Scheduler::run`]) and
-/// drain the receiver from a consumer thread. The stream ends when the
-/// fleet run returns and drops its sender.
+/// [`crate::run_fleet_with_events`] (or [`crate::Engine::run`]) and drain
+/// the receiver from a consumer thread. The stream ends when the fleet run
+/// returns and drops its sender.
 pub fn channel() -> (Sender<FleetEvent>, Receiver<FleetEvent>) {
     unbounded()
 }
 
-/// Index of a shard in the scheduler's spec list (also the order
-/// [`crate::Scheduler::run`] reports results in).
+/// Index of a shard in its request's spec list — the report order, and
+/// the numbering of every event [`crate::Engine::run`] streams.
 pub type ShardId = usize;
 
-/// What the scheduler's per-shard session cache did at a slice boundary.
+/// What the engine's session cache did at a slice boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionAction {
     /// The shard's deterministic prefix (Stage 1 + supernet pre-training
@@ -70,7 +70,7 @@ pub enum FleetEvent {
         warm_predictor: bool,
     },
     /// A generation boundary of a shard's main search loop (emitted at
-    /// the scheduler's checkpoint stride, plus slice ends).
+    /// the engine's checkpoint stride, plus slice ends).
     GenerationDone {
         /// The shard.
         shard: ShardId,
@@ -160,23 +160,6 @@ impl FleetEvent {
             | FleetEvent::ShardFinished { shard, .. }
             | FleetEvent::ShardFailed { shard, .. }
             | FleetEvent::SessionCache { shard, .. } => *shard,
-        }
-    }
-
-    /// Renumbers the event to `shard`. Hosts that schedule only a subset
-    /// of a request's shards in a given round (the serve daemon's
-    /// budgeted rounds skip already-finished shards) use this to map the
-    /// round-local indices back to the request's own numbering before
-    /// streaming.
-    pub fn set_shard(&mut self, shard: ShardId) {
-        match self {
-            FleetEvent::ShardStarted { shard: s, .. }
-            | FleetEvent::GenerationDone { shard: s, .. }
-            | FleetEvent::ParetoUpdated { shard: s, .. }
-            | FleetEvent::ShardPreempted { shard: s, .. }
-            | FleetEvent::ShardFinished { shard: s, .. }
-            | FleetEvent::ShardFailed { shard: s, .. }
-            | FleetEvent::SessionCache { shard: s, .. } => *s = shard,
         }
     }
 }
@@ -338,7 +321,7 @@ impl StreamingReporter {
     /// Prefix computations (session builds) per shard so far — the
     /// "supernet pre-training ran N times" counter. With an adequate
     /// session memory budget this stays at 1 per shard no matter how
-    /// finely the scheduler slices.
+    /// finely the engine slices.
     pub fn session_builds(&self, shard: ShardId) -> u64 {
         self.rows
             .get(shard)

@@ -10,28 +10,31 @@
 //!   retry-with-backoff on transient [`hgnas_device::MeasureError`]s.
 //!   Because generator state round-trips with each request, routing a
 //!   search through the oracle is bit-transparent.
-//! - [`scheduler`]: the **fleet scheduler** — multiplexes N search shards
-//!   (possibly many per device: seeds, tasks, constraint sets) over a
-//!   bounded kernel-thread budget with work-stealing, generation-granular
-//!   preemptive time slices. Checkpoint/resume at slice boundaries makes
-//!   preemption transparent: every cell of (shard count × thread budget ×
-//!   stride) is bit-identical to serial runs. A budgeted **session
-//!   cache** ([`SchedulerConfig::session_memory_budget`]) keeps each
-//!   deterministic prefix — Stage-1 winners plus the pre-trained
-//!   supernet — resident across slices, keyed by [`prefix_fingerprint`]
-//!   so every shard sharing a prefix (same task + Stage-1 parameters,
-//!   any device/objective/Stage-2 seed) shares one session. Builds are
-//!   single-flight: concurrent claimants of the same prefix defer and
-//!   run other shards while one build proceeds. Evicted sessions spill
-//!   to the artifact store and restore without retraining.
-//! - [`events`]: **streaming fleet reports** — the scheduler publishes
+//! - [`engine`]: the **fleet engine** — a long-lived [`Engine`] that
+//!   multiplexes search shards (possibly many per device: seeds, tasks,
+//!   constraint sets) over a bounded kernel-thread budget with
+//!   work-stealing, generation-granular preemptive time slices.
+//!   Checkpoint/resume at slice boundaries makes preemption transparent:
+//!   every cell of (shard count × thread budget × stride) is bit-identical
+//!   to serial runs. Unfinished shards park inside the engine between
+//!   calls (checkpoint, predictor, counters), and a budgeted **session
+//!   cache** ([`FleetConfig::session_memory_budget`]) keeps each
+//!   deterministic prefix — Stage-1 winners plus the pre-trained supernet
+//!   — resident across slices and calls, keyed by [`prefix_fingerprint`]
+//!   so every shard sharing a prefix (same task + Stage-1 parameters, any
+//!   device/objective/Stage-2 seed) shares one session. Builds are
+//!   single-flight: concurrent claimants of the same prefix defer and run
+//!   other shards while one build proceeds. Evicted sessions spill to the
+//!   artifact store and restore without retraining.
+//! - [`events`]: **streaming fleet reports** — the engine publishes
 //!   [`FleetEvent`]s (shard started / generation done / Pareto updated /
 //!   preempted / finished) over a channel; [`StreamingReporter`] folds
 //!   them into incremental Table-1-style snapshots.
-//! - [`driver`]: the **fleet driver** — the blocking one-shard-per-device
-//!   API, a thin wrapper over the scheduler, merging per-device outcomes
-//!   into a report with Pareto fronts and a cross-device summary table
-//!   (the paper's Table 1 shape).
+//! - [`driver`]: the **fleet driver** — the blocking API, a fresh engine
+//!   serving one request ([`run_fleet`]), merging per-shard outcomes into
+//!   a report with Pareto fronts and a cross-device summary table (the
+//!   paper's Table 1 shape). [`shard_specs`] turns a device list or
+//!   scenario list into shards for both the driver and the daemon.
 //! - [`artifacts`] + [`codec`]: the **cross-run artifact store** — a small
 //!   versioned binary codec (no serde; the shims stay offline) persisting
 //!   predictor weights, evaluator score caches and search checkpoints
@@ -68,9 +71,9 @@
 pub mod artifacts;
 pub mod codec;
 pub mod driver;
+pub mod engine;
 pub mod events;
 pub mod oracle;
-pub mod scheduler;
 pub mod wire;
 
 pub use artifacts::{
@@ -80,13 +83,10 @@ pub use artifacts::{
 };
 pub use codec::{ArtifactKind, CodecError, FrameKind, PROTOCOL_VERSION, WIRE_MAGIC};
 pub use driver::{
-    cross_scenarios, run_fleet, run_fleet_with_events, DeviceReport, FleetConfig, FleetReport,
-    ObjectiveSpec, ParetoPoint, ScenarioSpec,
+    cross_scenarios, run_fleet, run_fleet_with_events, shard_specs, DeviceReport, FleetConfig,
+    FleetReport, ObjectiveSpec, ParetoPoint, ScenarioSpec,
 };
+pub use engine::{Engine, EngineReport, PhaseTimings, SessionCacheStats, ShardResult, ShardSpec};
 pub use events::{channel as event_channel, FleetEvent, SessionAction, ShardId, StreamingReporter};
 pub use oracle::{MeasurementOracle, OracleClient, OracleConfig, OracleStats, Ticket};
-pub use scheduler::{
-    PhaseTimings, Scheduler, SchedulerConfig, SchedulerReport, SessionCacheStats, ShardResult,
-    ShardSpec,
-};
 pub use wire::{ClientFrame, ServerFrame, WireReport, WireShardReport};

@@ -65,7 +65,7 @@ pub enum ClientFrame {
         priority: u8,
     },
     /// Submit one search: a task, a search config, and either target
-    /// devices (one scheduler shard per device, mirroring `run_fleet`'s
+    /// devices (one engine shard per device, mirroring `run_fleet`'s
     /// legacy shape) or explicit {task × objective × persona} scenarios
     /// (one shard each; scenarios win when both are given).
     Submit {
@@ -118,14 +118,14 @@ pub enum ServerFrame {
         /// Human-readable cause.
         reason: String,
     },
-    /// One streamed scheduler event. `seq` increases by exactly 1 per
+    /// One streamed engine event. `seq` increases by exactly 1 per
     /// event within a request, so a resumed client can detect gaps.
     Event {
         /// The request the event belongs to.
         request_id: u64,
         /// Per-request sequence number, from 0.
         seq: u64,
-        /// The scheduler event.
+        /// The engine event.
         event: FleetEvent,
     },
     /// The request finished; carries outcomes for every shard.
@@ -172,7 +172,7 @@ pub struct WireShardReport {
     pub warm_predictor: bool,
     /// The checkpoint generation the final round resumed from, if any.
     pub resumed_from_generation: Option<usize>,
-    /// Scheduler slices this shard consumed across every round.
+    /// Engine slices this shard consumed across every round.
     pub slices: u64,
     /// Deterministic-prefix builds across every round.
     pub prefix_builds: u64,

@@ -1,7 +1,7 @@
 //! Deterministic fair-share admission: which request runs the next
 //! scheduling round.
 //!
-//! Each request is charged the scheduler slices its rounds consume. The
+//! Each request is charged the engine slices its rounds consume. The
 //! controller always picks the admitted, unfinished request with the
 //! lowest *weighted* charge — `slices / priority` — so a priority-3
 //! tenant accrues charge a third as fast and receives three times the
@@ -47,7 +47,7 @@ pub struct TenantUsage {
     pub priority: u8,
     /// Requests admitted for this tenant.
     pub requests: u64,
-    /// Scheduler slices charged across those requests.
+    /// Engine slices charged across those requests.
     pub slices: u64,
 }
 

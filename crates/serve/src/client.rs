@@ -170,7 +170,7 @@ impl SearchClient {
     }
 
     /// Submits a search over explicit {task × objective × persona}
-    /// scenarios (one scheduler shard each, see
+    /// scenarios (one engine shard each, see
     /// `hgnas_fleet::cross_scenarios`) and waits for the `Accepted` ack;
     /// returns `(request_id, shard_count)`.
     ///

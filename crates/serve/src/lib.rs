@@ -11,9 +11,9 @@
 //!   fair-share queueing of admitted requests by tenant priority and
 //!   slice charge.
 //! - [`server`] — the [`Server`] daemon: per-connection reader threads, a
-//!   single engine thread running budgeted scheduler rounds, event
-//!   buffering for disconnect/re-attach, idle-loop artifact-store GC, and
-//!   graceful drain.
+//!   single engine thread running budgeted rounds on one long-lived
+//!   [`hgnas_fleet::Engine`], event buffering for disconnect/re-attach,
+//!   idle-loop artifact-store GC, and graceful drain.
 //! - [`client`] — the blocking [`SearchClient`].
 //!
 //! The core contract: a search served by the daemon — through admission,

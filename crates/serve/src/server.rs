@@ -9,27 +9,33 @@
 //! connections into the same path, so in-process and remote clients are
 //! indistinguishable past the transport.
 //!
-//! The engine runs one admission *round* at a time: the fair-share
-//! controller picks a request, a fresh [`Scheduler`] runs its shards
-//! under a `max_slices` grant against the shared artifact store, and
-//! unfinished shards park with checkpoints persisted. Every
-//! [`FleetEvent`](hgnas_fleet::FleetEvent) is encoded once, buffered (for re-attach after a
-//! disconnect) and streamed to the attached connection. Because parked
-//! shards resume bit-identically through the store, the report a request
-//! eventually gets is bit-identical to `run_fleet` of the same configs —
-//! however many rounds contention sliced it into.
+//! The engine thread keeps one [`Engine`] for the daemon's lifetime and
+//! runs one admission *round* at a time: the fair-share controller picks a
+//! request, and one budgeted `Engine::run` call runs the request's
+//! unfinished shards under a `slices_per_round` grant against the shared
+//! artifact store. Unfinished shards park inside the engine with their
+//! in-memory checkpoints and predictors, and the engine's session cache
+//! keeps their deterministic prefixes warm, so a request sliced into many
+//! rounds builds each prefix once, exactly like a direct `run_fleet`.
+//! Every slice boundary still persists a checkpoint, so a drained daemon's
+//! successor resumes from the store. Every
+//! [`FleetEvent`](hgnas_fleet::FleetEvent) is encoded once, buffered (for
+//! re-attach after a disconnect) and streamed to the attached connection.
+//! The report a request eventually gets is bit-identical to `run_fleet` of
+//! the same configs — however many rounds contention sliced it into.
+//!
+//! Submits are validated at the door: a task the search would panic on is
+//! answered with `Rejected` and never reaches the shared engine.
 
 use crate::admission::{AdmissionController, TenantUsage};
 use crate::client::SearchClient;
 use crate::transport::{duplex, TcpTransport, Transport, TransportError};
 use crossbeam::channel::{self, RecvTimeoutError};
-use hgnas_core::{SearchConfig, TaskConfig};
-use hgnas_device::DeviceKind;
 use hgnas_fleet::wire::{self, ClientFrame, ServerFrame, WireReport, WireShardReport};
 use hgnas_fleet::{
     event_channel, persona_predictor_fingerprint, prefix_fingerprint, search_fingerprint,
-    ArtifactKey, ArtifactStore, OracleConfig, PrefixKey, PruneReport, ScenarioSpec, Scheduler,
-    SchedulerConfig, ShardResult, ShardSpec, PROTOCOL_VERSION,
+    shard_specs, ArtifactKey, ArtifactStore, Engine, FleetConfig, OracleConfig, PrefixKey,
+    PruneReport, ShardId, ShardResult, ShardSpec, PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -41,8 +47,8 @@ use std::time::Duration;
 /// Daemon settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Kernel-thread budget per scheduling round (the scheduler's
-    /// `threads`; `0` runs one worker per shard).
+    /// Kernel-thread budget of the daemon's engine (`0` runs one worker
+    /// per shard).
     pub threads: usize,
     /// Generations per preemption slice (`0` disables preemption, which
     /// also makes every request run to completion in its first round —
@@ -52,12 +58,12 @@ pub struct ServeConfig {
     pub checkpoint_every: usize,
     /// Measurement-oracle tuning.
     pub oracle: OracleConfig,
-    /// Scheduler slices granted per admission round when preemption is
+    /// Engine slices granted per admission round when preemption is
     /// on. Smaller grants interleave tenants more finely; the grant is
     /// charged to the owning tenant's fair-share account.
     pub slices_per_round: u64,
-    /// Session-cache byte budget per round (see
-    /// [`SchedulerConfig::session_memory_budget`]).
+    /// Byte budget of the engine's session cache (see
+    /// [`FleetConfig::session_memory_budget`]).
     pub session_memory_budget: Option<u64>,
     /// Artifact-store byte budget for the idle-loop GC. When the daemon
     /// goes idle (no unfinished request) after completing work, it sweeps
@@ -86,6 +92,21 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// The engine settings of this daemon as a fleet configuration: a
+    /// direct `run_fleet` with the same five fields (plus the request's
+    /// devices or scenarios) reproduces a served report bit for bit.
+    fn fleet_config(&self) -> FleetConfig {
+        let mut fleet = FleetConfig::new(Vec::new());
+        fleet.threads = self.threads;
+        fleet.preemption_stride = self.preemption_stride;
+        fleet.checkpoint_every = self.checkpoint_every;
+        fleet.oracle = self.oracle.clone();
+        fleet.session_memory_budget = self.session_memory_budget;
+        fleet
+    }
+}
+
 /// What a drained daemon left behind.
 #[derive(Debug, Clone)]
 pub struct DrainReport {
@@ -105,10 +126,10 @@ enum Command {
         conn: u64,
         tenant: String,
         priority: u8,
-        task: TaskConfig,
-        config: SearchConfig,
-        devices: Vec<DeviceKind>,
-        scenarios: Vec<ScenarioSpec>,
+        /// The request task's `k` and class count, for the report.
+        k: usize,
+        classes: usize,
+        specs: Vec<ShardSpec>,
     },
     Attach {
         request_id: u64,
@@ -127,7 +148,7 @@ enum Command {
 struct Shared {
     cfg: ServeConfig,
     store: ArtifactStore,
-    /// Drain flag: wired into every round's [`SchedulerConfig::stop`] and
+    /// Drain flag: wired into the engine ([`Engine::with_stop`]) and
     /// polled by the accept loop.
     stop: Arc<AtomicBool>,
     next_request: AtomicU64,
@@ -141,10 +162,6 @@ struct RequestState {
     specs: Vec<ShardSpec>,
     k: usize,
     classes: usize,
-    /// Per-shard `(scenario label, k, out_classes)` — what the report
-    /// encoder needs to rebuild each shard's architectures at decode time
-    /// (scenario shards may differ from the request-level task).
-    shard_meta: Vec<(String, usize, usize)>,
     /// The connection currently streaming this request's events, if any.
     conn: Option<u64>,
     /// Next event sequence number (== `events.len()`).
@@ -154,8 +171,6 @@ struct RequestState {
     /// The final Report (or terminal Rejected) frame once produced.
     report_frame: Option<Vec<u8>>,
     rounds: u64,
-    shard_slices: Vec<u64>,
-    shard_prefix_builds: Vec<u64>,
     /// Shards that already ran to completion in an earlier round, by
     /// request-local index. Later rounds schedule only the `None` slots,
     /// so a request with more shards than `slices_per_round` still
@@ -231,25 +246,15 @@ impl Server {
         }
     }
 
-    /// Registers a transport as a served connection and spawns its reader
-    /// thread.
-    fn serve_transport(&self, transport: Arc<dyn Transport>) {
-        let conn_id = self.shared.next_conn.fetch_add(1, Ordering::SeqCst);
-        self.shared
-            .conns
-            .lock()
-            .unwrap()
-            .insert(conn_id, Arc::clone(&transport));
-        let shared = Arc::clone(&self.shared);
-        let cmd_tx = self.cmd_tx.clone();
-        let handle = std::thread::spawn(move || conn_loop(&shared, &cmd_tx, conn_id, &transport));
-        self.conn_threads.lock().unwrap().push(handle);
-    }
-
     /// Connects an in-process client over a duplex transport pair.
     pub fn connect(&self) -> SearchClient {
         let (client_end, server_end) = duplex();
-        self.serve_transport(Arc::new(server_end));
+        serve_transport(
+            &self.shared,
+            &self.cmd_tx,
+            &self.conn_threads,
+            Arc::new(server_end),
+        );
         SearchClient::new(Box::new(client_end))
     }
 
@@ -272,22 +277,9 @@ impl Server {
             }
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    let Ok(transport) = TcpTransport::new(stream) else {
-                        continue;
-                    };
-                    let transport: Arc<dyn Transport> = Arc::new(transport);
-                    let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-                    shared
-                        .conns
-                        .lock()
-                        .unwrap()
-                        .insert(conn_id, Arc::clone(&transport));
-                    let shared = Arc::clone(&shared);
-                    let cmd_tx = cmd_tx.clone();
-                    let h = std::thread::spawn(move || {
-                        conn_loop(&shared, &cmd_tx, conn_id, &transport);
-                    });
-                    conn_threads.lock().unwrap().push(h);
+                    if let Ok(transport) = TcpTransport::new(stream) {
+                        serve_transport(&shared, &cmd_tx, &conn_threads, Arc::new(transport));
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
@@ -343,6 +335,25 @@ impl Drop for Server {
     }
 }
 
+/// Registers a transport as a served connection and spawns its reader
+/// thread.
+fn serve_transport(
+    shared: &Arc<Shared>,
+    cmd_tx: &channel::Sender<Command>,
+    conn_threads: &Mutex<Vec<JoinHandle<()>>>,
+    transport: Arc<dyn Transport>,
+) {
+    let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
+    shared
+        .conns
+        .lock()
+        .unwrap()
+        .insert(conn_id, Arc::clone(&transport));
+    let (shared, cmd_tx) = (Arc::clone(shared), cmd_tx.clone());
+    let handle = std::thread::spawn(move || conn_loop(&shared, &cmd_tx, conn_id, &transport));
+    conn_threads.lock().unwrap().push(handle);
+}
+
 /// Per-connection reader: decodes frames, answers handshakes inline, and
 /// forwards scheduling work to the engine.
 fn conn_loop(
@@ -381,19 +392,24 @@ fn conn_loop(
                         reject(0, "hello required before submit");
                         continue;
                     };
-                    if devices.is_empty() && scenarios.is_empty() {
+                    let specs = shard_specs(&task, &config, &devices, &scenarios);
+                    if specs.is_empty() {
                         reject(0, "submit names no devices or scenarios");
                         continue;
                     }
-                    let shards = if scenarios.is_empty() {
-                        devices.len()
-                    } else {
-                        scenarios.len()
-                    };
+                    // Every task the request names is checked before it
+                    // can reach the engine that holds everyone's sessions.
+                    let invalid = std::iter::once(&task)
+                        .chain(specs.iter().map(|s| &s.task))
+                        .find_map(|t| t.validate().err());
+                    if let Some(e) = invalid {
+                        reject(0, &format!("invalid task: {e}"));
+                        continue;
+                    }
                     let request_id = shared.next_request.fetch_add(1, Ordering::SeqCst);
                     let _ = transport.send(&wire::encode_server(&ServerFrame::Accepted {
                         request_id,
-                        shards,
+                        shards: specs.len(),
                     }));
                     interests += 1;
                     if cmd_tx
@@ -402,10 +418,9 @@ fn conn_loop(
                             conn: conn_id,
                             tenant: name,
                             priority,
-                            task,
-                            config,
-                            devices,
-                            scenarios,
+                            k: task.k,
+                            classes: task.classes(),
+                            specs,
                         })
                         .is_err()
                     {
@@ -462,6 +477,8 @@ fn conn_loop(
 fn engine_loop(shared: &Arc<Shared>, cmd_rx: &channel::Receiver<Command>) -> DrainReport {
     let mut requests: HashMap<u64, RequestState> = HashMap::new();
     let mut admission = AdmissionController::new();
+    let mut engine = Engine::new(&shared.cfg.fleet_config(), Some(shared.store.clone()))
+        .with_stop(Arc::clone(&shared.stop));
     let mut gc_pending = false;
     let mut draining = false;
     loop {
@@ -476,7 +493,7 @@ fn engine_loop(shared: &Arc<Shared>, cmd_rx: &channel::Receiver<Command>) -> Dra
             break;
         }
         if let Some(id) = admission.next() {
-            run_round(shared, &mut requests, &mut admission, id);
+            run_round(shared, &mut engine, &mut requests, &mut admission, id);
             if !admission.has_pending() {
                 gc_pending = true;
             }
@@ -523,50 +540,24 @@ fn handle_command(
             conn,
             tenant,
             priority,
-            task,
-            config,
-            devices,
-            scenarios,
+            k,
+            classes,
+            specs,
         } => {
-            // Scenario shards win over the legacy one-per-device shape,
-            // mirroring `run_fleet`'s dispatch.
-            let specs: Vec<ShardSpec> = if scenarios.is_empty() {
-                devices
-                    .iter()
-                    .map(|&d| {
-                        let mut cfg = config.clone();
-                        cfg.device = d;
-                        ShardSpec::new(task.clone(), cfg)
-                    })
-                    .collect()
-            } else {
-                scenarios
-                    .into_iter()
-                    .map(|s| ShardSpec::new(s.task, s.config).with_scenario(s.label))
-                    .collect()
-            };
-            let shard_meta = specs
-                .iter()
-                .map(|s| (s.scenario.clone(), s.task.k, s.task.out_classes()))
-                .collect();
             admission.admit(request_id, &tenant, priority);
-            let shards = specs.len();
             requests.insert(
                 request_id,
                 RequestState {
                     tenant,
+                    finished: specs.iter().map(|_| None).collect(),
                     specs,
-                    k: task.k,
-                    classes: task.classes(),
-                    shard_meta,
+                    k,
+                    classes,
                     conn: Some(conn),
                     seq: 0,
                     events: Vec::new(),
                     report_frame: None,
                     rounds: 0,
-                    shard_slices: vec![0; shards],
-                    shard_prefix_builds: vec![0; shards],
-                    finished: (0..shards).map(|_| None).collect(),
                 },
             );
         }
@@ -613,10 +604,11 @@ fn handle_command(
     false
 }
 
-/// Runs one admission round for `request_id`: a budgeted scheduler pass
-/// over the request's shards, streaming + buffering every event.
+/// Runs one admission round for `request_id`: a budgeted engine call over
+/// the request's unfinished shards, streaming + buffering every event.
 fn run_round(
     shared: &Arc<Shared>,
+    engine: &mut Engine,
     requests: &mut HashMap<u64, RequestState>,
     admission: &mut AdmissionController,
     request_id: u64,
@@ -634,7 +626,7 @@ fn run_round(
     // its final checkpoint would burn round budget without progress —
     // with more shards than `slices_per_round` that burn is unbounded
     // (no round could ever re-finish them all at once).
-    let pending: Vec<usize> = req
+    let pending: Vec<ShardId> = req
         .finished
         .iter()
         .enumerate()
@@ -645,33 +637,16 @@ fn run_round(
         return;
     }
     let grant = (shared.cfg.preemption_stride > 0).then(|| shared.cfg.slices_per_round.max(1));
-    // The round's stop flag is the daemon's: a shutdown mid-round parks
-    // the shards at the next slice boundary.
-    let scheduler = Scheduler::new(
-        pending.iter().map(|&i| req.specs[i].clone()).collect(),
-        SchedulerConfig {
-            threads: shared.cfg.threads,
-            preemption_stride: shared.cfg.preemption_stride,
-            checkpoint_every: shared.cfg.checkpoint_every,
-            oracle: shared.cfg.oracle.clone(),
-            max_slices: grant,
-            session_memory_budget: shared.cfg.session_memory_budget,
-            stop: Some(Arc::clone(&shared.stop)),
-        },
-    );
     let transport = req
         .conn
         .and_then(|c| shared.conns.lock().unwrap().get(&c).cloned());
     let (tx, rx) = event_channel();
     let result = {
-        let sref = &scheduler;
-        let store = &shared.store;
+        let specs = &req.specs;
+        let pending = &pending;
         std::thread::scope(|s| {
-            let handle = s.spawn(move || sref.run(Some(store), Some(tx)));
-            for mut event in rx.iter() {
-                // Scheduler indices are round-local (pending shards only);
-                // stream them in the request's own numbering.
-                event.set_shard(pending[event.shard()]);
+            let handle = s.spawn(move || engine.run(request_id, specs, pending, grant, Some(tx)));
+            for event in rx.iter() {
                 let frame = wire::encode_server(&ServerFrame::Event {
                     request_id,
                     seq: req.seq,
@@ -685,7 +660,7 @@ fn run_round(
                 }
                 req.events.push(frame);
             }
-            handle.join().expect("scheduler thread panicked")
+            handle.join().expect("engine thread panicked")
         })
     };
     req.rounds += 1;
@@ -704,33 +679,36 @@ fn run_round(
             admission.complete(request_id);
         }
         Ok(report) => {
-            let round_slices: u64 = report.shards.iter().map(|s| s.slices).sum();
-            admission.charge(request_id, round_slices);
-            for (j, s) in report.shards.into_iter().enumerate() {
-                let i = pending[j];
-                req.shard_slices[i] += s.slices;
-                req.shard_prefix_builds[i] += s.prefix_builds;
-                if s.outcome.is_some() {
-                    req.finished[i] = Some(s);
-                }
+            admission.charge(request_id, report.slices);
+            for s in report.shards.into_iter().filter(|s| s.outcome.is_some()) {
+                let i = s.shard;
+                req.finished[i] = Some(s);
             }
             if req.finished.iter().all(Option::is_some) {
-                let mut shards = Vec::with_capacity(req.finished.len());
-                for i in 0..req.finished.len() {
-                    let s = req.finished[i].take().expect("checked finished");
-                    shards.push(WireShardReport {
-                        scenario: req.shard_meta[i].0.clone(),
-                        k: req.shard_meta[i].1,
-                        out_classes: req.shard_meta[i].2,
-                        device: s.device,
-                        outcome: s.outcome.expect("checked finished"),
-                        pareto: s.pareto,
-                        warm_predictor: s.warm_predictor,
-                        resumed_from_generation: s.resumed_from_generation,
-                        slices: req.shard_slices[i],
-                        prefix_builds: req.shard_prefix_builds[i],
-                    });
-                }
+                // Engine counters are cumulative across rounds, so each
+                // finished result already carries the shard's totals.
+                // Scenario shards may differ from the request-level task,
+                // so each carries its own decode geometry.
+                let shards = req
+                    .finished
+                    .iter_mut()
+                    .zip(&req.specs)
+                    .map(|(f, spec)| {
+                        let s = f.take().expect("checked finished");
+                        WireShardReport {
+                            scenario: s.scenario,
+                            k: spec.task.k,
+                            out_classes: spec.task.out_classes(),
+                            device: s.device,
+                            outcome: s.outcome.expect("checked finished"),
+                            pareto: s.pareto,
+                            warm_predictor: s.warm_predictor,
+                            resumed_from_generation: s.resumed_from_generation,
+                            slices: s.slices,
+                            prefix_builds: s.prefix_builds,
+                        }
+                    })
+                    .collect();
                 let frame = wire::encode_server(&ServerFrame::Report {
                     request_id,
                     report: WireReport {

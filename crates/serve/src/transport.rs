@@ -8,7 +8,9 @@
 //!   clients.
 //! - [`TcpTransport`]: a `std::net::TcpStream` carrying each frame behind
 //!   a little-endian `u32` length prefix, for clients on other processes
-//!   or hosts.
+//!   or hosts. Nagle's algorithm is off and prefix and frame leave in one
+//!   write, so a request/response exchange never waits out the peer's
+//!   delayed ACK.
 //!
 //! Both deliver whole frames or nothing: a TCP read timeout mid-frame
 //! keeps the partial bytes buffered, so the next receive resumes where
@@ -171,16 +173,16 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Wraps a connected stream.
+    /// Wraps a connected stream, switching Nagle's algorithm off.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Io`] when the stream cannot be cloned into
-    /// independent read/write halves.
+    /// [`TransportError::Io`] when the stream cannot be configured or
+    /// cloned into independent read/write halves.
     pub fn new(stream: TcpStream) -> Result<Self, TransportError> {
-        let writer = stream
-            .try_clone()
-            .map_err(|e| TransportError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| TransportError::Io(e.to_string());
+        stream.set_nodelay(true).map_err(io)?;
+        let writer = stream.try_clone().map_err(io)?;
         Ok(TcpTransport {
             reader: Mutex::new(TcpReader {
                 stream,
@@ -222,12 +224,11 @@ impl Transport for TcpTransport {
     fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
         let len = u32::try_from(frame.len())
             .map_err(|_| TransportError::Io("frame too large for length prefix".into()))?;
+        let mut buf = Vec::with_capacity(4 + frame.len());
+        buf.extend_from_slice(&len.to_le_bytes());
+        buf.extend_from_slice(frame);
         let mut w = self.writer.lock().unwrap();
-        let write = w
-            .write_all(&len.to_le_bytes())
-            .and_then(|()| w.write_all(frame))
-            .and_then(|()| w.flush());
-        write.map_err(|e| match e.kind() {
+        w.write_all(&buf).map_err(|e| match e.kind() {
             std::io::ErrorKind::BrokenPipe
             | std::io::ErrorKind::ConnectionReset
             | std::io::ErrorKind::ConnectionAborted
@@ -361,6 +362,34 @@ mod tests {
         assert_eq!(
             client.recv_timeout(Duration::from_secs(10)).unwrap(),
             b"reply"
+        );
+    }
+
+    #[test]
+    fn tcp_small_frame_ping_pong_does_not_wait_for_delayed_acks() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = TcpTransport::connect(addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let server = TcpTransport::new(stream).unwrap();
+        for end in [&client, &server] {
+            assert!(end.writer.lock().unwrap().nodelay().unwrap());
+            assert!(end.reader.lock().unwrap().stream.nodelay().unwrap());
+        }
+        let frame = [0x5au8; 64];
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            client.send(&frame).unwrap();
+            let got = server.recv_timeout(Duration::from_secs(10)).unwrap();
+            server.send(&got).unwrap();
+            assert_eq!(client.recv_timeout(Duration::from_secs(10)).unwrap(), frame);
+        }
+        // With Nagle on and split writes each exchange waits out a delayed
+        // ACK (tens of ms); 50 of them would take seconds.
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "50 ping-pongs took {:?}",
+            start.elapsed()
         );
     }
 

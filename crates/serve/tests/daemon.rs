@@ -1,5 +1,6 @@
-//! Daemon behavior tests: protocol policing, idle reaping, TCP serving,
-//! idle-loop store GC, and graceful drain with bit-identical resume.
+//! Daemon behavior tests: protocol policing, input validation, idle
+//! reaping, TCP serving, idle-loop store GC, and graceful drain with
+//! bit-identical resume.
 //!
 //! The full (threads × stride × tenants) bit-identity matrix against
 //! `run_fleet` lives in the workspace-level `daemon_equivalence` test;
@@ -9,7 +10,7 @@
 use hgnas_core::{SearchConfig, TaskConfig};
 use hgnas_device::DeviceKind;
 use hgnas_fleet::wire::{self, ServerFrame};
-use hgnas_fleet::{run_fleet, ArtifactStore, FleetConfig};
+use hgnas_fleet::{run_fleet, ArtifactStore, FleetConfig, ScenarioSpec};
 use hgnas_predictor::PredictorConfig;
 use hgnas_serve::{
     ClientError, SearchClient, ServeConfig, Server, TcpTransport, Transport, TransportError,
@@ -100,6 +101,41 @@ fn submit_before_hello_is_rejected() {
         }
         other => panic!("expected rejection, got {other}"),
     }
+    drop(client);
+    server.shutdown();
+}
+
+/// A task the search would panic on (k far beyond the points per cloud)
+/// is rejected at submit — as the request task or as a scenario's task —
+/// before it can reach the engine every tenant shares; a healthy request
+/// on the same daemon still gets its report.
+#[test]
+fn invalid_task_is_rejected_and_the_daemon_keeps_serving() {
+    let temp = TempStore::new("invalid");
+    let server = Server::start(temp.open(), serve_config());
+    let mut client = server.connect();
+    client.hello("frank", 1, TICK).unwrap();
+    let cfg = tiny_config(DeviceKind::JetsonTx2);
+    let mut bad = TaskConfig::tiny(1);
+    bad.k = 10_000;
+    let expect_rejected = |r: Result<(u64, usize), ClientError>| match r {
+        Err(ClientError::Rejected { request_id, reason }) => {
+            assert_eq!(request_id, 0, "rejected before a request id exists");
+            assert!(reason.contains("k = 10000"), "{reason}");
+        }
+        other => panic!("expected rejection, got {other:?}"),
+    };
+    expect_rejected(client.submit(&bad, &cfg, &[DeviceKind::JetsonTx2], TICK));
+    let scenario = ScenarioSpec::new("bad-k", bad, cfg.clone());
+    expect_rejected(client.submit_scenarios(&TaskConfig::tiny(1), &cfg, &[scenario], TICK));
+
+    let (request, shards) = client
+        .submit(&TaskConfig::tiny(61), &cfg, &[DeviceKind::JetsonTx2], TICK)
+        .unwrap();
+    assert_eq!(shards, 1);
+    let report = client.wait_report(request, SEARCH, |_, _| {}).unwrap();
+    assert_eq!(report.shards.len(), 1);
+    assert!(!report.shards[0].outcome.best.genome.is_empty());
     drop(client);
     server.shutdown();
 }

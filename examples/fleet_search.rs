@@ -44,7 +44,7 @@ fn main() {
 
     let store = ArtifactStore::open("target/fleet-artifacts").expect("artifact store");
     let mut fleet = FleetConfig::new(devices);
-    // Scheduler shape: multiplex the three shards over a 2-thread kernel
+    // Engine shape: multiplex the three shards over a 2-thread kernel
     // budget, preempting every generation. Bit-identical to any other
     // shape — this just shows the slicing in the event stream.
     fleet.threads = 2;
@@ -59,7 +59,7 @@ fn main() {
     println!("artifact store: {}\n", store.root().display());
 
     // Stream events into an incremental reporter on a consumer thread
-    // while the scheduler runs the fleet.
+    // while the engine runs the fleet.
     let (tx, rx) = event_channel();
     let shard_count = fleet.devices.len();
     let (report, final_snapshot) = std::thread::scope(|s| {

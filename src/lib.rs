@@ -19,9 +19,9 @@
 //! - [`predictor`] — the GCN-based hardware performance predictor.
 //! - [`core`] — the HGNAS framework itself: design space, SPOS supernet,
 //!   multi-stage hierarchical evolutionary search.
-//! - [`fleet`] — the multi-device search service: preemptive fleet
-//!   scheduler (shards × thread budget, generation-granular time
-//!   slices), streaming fleet reports, asynchronous measurement oracle,
+//! - [`fleet`] — the multi-device search service: a long-lived
+//!   preemptive fleet engine (shards × thread budget, generation-granular
+//!   time slices), streaming fleet reports, asynchronous measurement oracle,
 //!   cross-run artifact store (persisted predictors, resumable
 //!   checkpoints, warm-start score caches).
 //! - [`serve`] — search-as-a-service: a daemon speaking a framed wire

@@ -5,11 +5,13 @@
 //! budget across a (threads × stride) matrix. Every request's report —
 //! produced through fair-share admission, budgeted rounds, parking and
 //! resumption, and in one cell a client that disconnects mid-search and
-//! re-attaches — must match the direct fleet run bit for bit.
+//! re-attaches — must match the direct fleet run bit for bit, and must
+//! have built its prefixes exactly as often as the direct run did: the
+//! daemon's one long-lived engine keeps sessions warm across rounds.
 
 use hgnas::core::{SearchConfig, SearchOutcome, TaskConfig};
 use hgnas::device::DeviceKind;
-use hgnas::fleet::{run_fleet, ArtifactStore, FleetConfig, ParetoPoint, WireReport};
+use hgnas::fleet::{run_fleet, ArtifactStore, FleetConfig, FleetReport, ParetoPoint, WireReport};
 use hgnas::predictor::PredictorConfig;
 use hgnas::serve::{ServeConfig, Server};
 use std::path::PathBuf;
@@ -110,7 +112,7 @@ fn front_signature(front: &[ParetoPoint]) -> Vec<(u64, u64, Option<u64>, Option<
 
 /// Daemon report vs direct fleet report, shard by shard, bit for bit —
 /// scenario labels and multi-metric Pareto axes included.
-fn assert_report_matches_fleet(got: &WireReport, want: &hgnas::fleet::FleetReport) {
+fn assert_report_matches_fleet(got: &WireReport, want: &FleetReport) {
     assert_eq!(got.shards.len(), want.reports.len());
     for (g, w) in got.shards.iter().zip(&want.reports) {
         assert_eq!(g.device, w.device);
@@ -118,6 +120,22 @@ fn assert_report_matches_fleet(got: &WireReport, want: &hgnas::fleet::FleetRepor
         assert_outcomes_bit_identical(&g.outcome, &w.outcome);
         assert_eq!(front_signature(&g.pareto), front_signature(&w.pareto));
     }
+}
+
+/// A request sliced into several rounds built its prefixes as often as
+/// the direct run did — never once per round.
+fn assert_builds_match_fleet(what: &str, got: &WireReport, want: &FleetReport) {
+    assert!(
+        got.rounds > 1,
+        "{what}: contention split the request across rounds"
+    );
+    let served: u64 = got.shards.iter().map(|s| s.prefix_builds).sum();
+    let direct: u64 = want.reports.iter().map(|r| r.prefix_builds).sum();
+    assert_eq!(
+        served, direct,
+        "{what}: {} rounds built the prefixes {served} times, the direct run {direct}",
+        got.rounds
+    );
 }
 
 /// The acceptance matrix: alice (priority 3) and bob (priority 1) contend
@@ -221,6 +239,9 @@ fn contended_tenants_match_run_fleet_across_matrix() {
         );
         assert_report_matches_fleet(&alice_report, &alice_ref);
         assert_report_matches_fleet(&bob_report, &bob_ref);
+        let cell = format!("cell ({threads},{stride})");
+        assert_builds_match_fleet(&format!("{cell} alice"), &alice_report, &alice_ref);
+        assert_builds_match_fleet(&format!("{cell} bob"), &bob_report, &bob_ref);
 
         drop(bob);
         server.shutdown();
@@ -355,6 +376,7 @@ fn scenario_cross_product_matches_run_fleet_through_daemon() {
         assert_eq!(g.out_classes, s.task.out_classes());
     }
     assert_report_matches_fleet(&report, &reference);
+    assert_builds_match_fleet("scenario cell", &report, &reference);
 
     drop(client);
     server.shutdown();

@@ -1,16 +1,18 @@
-//! Fleet-grade equivalence harness: the scheduler matrix.
+//! Fleet-grade equivalence harness: the engine matrix.
 //!
-//! The scheduler's contract is absolute — any (shard count × thread
-//! budget × preemption stride) cell must produce per-shard results
-//! bit-identical to serial `Hgnas::run_with` runs, through transient
-//! measurement-fault storms, slice-budget kills resumed via the artifact
-//! store, and warm-started score caches.
+//! The engine's contract is absolute — any (shard count × thread budget ×
+//! preemption stride) cell must produce per-shard results bit-identical to
+//! serial `Hgnas::run_with` runs, through transient measurement-fault
+//! storms, slice-grant kills resumed via the artifact store, calls that
+//! park shards inside one long-lived engine, and warm-started score
+//! caches.
 
 use hgnas::core::{Hgnas, LatencyMode, SearchConfig, SearchOutcome, TaskConfig};
 use hgnas::device::DeviceKind;
 use hgnas::fleet::{
-    event_channel, run_fleet, run_fleet_with_events, ArtifactStore, FleetConfig, FleetEvent,
-    OracleConfig, ParetoPoint, Scheduler, SchedulerConfig, ShardSpec, StreamingReporter,
+    event_channel, prefix_fingerprint, run_fleet, run_fleet_with_events, ArtifactStore, Engine,
+    EngineReport, FleetConfig, FleetEvent, OracleConfig, ParetoPoint, SessionAction, ShardSpec,
+    StreamingReporter,
 };
 use hgnas::predictor::PredictorConfig;
 use std::collections::HashMap;
@@ -64,6 +66,30 @@ impl Drop for TempStore {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
     }
+}
+
+/// Engine settings: a thread budget, a preemption stride and a session
+/// memory budget, everything else at the fleet defaults.
+fn engine_config(threads: usize, stride: usize, session_budget: Option<u64>) -> FleetConfig {
+    let mut fleet = FleetConfig::new(Vec::new());
+    fleet.threads = threads;
+    fleet.preemption_stride = stride;
+    fleet.session_memory_budget = session_budget;
+    fleet
+}
+
+/// A fresh engine running every spec as request 0, to completion or to
+/// the slice grant.
+fn run_fresh(
+    fleet: &FleetConfig,
+    store: Option<&ArtifactStore>,
+    specs: &[ShardSpec],
+    grant: Option<u64>,
+) -> EngineReport {
+    let all: Vec<usize> = (0..specs.len()).collect();
+    Engine::new(fleet, store.cloned())
+        .run(0, specs, &all, grant, None)
+        .expect("engine call")
 }
 
 fn shard(task: &TaskConfig, device: DeviceKind, seed: u64, mode: LatencyMode) -> ShardSpec {
@@ -162,22 +188,14 @@ fn scheduler_matrix_is_bit_identical_to_serial() {
             .iter()
             .map(|&(d, s)| shard(&task, d, s, LatencyMode::Predictor))
             .collect();
-        let scheduler = Scheduler::new(
-            specs,
-            SchedulerConfig {
-                threads,
-                preemption_stride: stride,
-                ..SchedulerConfig::default()
-            },
-        );
-        let report = scheduler.run(None, None).expect("no store, no errors");
+        let report = run_fresh(&engine_config(threads, stride, None), None, &specs, None);
         assert_eq!(report.shards.len(), nshards);
         for (result, &(device, seed)) in report.shards.iter().zip(&shards) {
             assert_eq!(result.device, device);
             let outcome = result
                 .outcome
                 .as_ref()
-                .expect("unbudgeted scheduler finishes every shard");
+                .expect("an ungranted call finishes every shard");
             assert_outcomes_bit_identical(outcome, refs.get(device, seed, LatencyMode::Predictor));
             if stride > 0 {
                 assert!(
@@ -206,7 +224,7 @@ fn scheduler_matrix_is_bit_identical_to_serial() {
 }
 
 /// Tentpole acceptance (PR 5, re-keyed in PR 7): with a fine preemption
-/// stride and an unbounded session memory budget, the scheduler computes
+/// stride and an unbounded session memory budget, the engine computes
 /// each *distinct prefix* (Stage 1 + supernet pre-training) exactly once
 /// — the three seed-0 shards share one session across their different
 /// devices, the seed-3 shard owns its own — every later slice is a
@@ -233,16 +251,7 @@ fn session_cache_pretrains_once_per_shard_and_budget_zero_replays() {
     // Unbounded budget: stride 1 over 4 shards, 2 distinct prefixes
     // (seeds 0 and 3 — the device is not prefix-relevant), so exactly 2
     // builds fleet-wide.
-    let report = Scheduler::new(
-        specs.clone(),
-        SchedulerConfig {
-            threads: 2,
-            preemption_stride: 1,
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(None, None)
-    .expect("storeless run");
+    let report = run_fresh(&engine_config(2, 1, None), None, &specs, None);
     assert_eq!(
         report.session_stats.builds, 2,
         "one build per distinct prefix, not per shard"
@@ -273,17 +282,7 @@ fn session_cache_pretrains_once_per_shard_and_budget_zero_replays() {
 
     // Budget 0, no store: every slice evicts immediately and the next one
     // replays — today's degraded path, bit-identical with equal fronts.
-    let report = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: 2,
-            preemption_stride: 1,
-            session_memory_budget: Some(0),
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(None, None)
-    .expect("storeless run");
+    let report = run_fresh(&engine_config(2, 1, Some(0)), None, &specs, None);
     assert!(report.session_stats.evictions > 0, "budget 0 evicts");
     assert_eq!(report.session_stats.spills, 0, "no store, nothing spilled");
     assert_eq!(report.session_stats.hits, 0, "nothing stays resident");
@@ -329,17 +328,7 @@ fn tight_session_budget_evicts_mid_run_without_changing_results() {
     let mut refs = References::new(task.clone());
 
     // Without a store: evictions degrade to replays.
-    let report = Scheduler::new(
-        specs.clone(),
-        SchedulerConfig {
-            threads: 1,
-            preemption_stride: 1,
-            session_memory_budget: Some(budget),
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(None, None)
-    .expect("storeless run");
+    let report = run_fresh(&engine_config(1, 1, Some(budget)), None, &specs, None);
     assert!(
         report.session_stats.evictions > 0,
         "the budget genuinely evicted mid-run: {:?}",
@@ -356,17 +345,12 @@ fn tight_session_budget_evicts_mid_run_without_changing_results() {
     // slices restore — pre-training still runs exactly once per shard.
     let temp = TempStore::new("tight-budget");
     let store = temp.open();
-    let report = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: 1,
-            preemption_stride: 1,
-            session_memory_budget: Some(budget),
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(Some(&store), None)
-    .expect("stored run");
+    let report = run_fresh(
+        &engine_config(1, 1, Some(budget)),
+        Some(&store),
+        &specs,
+        None,
+    );
     assert!(report.session_stats.evictions > 0);
     assert!(report.session_stats.spills > 0, "evictions spilled to disk");
     assert!(report.session_stats.restores > 0, "spills were restored");
@@ -411,16 +395,7 @@ fn shared_prefix_fleet_builds_the_prefix_exactly_once() {
     // Thread budgets above 1 race claimants into the single-flight path
     // (defer + re-queue); the build count must stay at one regardless.
     for (threads, stride) in [(1usize, 1usize), (2, 1), (3, 1), (2, 2)] {
-        let report = Scheduler::new(
-            specs.clone(),
-            SchedulerConfig {
-                threads,
-                preemption_stride: stride,
-                ..SchedulerConfig::default()
-            },
-        )
-        .run(None, None)
-        .expect("storeless run");
+        let report = run_fresh(&engine_config(threads, stride, None), None, &specs, None);
         let built: u64 = report.shards.iter().map(|r| r.prefix_builds).sum();
         assert_eq!(
             built, 1,
@@ -443,22 +418,11 @@ fn shared_prefix_fleet_builds_the_prefix_exactly_once() {
     }
 
     // Kill mid-fleet with the shared session force-spilled (budget 0 +
-    // store); a fresh scheduler restores it off disk — zero prefix
-    // rebuilds in round 2.
+    // store); a fresh engine restores it off disk — zero prefix rebuilds
+    // in round 2.
     let temp = TempStore::new("shared-prefix");
     let store = temp.open();
-    let round1 = Scheduler::new(
-        specs.clone(),
-        SchedulerConfig {
-            threads: 1,
-            preemption_stride: 1,
-            max_slices: Some(3),
-            session_memory_budget: Some(0),
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(Some(&store), None)
-    .expect("parking is not an error");
+    let round1 = run_fresh(&engine_config(1, 1, Some(0)), Some(&store), &specs, Some(3));
     assert!(
         round1.shards.iter().any(|s| s.outcome.is_none()),
         "the slice budget interrupted the fleet"
@@ -470,16 +434,7 @@ fn shared_prefix_fleet_builds_the_prefix_exactly_once() {
     let built: u64 = round1.shards.iter().map(|r| r.prefix_builds).sum();
     assert_eq!(built, 1, "even forced spills rebuild nothing: one build");
 
-    let round2 = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: 1,
-            preemption_stride: 1,
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(Some(&store), None)
-    .expect("resume round");
+    let round2 = run_fresh(&engine_config(1, 1, None), Some(&store), &specs, None);
     assert_eq!(
         round2.session_stats.builds, 0,
         "round 2 restored the spilled shared session instead of rebuilding: {:?}",
@@ -502,7 +457,7 @@ fn shared_prefix_fleet_builds_the_prefix_exactly_once() {
 
 /// Kill/resume through a spilled `ArtifactKind::Session`: round 1 runs
 /// out of slice budget with sessions force-spilled to the store; round 2
-/// (a fresh scheduler, empty in-memory cache) restores them from disk
+/// (a fresh engine, empty in-memory cache) restores them from disk
 /// instead of re-running Stage 1 + pre-training, and finishes
 /// bit-identically to serial.
 #[test]
@@ -522,18 +477,7 @@ fn kill_and_resume_through_spilled_session_artifacts() {
 
     // Round 1: budget 0 forces every built session straight to disk; the
     // slice budget parks the fleet mid-run.
-    let round1 = Scheduler::new(
-        specs.clone(),
-        SchedulerConfig {
-            threads: 1,
-            preemption_stride: 1,
-            max_slices: Some(4),
-            session_memory_budget: Some(0),
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(Some(&store), None)
-    .expect("parking is not an error");
+    let round1 = run_fresh(&engine_config(1, 1, Some(0)), Some(&store), &specs, Some(4));
     assert!(
         round1.shards.iter().any(|s| s.outcome.is_none()),
         "the slice budget interrupted the fleet"
@@ -551,18 +495,9 @@ fn kill_and_resume_through_spilled_session_artifacts() {
         .count();
     assert!(spilled_sessions > 0, "session artifacts exist on disk");
 
-    // Round 2: fresh scheduler, unbounded cache. Shards round 1 touched
+    // Round 2: fresh engine, unbounded cache. Shards round 1 touched
     // restore their sessions from the spill — zero prefix builds.
-    let round2 = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: 1,
-            preemption_stride: 1,
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(Some(&store), None)
-    .expect("resume round");
+    let round2 = run_fresh(&engine_config(1, 1, None), Some(&store), &specs, None);
     assert!(
         round2.session_stats.restores > 0,
         "round 2 restored spilled sessions: {:?}",
@@ -584,6 +519,104 @@ fn kill_and_resume_through_spilled_session_artifacts() {
     }
 }
 
+/// One long-lived engine serving a request over several granted calls,
+/// the way the daemon serves admission rounds: each call runs only the
+/// still-unfinished shards, so call-local positions and request indices
+/// disagree. With `session_memory_budget: Some(0)` and a store, every
+/// session is evicted (spilled) the moment it is built or restored, so
+/// evictions fire in call after call. Each prefix is still built exactly
+/// once — later claims restore the spill — results stay bit-identical to
+/// serial, and every `Evicted` event names the shard (by request index and
+/// device) whose slice published the evicted session.
+#[test]
+fn long_lived_engine_builds_each_prefix_once_across_granted_calls() {
+    let task = TaskConfig::tiny(59);
+    // Two prefixes (seeds 0 and 5), each shared by two shards; four
+    // distinct devices, so a misnumbered event names the wrong device.
+    let shards = [
+        (DeviceKind::Rtx3080, 0u64),
+        (DeviceKind::JetsonTx2, 5),
+        (DeviceKind::RaspberryPi3B, 0),
+        (DeviceKind::I78700K, 5),
+    ];
+    let specs: Vec<ShardSpec> = shards
+        .iter()
+        .map(|&(d, s)| shard(&task, d, s, LatencyMode::Predictor))
+        .collect();
+    let temp = TempStore::new("long-lived");
+    let mut engine = Engine::new(&engine_config(2, 1, Some(0)), Some(temp.open()));
+
+    let mut finished: Vec<Option<hgnas::fleet::ShardResult>> = specs.iter().map(|_| None).collect();
+    let mut calls_with_evictions = 0;
+    let mut calls = 0;
+    while finished.iter().any(Option::is_none) {
+        let pending: Vec<usize> = (0..specs.len())
+            .filter(|&i| finished[i].is_none())
+            .collect();
+        let (tx, rx) = event_channel();
+        let report = engine
+            .run(7, &specs, &pending, Some(3), Some(tx))
+            .expect("granted call");
+        calls += 1;
+        assert_eq!(report.shards.len(), pending.len());
+        let events: Vec<FleetEvent> = rx.try_iter().collect();
+        // The last session action per shard within this call.
+        let mut last: HashMap<usize, SessionAction> = HashMap::new();
+        let mut evicted = 0;
+        for ev in &events {
+            if let FleetEvent::SessionCache {
+                shard,
+                device,
+                action,
+            } = ev
+            {
+                assert_eq!(
+                    *device, specs[*shard].config.device,
+                    "event names shard {shard}"
+                );
+                if let SessionAction::Evicted { spilled } = action {
+                    assert!(spilled, "a store is attached, so evictions spill");
+                    assert!(
+                        matches!(
+                            last.get(shard),
+                            Some(SessionAction::Built | SessionAction::Restored)
+                        ),
+                        "call {calls}: shard {shard} was evicted without publishing a session"
+                    );
+                    evicted += 1;
+                }
+                last.insert(*shard, *action);
+            }
+        }
+        calls_with_evictions += usize::from(evicted > 0);
+        for r in report.shards {
+            if r.outcome.is_some() {
+                let i = r.shard;
+                finished[i] = Some(r);
+            }
+        }
+    }
+    assert!(calls > 2, "the grant split the request into several calls");
+    assert!(calls_with_evictions > 1, "evictions fired across calls");
+
+    let mut refs = References::new(task.clone());
+    let mut builds: HashMap<u64, u64> = HashMap::new();
+    for (r, (&(device, seed), spec)) in finished.iter().flatten().zip(shards.iter().zip(&specs)) {
+        assert_outcomes_bit_identical(
+            r.outcome.as_ref().expect("finished"),
+            refs.get(device, seed, LatencyMode::Predictor),
+        );
+        *builds
+            .entry(prefix_fingerprint(&spec.task, &spec.config))
+            .or_default() += r.prefix_builds;
+    }
+    assert_eq!(builds.len(), 2);
+    assert!(
+        builds.values().all(|&b| b == 1),
+        "each prefix built exactly once across calls: {builds:?}"
+    );
+}
+
 /// Fault injection: a transient `MeasureError::Busy` storm (every request
 /// fails its first attempt) through preempted measured-mode shards stays
 /// bit-transparent.
@@ -599,19 +632,12 @@ fn preempted_measured_shards_survive_busy_storms() {
         .iter()
         .map(|&(d, s)| shard(&task, d, s, LatencyMode::Measured))
         .collect();
-    let scheduler = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: 2,
-            preemption_stride: 1,
-            oracle: OracleConfig {
-                inject_busy_every: Some(1), // the storm: every request faults
-                ..OracleConfig::default()
-            },
-            ..SchedulerConfig::default()
-        },
-    );
-    let report = scheduler.run(None, None).expect("storms are transient");
+    let mut fleet = engine_config(2, 1, None);
+    fleet.oracle = OracleConfig {
+        inject_busy_every: Some(1), // the storm: every request faults
+        ..OracleConfig::default()
+    };
+    let report = run_fresh(&fleet, None, &specs, None);
     let stats = report.oracle_stats.expect("measured mode has oracle stats");
     assert!(stats.requests > 0);
     assert_eq!(
@@ -631,9 +657,8 @@ fn preempted_measured_shards_survive_busy_storms() {
 }
 
 /// Mid-slice kill/resume through the store: exhausting the slice budget
-/// parks every unfinished shard with a persisted checkpoint; a second
-/// scheduler run picks them all up and finishes bit-identically to
-/// serial.
+/// parks every unfinished shard with a persisted checkpoint; a second,
+/// fresh engine picks them all up and finishes bit-identically to serial.
 #[test]
 fn slice_budget_kill_and_resume_through_store() {
     let task = TaskConfig::tiny(29);
@@ -652,34 +677,16 @@ fn slice_budget_kill_and_resume_through_store() {
 
     // Round 1: 5 slices across 4 shards needing 3 slices each — the
     // budget dies mid-fleet.
-    let round1 = Scheduler::new(
-        specs.clone(),
-        SchedulerConfig {
-            threads: 2,
-            preemption_stride: 1,
-            max_slices: Some(5),
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(Some(&store), None)
-    .expect("parking is not an error");
+    let round1 = run_fresh(&engine_config(2, 1, None), Some(&store), &specs, Some(5));
     let unfinished = round1.shards.iter().filter(|s| s.outcome.is_none()).count();
     assert!(unfinished > 0, "the budget genuinely interrupted the fleet");
     let sliced: u64 = round1.shards.iter().map(|s| s.slices).sum();
     assert_eq!(sliced, 5, "exactly the budget was consumed");
+    assert_eq!(round1.slices, 5, "the call charges what it ran");
 
     // Round 2: unbudgeted, same store — every shard resumes (or cold
     // starts, if round 1 never reached it) and finishes.
-    let round2 = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: 2,
-            preemption_stride: 1,
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(Some(&store), None)
-    .expect("resume round");
+    let round2 = run_fresh(&engine_config(2, 1, None), Some(&store), &specs, None);
     let mut refs = References::new(task);
     let mut resumed = 0;
     for (result, &(device, seed)) in round2.shards.iter().zip(&shards) {
@@ -848,7 +855,7 @@ fn streaming_reports_cover_the_fleet_lifecycle() {
 
 /// Satellite acceptance (task × persona matrix): every scenario shard —
 /// classification and segmentation, builtin and recalibrated personas —
-/// comes out of the preempting scheduler bit-identical to a serial
+/// comes out of the preempting engine bit-identical to a serial
 /// `Hgnas::run` of that scenario's own (task, config) pair, scenario
 /// labels survive the trip, and the classification shard on the untouched
 /// builtin persona is bit-identical to the legacy device-keyed run (a
@@ -894,16 +901,7 @@ fn task_persona_shard_matrix_is_bit_identical_to_serial() {
         .iter()
         .map(|s| ShardSpec::new(s.task.clone(), s.config.clone()).with_scenario(s.label.clone()))
         .collect();
-    let report = Scheduler::new(
-        specs,
-        SchedulerConfig {
-            threads: 2,
-            preemption_stride: 1,
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(None, None)
-    .expect("storeless scenario matrix");
+    let report = run_fresh(&engine_config(2, 1, None), None, &specs, None);
 
     for (result, scenario) in report.shards.iter().zip(&scenarios) {
         assert_eq!(result.scenario, scenario.label);
@@ -911,7 +909,7 @@ fn task_persona_shard_matrix_is_bit_identical_to_serial() {
         let outcome = result
             .outcome
             .as_ref()
-            .expect("unbudgeted scheduler finishes every shard");
+            .expect("an ungranted call finishes every shard");
         let serial = Hgnas::new(scenario.task.clone(), scenario.config.clone()).run();
         assert_outcomes_bit_identical(outcome, &serial);
         assert!(!result.pareto.is_empty(), "{}", scenario.label);
