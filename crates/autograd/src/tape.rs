@@ -3,7 +3,7 @@
 use hgnas_tensor::kernels::{
     concat_cols, fold_rows, gather_rows, repeat_rows, row_norms, scatter_add_rows, split_cols,
 };
-use hgnas_tensor::reduce::{reduce_mid_axis, segment_reduce_rows, Reduction};
+use hgnas_tensor::reduce::{reduce_row_groups, segment_reduce_rows, Reduction};
 use hgnas_tensor::{simd, Tensor};
 
 /// Handle to a value recorded on a [`Tape`].
@@ -255,22 +255,15 @@ impl Tape {
         self.push(value, Op::Concat(parts.to_vec(), widths), rg)
     }
 
-    /// Views `[n*k, c]` as `[n, k, c]` and reduces over the `k` axis,
-    /// producing `[n, c]`. This is neighbour aggregation with a fixed fanout.
+    /// Reduces each group of `k` consecutive rows of `[n*k, c]` (the `k`
+    /// axis of its `[n, k, c]` view, read in place), producing `[n, c]`.
+    /// This is neighbour aggregation with a fixed fanout.
     ///
     /// # Panics
     ///
-    /// Panics if the row count of `x` is not a multiple of `k`.
+    /// Panics if `k == 0` or the row count of `x` is not a multiple of `k`.
     pub fn reduce_mid(&mut self, x: Var, k: usize, how: Reduction) -> Var {
-        let t = self.value(x);
-        let rows = t.dims()[0];
-        assert!(
-            k > 0 && rows.is_multiple_of(k),
-            "reduce_mid: {rows} rows not divisible by k={k}"
-        );
-        let c = t.dims()[1];
-        let viewed = t.reshape(&[rows / k, k, c]);
-        let r = reduce_mid_axis(&viewed, how);
+        let r = reduce_row_groups(self.value(x), k, how);
         let rg = self.requires(x);
         self.push(
             r.values,

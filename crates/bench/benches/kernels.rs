@@ -15,7 +15,7 @@ use hgnas_bench::record::{emit_bench_json, json_only, time_both};
 use hgnas_graph::{knn_brute, knn_grid, knn_kdtree};
 use hgnas_tensor::kernels::{fold_rows, scatter_add_rows};
 use hgnas_tensor::matmul::{matmul_at, matmul_blocked, matmul_bt, matmul_naive, matmul_parallel};
-use hgnas_tensor::reduce::{reduce_mid_axis, Reduction};
+use hgnas_tensor::reduce::{reduce_row_groups, segment_reduce_rows, Reduction};
 use hgnas_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,10 +87,37 @@ fn emit_kernels_json() {
         }));
     }
 
-    // Message-passing shapes: [points, neighbours, channels] EdgeConv-style.
-    let t = Tensor::rand_uniform(&mut rng, &[1024, 20, 64], -1.0, 1.0);
+    // Message-passing shapes: [points, neighbours, channels] EdgeConv-style,
+    // reduced over each point's neighbour rows of the [points*neighbours,
+    // channels] message tensor.
+    let t = Tensor::rand_uniform(&mut rng, &[1024 * 20, 64], -1.0, 1.0);
     entries.push(time_both("reduce_mid_sum", "1024x20x64", 9, || {
-        black_box(reduce_mid_axis(black_box(&t), Reduction::Sum));
+        black_box(reduce_row_groups(black_box(&t), 20, Reduction::Sum));
+    }));
+    // Max aggregation as a `small` supernet batch runs it: 8 clouds x 128
+    // points, k = 10 neighbour messages of 24 (one node's hidden features)
+    // to 72 channels (centre | neighbour | relative), reduced in place from
+    // the [n*k, c] tape tensor.
+    for c in [24usize, 72] {
+        let msgs = Tensor::rand_uniform(&mut rng, &[1024 * 10, c], -1.0, 1.0);
+        entries.push(time_both(
+            "reduce_mid_max",
+            &format!("1024x10x{c}"),
+            9,
+            || {
+                black_box(reduce_row_groups(black_box(&msgs), 10, Reduction::Max));
+            },
+        ));
+    }
+    // Global max pooling of the same batch: 8 segments of 128 rows.
+    let h = Tensor::rand_uniform(&mut rng, &[8 * 128, 24], -1.0, 1.0);
+    let segments = [128usize; 8];
+    entries.push(time_both("segment_pool_max", "8x128x24", 9, || {
+        black_box(segment_reduce_rows(
+            black_box(&h),
+            &segments,
+            Reduction::Max,
+        ));
     }));
     let flat = Tensor::rand_uniform(&mut rng, &[1024 * 20, 64], -1.0, 1.0);
     let idx: Vec<usize> = (0..1024 * 20).map(|i| i % 1024).collect();
@@ -101,7 +128,23 @@ fn emit_kernels_json() {
         black_box(fold_rows(black_box(&flat), 20));
     }));
 
-    // KNN graph construction (the grid path is what the pipeline uses).
+    // KNN graph construction. The pipeline builds every graph with
+    // `knn_brute`: feature-space graphs on one cloud's hidden features
+    // (`small`: 128 points x 24 dims, k = 10; `tiny`: 48 x 16, k = 8) and
+    // raw-point graphs in 3-D (paper scale: 1024 points, k = 20).
+    for &(n, dim, k) in &[(128usize, 24usize, 10usize), (48, 16, 8), (1024, 3, 20)] {
+        let pts: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        entries.push(time_both(
+            "knn_brute",
+            &format!("{n}x{dim} k={k}"),
+            7,
+            || {
+                black_box(knn_brute(black_box(&pts), dim, k));
+            },
+        ));
+    }
+    // The grid builder has no production caller; kept for its gathered
+    // distance leg.
     let pts: Vec<f32> = (0..1024 * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     entries.push(time_both("knn_grid", "1024x3 k=20", 7, || {
         black_box(knn_grid(black_box(&pts), 3, 20));

@@ -1,20 +1,23 @@
 //! K-nearest-neighbour graph construction.
 //!
-//! `knn_brute` is the O(n²) reference; `knn_grid` buckets points into a
-//! uniform grid and searches expanding shells, which is markedly faster for
-//! the point counts the paper sweeps (128–2048, Fig. 1). Both return
-//! identical neighbour sets (modulo exact-tie ordering); the property test
-//! below and the `knn` criterion bench compare them.
+//! [`knn_brute`] is the one KNN the pipeline runs: the raw-point (3-D)
+//! graph of EdgeConv's first layer and of a GNN's leading `Sample(Knn)`,
+//! and every dynamic feature-space graph a searched layer rebuilds on its
+//! hidden features (16 or 24 dimensions at the `tiny` and `small` widths,
+//! 64 at paper scale). It transposes the cloud once into a column layout
+//! and, per query point, sweeps all `n` distances through
+//! [`simd::squared_distances_cols`] — lane-parallel over points for any
+//! dimension, each distance folded over the coordinates in order from
+//! `0.0`, so the bits match a sequential scalar fold on both lane paths.
+//! An allocation-free bounded insertion-select then keeps the `k` nearest,
+//! first-seen first among exact ties, writing straight into the neighbour
+//! list.
 //!
-//! The distance loop is split from the selection loop: distances for a
-//! whole candidate batch are computed first through the lane kernels in
-//! [`hgnas_tensor::simd`] (`squared_distances_3d` for the brute-force
-//! 0..n sweep, the gathered `_indexed` variant for grid-shell candidate
-//! lists), then the bounded insertion-select consumes the scored batch in
-//! the original candidate order. The lane kernels compute each distance
-//! with the exact association the old scalar fold used
-//! (`(dx²+dy²)+dz²`), so neighbour sets — ties included — are
-//! bit-identical to both the scalar fallback and the pre-lane code.
+//! `knn_grid` (uniform-grid shells, 3-D only) and `knn_kdtree` are
+//! alternative exact builders without a production caller. Both return
+//! the same neighbour sets as `knn_brute` (modulo exact-tie ordering); the
+//! tests below compare them, and the kernels bench times the grid against
+//! the brute sweep at 1024 points.
 
 use crate::neighbors::NeighborList;
 use hgnas_tensor::simd;
@@ -33,11 +36,6 @@ pub fn knn_brute_calls() -> usize {
     KNN_BRUTE_CALLS.load(Ordering::Relaxed)
 }
 
-#[inline]
-fn dist2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 fn validate(points: &[f32], dim: usize, k: usize) -> usize {
     assert!(dim > 0, "dimension must be positive");
     assert_eq!(points.len() % dim, 0, "point buffer not a multiple of dim");
@@ -47,50 +45,57 @@ fn validate(points: &[f32], dim: usize, k: usize) -> usize {
     n
 }
 
-/// Selects the `k` smallest-distance candidates (excluding `i` itself) from
-/// pre-scored `(index, distance)` pairs via a bounded insertion sort — fast
-/// for the small `k` (≈20) GNNs use. Consuming candidates in their batch
-/// order keeps exact-tie resolution identical to the fused scalar loop this
-/// replaced.
+/// Merges pre-scored `(index, distance)` candidates (excluding `i` itself)
+/// into the running `k` nearest, `k = out.len()`: the first `len` entries
+/// of `best` (distances) and `out` (indices), nearest first. Returns the
+/// new length. A bounded insertion sort, fast for the small `k` (≈20)
+/// GNNs use: a candidate is skipped unless it beats the current `k`-th,
+/// and lands after every kept entry it does not beat, so exact ties keep
+/// candidate order. While no NaN is kept the list is sorted and the
+/// insertion shifts down from the end; once a NaN is kept the list is no
+/// longer ordered, and the insertion point comes from the `partition_point`
+/// binary search the selection has always used, so NaN features keep
+/// their established neighbour order.
 fn select_k_scored(
     i: usize,
     scored: impl Iterator<Item = (usize, f32)>,
-    k: usize,
-) -> Vec<(f32, usize)> {
-    let mut best: Vec<(f32, usize)> = Vec::with_capacity(k + 1);
+    mut len: usize,
+    best: &mut [f32],
+    out: &mut [usize],
+) -> usize {
+    let k = out.len();
+    let mut sorted = !best[..len].iter().any(|d| d.is_nan());
     for (j, d) in scored {
-        if j == i {
+        if j == i || (len == k && d >= best[k - 1]) {
             continue;
         }
-        if best.len() == k && d >= best[k - 1].0 {
+        sorted &= !d.is_nan();
+        let at = if sorted {
+            0
+        } else {
+            best[..len].partition_point(|&bd| bd <= d)
+        };
+        if at == k {
             continue;
         }
-        let pos = best.partition_point(|&(bd, _)| bd <= d);
-        best.insert(pos, (d, j));
-        if best.len() > k {
-            best.pop();
+        // A full list drops its last entry to make room.
+        let mut pos = len.min(k - 1);
+        while pos > at && (!sorted || best[pos - 1] > d) {
+            best[pos] = best[pos - 1];
+            out[pos] = out[pos - 1];
+            pos -= 1;
         }
+        best[pos] = d;
+        out[pos] = j;
+        len = (len + 1).min(k);
     }
-    best
-}
-
-/// Fills `dists[j] = |points[i] - points[j]|²` for every point, through the
-/// lane kernel when the cloud is 3-D, the scalar [`dist2`] otherwise (both
-/// produce the same bits for 3-D inputs).
-fn fill_dists(i: usize, points: &[f32], dim: usize, dists: &mut [f32]) {
-    let pi = &points[i * dim..(i + 1) * dim];
-    if dim == 3 {
-        simd::squared_distances_3d(pi, points, dists);
-    } else {
-        for (j, d) in dists.iter_mut().enumerate() {
-            *d = dist2(pi, &points[j * dim..(j + 1) * dim]);
-        }
-    }
+    len
 }
 
 /// Brute-force exact KNN over `n` points of dimension `dim`.
 ///
-/// Each point's `k` nearest *other* points, nearest first.
+/// Each point's `k` nearest *other* points, nearest first; exact ties keep
+/// index order.
 ///
 /// # Panics
 ///
@@ -98,14 +103,22 @@ fn fill_dists(i: usize, points: &[f32], dim: usize, dists: &mut [f32]) {
 pub fn knn_brute(points: &[f32], dim: usize, k: usize) -> NeighborList {
     KNN_BRUTE_CALLS.fetch_add(1, Ordering::Relaxed);
     let n = validate(points, dim, k);
+    let mut cols = vec![0.0f32; n * dim];
+    for (j, p) in points.chunks_exact(dim).enumerate() {
+        for (d, &v) in p.iter().enumerate() {
+            cols[d * n + j] = v;
+        }
+    }
     let mut idx = vec![0usize; n * k];
     let mut dists = vec![0.0f32; n];
-    for i in 0..n {
-        fill_dists(i, points, dim, &mut dists);
-        let best = select_k_scored(i, dists.iter().copied().enumerate(), k);
-        for (slot, &(_, j)) in best.iter().enumerate() {
-            idx[i * k + slot] = j;
-        }
+    let mut best = vec![0.0f32; k];
+    for (i, (q, out)) in points
+        .chunks_exact(dim)
+        .zip(idx.chunks_exact_mut(k))
+        .enumerate()
+    {
+        simd::squared_distances_cols(q, &cols, &mut dists);
+        select_k_scored(i, dists.iter().copied().enumerate(), 0, &mut best, out);
     }
     NeighborList::new(n, k, idx)
 }
@@ -155,16 +168,17 @@ pub fn knn_grid(points: &[f32], dim: usize, k: usize) -> NeighborList {
     let mut idx = vec![0usize; n * k];
     let mut candidates: Vec<usize> = Vec::new();
     let mut cand_dists: Vec<f32> = Vec::new();
-    for i in 0..n {
+    let mut best = vec![0.0f32; k];
+    for (i, out) in idx.chunks_exact_mut(k).enumerate() {
         let pi = &points[i * 3..i * 3 + 3];
         let ci = cell_of(pi);
-        let mut best: Vec<(f32, usize)> = Vec::new();
+        let mut len = 0;
         for ring in 0..=cells_per_axis {
             // Lower bound on distance to any point in a cell at Chebyshev
             // ring distance `ring` from the query's cell.
-            if best.len() >= k {
+            if len == k {
                 let bound = (ring.saturating_sub(1)) as f32 * cell;
-                if bound * bound > best[k - 1].0 {
+                if bound * bound > best[k - 1] {
                     break;
                 }
             }
@@ -199,26 +213,15 @@ pub fn knn_grid(points: &[f32], dim: usize, k: usize) -> NeighborList {
             }
             cand_dists.resize(candidates.len(), 0.0);
             simd::squared_distances_3d_indexed(pi, points, &candidates, &mut cand_dists);
-            let merged = select_k_scored(
+            len = select_k_scored(
                 i,
                 candidates.iter().copied().zip(cand_dists.iter().copied()),
-                k,
+                len,
+                &mut best,
+                out,
             );
-            for (d, j) in merged {
-                if best.len() == k && d >= best[k - 1].0 {
-                    continue;
-                }
-                let pos = best.partition_point(|&(bd, _)| bd <= d);
-                best.insert(pos, (d, j));
-                if best.len() > k {
-                    best.pop();
-                }
-            }
         }
-        debug_assert_eq!(best.len(), k);
-        for (slot, &(_, j)) in best.iter().enumerate() {
-            idx[i * k + slot] = j;
-        }
+        debug_assert_eq!(len, k);
     }
     NeighborList::new(n, k, idx)
 }
@@ -254,6 +257,10 @@ mod tests {
 
     fn random_cloud(rng: &mut StdRng, n: usize) -> Vec<f32> {
         (0..n * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    fn dist2(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
     }
 
     #[test]
@@ -314,6 +321,33 @@ mod tests {
                     assert!((x - y).abs() < 1e-9, "n={n} node {i}: {da:?} vs {db:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn selection_resumes_a_partial_list() {
+        // Merging the candidates in two calls, as the grid does shell by
+        // shell, keeps the list of one call, NaN distances included: the
+        // second call must see that a NaN is already kept.
+        let mut rng = StdRng::seed_from_u64(5);
+        for trial in 0..300 {
+            let n = 30;
+            let k = 1 + trial % 10;
+            let dists: Vec<f32> = (0..n)
+                .map(|_| match rng.gen_range(0..6) {
+                    0 => f32::NAN,
+                    1 => 0.5,
+                    _ => rng.gen_range(0.0f32..1.0),
+                })
+                .collect();
+            let split = rng.gen_range(0..n);
+            let scored = || dists.iter().copied().enumerate();
+            let (mut best, mut whole) = (vec![0.0; k], vec![0; k]);
+            select_k_scored(0, scored(), 0, &mut best, &mut whole);
+            let mut parts = vec![0; k];
+            let len = select_k_scored(0, scored().take(split), 0, &mut best, &mut parts);
+            select_k_scored(0, scored().skip(split), len, &mut best, &mut parts);
+            assert_eq!(whole, parts, "k={k} split={split} dists={dists:?}");
         }
     }
 

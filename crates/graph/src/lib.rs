@@ -3,11 +3,11 @@
 //!
 //! Point-cloud GNNs such as DGCNN rebuild a K-nearest-neighbour graph inside
 //! every layer — the very operation the paper identifies as the dominant cost
-//! on GPUs (Fig. 3). This crate provides both the reference brute-force
-//! construction and a uniform-grid accelerated variant (compared in the
-//! `knn` criterion bench), plus the random-sampling alternative from the
-//! design space (Tab. I) and the graph containers the rest of the stack
-//! shares.
+//! on GPUs (Fig. 3). This crate provides the lane-parallel brute-force
+//! construction the pipeline runs, grid and k-d tree alternatives
+//! (compared in the `knn` criterion bench), plus the random-sampling
+//! alternative from the design space (Tab. I) and the graph containers the
+//! rest of the stack shares.
 //!
 //! # Example
 //!

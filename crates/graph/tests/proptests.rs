@@ -130,3 +130,102 @@ proptest! {
         prop_assert_eq!(rebuilt, nl);
     }
 }
+
+// ---------------------------------------------------------------------------
+// knn_brute against the build it replaced: per query, every distance by a
+// sequential fold, then a bounded insertion-select over the scored
+// candidates in index order. Both are kept here as the oracle.
+// ---------------------------------------------------------------------------
+
+fn oracle_dist2(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+fn oracle_select_k_scored(
+    i: usize,
+    scored: impl Iterator<Item = (usize, f32)>,
+    k: usize,
+) -> Vec<(f32, usize)> {
+    let mut best: Vec<(f32, usize)> = Vec::with_capacity(k + 1);
+    for (j, d) in scored {
+        if j == i {
+            continue;
+        }
+        if best.len() == k && d >= best[k - 1].0 {
+            continue;
+        }
+        let pos = best.partition_point(|&(bd, _)| bd <= d);
+        best.insert(pos, (d, j));
+        if best.len() > k {
+            best.pop();
+        }
+    }
+    best
+}
+
+fn oracle_knn(points: &[f32], dim: usize, k: usize) -> Vec<usize> {
+    let n = points.len() / dim;
+    let mut idx = Vec::with_capacity(n * k);
+    for (i, q) in points.chunks_exact(dim).enumerate() {
+        let dists: Vec<f32> = points
+            .chunks_exact(dim)
+            .map(|p| oracle_dist2(q, p))
+            .collect();
+        let best = oracle_select_k_scored(i, dists.into_iter().enumerate(), k);
+        idx.extend(best.into_iter().map(|(_, j)| j));
+    }
+    idx
+}
+
+/// A feature cloud with the cases that decide neighbour order: duplicated
+/// points, all-zero rows, NaN features and coarse coordinates whose
+/// distances tie exactly, among ordinary random points.
+fn awkward_cloud(seed: u64, n: usize, dim: usize) -> Vec<f32> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pts: Vec<f32> = Vec::with_capacity(n * dim);
+    for j in 0..n {
+        match rng.gen_range(0usize..8) {
+            0 => pts.extend(std::iter::repeat_n(0.0, dim)),
+            1 if j > 0 => {
+                let src = rng.gen_range(0..j);
+                let row = pts[src * dim..(src + 1) * dim].to_vec();
+                pts.extend(row);
+            }
+            2 => {
+                let nan_at = rng.gen_range(0..dim);
+                pts.extend((0..dim).map(|d| {
+                    if d == nan_at {
+                        f32::NAN
+                    } else {
+                        rng.gen_range(-1.0f32..1.0)
+                    }
+                }));
+            }
+            3 => pts.extend((0..dim).map(|_| rng.gen_range(-2i32..3) as f32 * 0.5)),
+            _ => pts.extend((0..dim).map(|_| rng.gen_range(-1.0f32..1.0))),
+        }
+    }
+    pts
+}
+
+const KNN_DIMS: [usize; 4] = [3, 16, 24, 65];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn knn_brute_matches_the_old_build_on_both_lane_paths(
+        seed in 0u64..10_000, pick in 0usize..4, n in 2usize..40, k_pick in 0usize..1000
+    ) {
+        use hgnas_tensor::simd::{with_path, LanePath};
+        let dim = KNN_DIMS[pick];
+        let k = 1 + k_pick % (n - 1);
+        let pts = awkward_cloud(seed, n, dim);
+        let want = oracle_knn(&pts, dim, k);
+        for path in [LanePath::Scalar, LanePath::Avx2] {
+            let got = with_path(path, || knn_brute(&pts, dim, k));
+            prop_assert_eq!(got.flat(), &want[..], "{} dim={} n={} k={}", path, dim, n, k);
+        }
+    }
+}

@@ -1,18 +1,25 @@
 //! Axis reductions with argument tracking.
 //!
-//! The GNN executor reduces neighbour messages laid out as `[n, k, c]` over
-//! the middle axis, and pools per-cloud node features `[n, c]` over the rows.
-//! Max/min reductions also return the winning indices so that the autograd
-//! layer can route gradients.
+//! The GNN executor reduces neighbour messages — `[n·k, c]` rows, `k`
+//! consecutive rows per node — over each node's `k` rows, and pools
+//! per-cloud node features `[n, c]` over the rows. Max/min reductions also
+//! return the winning indices so that the autograd layer can route
+//! gradients.
 //!
-//! Sum/mean accumulate through the lane kernels in [`crate::simd`]
-//! (elementwise over the feature axis, so per-element accumulation order —
-//! and therefore every bit of the result — is independent of the lane
-//! path). Max/min stay scalar: the winning-index tracking is inherently
-//! branchy, and the comparison loop is cheap next to the matmuls feeding
-//! it.
+//! Both entry points, [`reduce_row_groups`] and [`segment_reduce_rows`],
+//! reduce contiguous row blocks through one loop over the lane kernels in
+//! [`crate::simd`]: sum/mean accumulate rows with
+//! `add_assign` (then `scale` for the mean), max/min run
+//! [`simd::arg_extremum_rows`], which keeps the running winner and its row
+//! index in registers across a block's rows. Both kernels are elementwise
+//! over the feature axis, so every value and winner index is independent
+//! of the lane path. The arg-tracked max is the aggregation of EdgeConv
+//! and of most searched GNN layers; with KNN sampling it is among the
+//! costliest steps of a supernet train epoch on CPU, in line with the
+//! paper's Fig. 3 finding that sample and aggregate, not the matmuls,
+//! dominate point-cloud GNN latency there.
 
-use crate::simd;
+use crate::simd::{self, Extremum};
 use crate::Tensor;
 
 /// Result of an arg-tracked reduction: the reduced values plus, for max/min,
@@ -60,90 +67,88 @@ impl std::fmt::Display for Reduction {
     }
 }
 
-/// Reduces a `[n, k, c]` tensor over its middle axis, producing `[n, c]`.
+/// Reduces consecutive row blocks of a row-major buffer with `c` columns —
+/// block `b` spans the next `lens[b]` rows — to one output row each. The
+/// one loop behind every public reduction here.
+fn reduce_blocks(
+    d: &[f32],
+    c: usize,
+    lens: impl ExactSizeIterator<Item = usize>,
+    how: Reduction,
+) -> (Vec<f32>, Vec<usize>) {
+    let blocks = lens.len();
+    let mut values = vec![0.0f32; blocks * c];
+    let mut args = match how {
+        Reduction::Max | Reduction::Min => vec![0usize; blocks * c],
+        Reduction::Sum | Reduction::Mean => Vec::new(),
+    };
+    if c == 0 {
+        return (values, args);
+    }
+    let mut row0 = 0usize;
+    for (b, len) in lens.enumerate() {
+        let rows = &d[row0 * c..(row0 + len) * c];
+        let out = &mut values[b * c..(b + 1) * c];
+        match how {
+            Reduction::Sum | Reduction::Mean => {
+                for row in rows.chunks_exact(c) {
+                    simd::add_assign(out, row);
+                }
+                if how == Reduction::Mean {
+                    simd::scale(out, 1.0 / len as f32);
+                }
+            }
+            Reduction::Max | Reduction::Min => {
+                let which = if how == Reduction::Max {
+                    Extremum::Max
+                } else {
+                    Extremum::Min
+                };
+                simd::arg_extremum_rows(rows, which, out, &mut args[b * c..(b + 1) * c]);
+            }
+        }
+        row0 += len;
+    }
+    (values, args)
+}
+
+/// Reduces each group of `k` consecutive rows of a `[n·k, c]` tensor —
+/// the middle axis of its `[n, k, c]` view, e.g. one node's `k` neighbour
+/// messages — producing `[n, c]`.
 ///
 /// For `Max`/`Min` the returned [`ArgReduce::args`] holds, for every `(n, c)`
-/// output element, the winning `k` index; for `Sum`/`Mean` it is empty.
+/// output element, the winning index within the group; for `Sum`/`Mean` it
+/// is empty.
 ///
 /// # Panics
 ///
-/// Panics if `t` is not 3-D.
-pub fn reduce_mid_axis(t: &Tensor, how: Reduction) -> ArgReduce {
+/// Panics if `t` is not 2-D, `k == 0`, or the row count is not a multiple
+/// of `k`.
+pub fn reduce_row_groups(t: &Tensor, k: usize, how: Reduction) -> ArgReduce {
     assert_eq!(
         t.shape().rank(),
-        3,
-        "reduce_mid_axis requires [n,k,c], got {}",
+        2,
+        "reduce_row_groups requires [n*k,c], got {}",
         t.shape()
     );
-    let (n, k, c) = (t.dims()[0], t.dims()[1], t.dims()[2]);
-    let d = t.data();
-    let mut values = vec![0.0f32; n * c];
-    let mut args = Vec::new();
-    match how {
-        Reduction::Sum | Reduction::Mean => {
-            for i in 0..n {
-                for kk in 0..k {
-                    let row = &d[(i * k + kk) * c..(i * k + kk + 1) * c];
-                    simd::add_assign(&mut values[i * c..(i + 1) * c], row);
-                }
-            }
-            if how == Reduction::Mean {
-                simd::scale(&mut values, 1.0 / k as f32);
-            }
-        }
-        Reduction::Max | Reduction::Min => {
-            args = vec![0usize; n * c];
-            let better = |a: f32, b: f32| match how {
-                Reduction::Max => a > b,
-                _ => a < b,
-            };
-            for i in 0..n {
-                let out = &mut values[i * c..(i + 1) * c];
-                let arg = &mut args[i * c..(i + 1) * c];
-                out.copy_from_slice(&d[i * k * c..(i * k + 1) * c]);
-                for kk in 1..k {
-                    let row = &d[(i * k + kk) * c..(i * k + kk + 1) * c];
-                    for j in 0..c {
-                        if better(row[j], out[j]) {
-                            out[j] = row[j];
-                            arg[j] = kk;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let (rows, c) = (t.dims()[0], t.dims()[1]);
+    assert!(
+        k > 0 && rows.is_multiple_of(k),
+        "reduce_row_groups: {rows} rows not divisible by k={k}"
+    );
+    let n = rows / k;
+    let (values, args) = reduce_blocks(t.data(), c, std::iter::repeat_n(k, n), how);
     ArgReduce {
         values: Tensor::from_vec(values, &[n, c]),
         args,
     }
 }
 
-/// Reduces the rows of a `[n, c]` tensor, producing `[c]`. Used for global
-/// pooling over the points of one cloud.
-///
-/// # Panics
-///
-/// Panics if `t` is not 2-D.
-pub fn reduce_rows(t: &Tensor, how: Reduction) -> ArgReduce {
-    assert_eq!(
-        t.shape().rank(),
-        2,
-        "reduce_rows requires [n,c], got {}",
-        t.shape()
-    );
-    let (n, c) = (t.dims()[0], t.dims()[1]);
-    let view = t.reshape(&[1, n, c]);
-    let r = reduce_mid_axis(&view, how);
-    ArgReduce {
-        values: r.values.reshape(&[c]),
-        args: r.args,
-    }
-}
-
 /// Segment-reduces the rows of a `[n, c]` tensor according to contiguous
 /// segment lengths (e.g. pooling a batched cloud tensor per cloud),
-/// producing `[segments.len(), c]`.
+/// producing `[segments.len(), c]`. For `Max`/`Min` the args index rows
+/// within each segment; one segment of all `n` rows pools the whole
+/// tensor.
 ///
 /// # Panics
 ///
@@ -161,48 +166,9 @@ pub fn segment_reduce_rows(t: &Tensor, segments: &[usize], how: Reduction) -> Ar
         segments.iter().all(|&s| s > 0),
         "segments must be non-empty"
     );
-    let d = t.data();
-    let s = segments.len();
-    let mut values = vec![0.0f32; s * c];
-    let mut args = Vec::new();
-    let track = matches!(how, Reduction::Max | Reduction::Min);
-    if track {
-        args = vec![0usize; s * c];
-    }
-    let mut row0 = 0usize;
-    for (si, &len) in segments.iter().enumerate() {
-        let out = &mut values[si * c..(si + 1) * c];
-        match how {
-            Reduction::Sum | Reduction::Mean => {
-                for r in row0..row0 + len {
-                    simd::add_assign(out, &d[r * c..(r + 1) * c]);
-                }
-                if how == Reduction::Mean {
-                    simd::scale(out, 1.0 / len as f32);
-                }
-            }
-            Reduction::Max | Reduction::Min => {
-                let arg = &mut args[si * c..(si + 1) * c];
-                out.copy_from_slice(&d[row0 * c..(row0 + 1) * c]);
-                for (off, r) in (row0..row0 + len).enumerate().skip(1) {
-                    let row = &d[r * c..(r + 1) * c];
-                    for j in 0..c {
-                        let win = match how {
-                            Reduction::Max => row[j] > out[j],
-                            _ => row[j] < out[j],
-                        };
-                        if win {
-                            out[j] = row[j];
-                            arg[j] = off;
-                        }
-                    }
-                }
-            }
-        }
-        row0 += len;
-    }
+    let (values, args) = reduce_blocks(t.data(), c, segments.iter().copied(), how);
     ArgReduce {
-        values: Tensor::from_vec(values, &[s, c]),
+        values: Tensor::from_vec(values, &[segments.len(), c]),
         args,
     }
 }
@@ -211,22 +177,22 @@ pub fn segment_reduce_rows(t: &Tensor, segments: &[usize], how: Reduction) -> Ar
 mod tests {
     use super::*;
 
-    fn t3() -> Tensor {
-        // n=2, k=3, c=2
+    fn groups() -> Tensor {
+        // n=2 groups of k=3 rows, c=2
         Tensor::from_vec(
             vec![
                 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, // node 0
                 -1.0, 0.0, -2.0, 5.0, -3.0, 2.0, // node 1
             ],
-            &[2, 3, 2],
+            &[6, 2],
         )
     }
 
     #[test]
     fn mid_axis_sum_mean() {
-        let r = reduce_mid_axis(&t3(), Reduction::Sum);
+        let r = reduce_row_groups(&groups(), 3, Reduction::Sum);
         assert_eq!(r.values.data(), &[6.0, 24.0, -6.0, 7.0]);
-        let r = reduce_mid_axis(&t3(), Reduction::Mean);
+        let r = reduce_row_groups(&groups(), 3, Reduction::Mean);
         assert!(r.values.allclose(
             &Tensor::from_vec(vec![2.0, 8.0, -2.0, 7.0 / 3.0], &[2, 2]),
             1e-6
@@ -236,14 +202,14 @@ mod tests {
 
     #[test]
     fn mid_axis_max_tracks_args() {
-        let r = reduce_mid_axis(&t3(), Reduction::Max);
+        let r = reduce_row_groups(&groups(), 3, Reduction::Max);
         assert_eq!(r.values.data(), &[3.0, 9.0, -1.0, 5.0]);
         assert_eq!(r.args, vec![2, 0, 0, 1]);
     }
 
     #[test]
     fn mid_axis_min_tracks_args() {
-        let r = reduce_mid_axis(&t3(), Reduction::Min);
+        let r = reduce_row_groups(&groups(), 3, Reduction::Min);
         assert_eq!(r.values.data(), &[1.0, 7.0, -3.0, 0.0]);
         assert_eq!(r.args, vec![0, 2, 2, 0]);
     }
@@ -251,7 +217,7 @@ mod tests {
     #[test]
     fn rows_pooling() {
         let t = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], &[2, 2]);
-        let r = reduce_rows(&t, Reduction::Max);
+        let r = segment_reduce_rows(&t, &[2], Reduction::Max);
         assert_eq!(r.values.data(), &[3.0, 5.0]);
         assert_eq!(r.args, vec![1, 0]);
     }

@@ -18,6 +18,9 @@
 //!   remainder folded into the leading accumulators, then a fixed binary
 //!   tree (`hsum_tree` order) — mirrored literally in the scalar path, so
 //!   the floating-point association is the same on both.
+//! - The selection kernel ([`arg_extremum_rows`]) computes nothing: it
+//!   compares (ordered `>`/`<`, false on NaN) and moves whole values, so
+//!   its outputs are bit copies of its inputs on either path.
 //!
 //! Path selection: [`detected`] probes AVX2 once (the `HGNAS_SIMD=scalar`
 //! environment variable, or building without the `simd` cargo feature,
@@ -410,32 +413,47 @@ fn adam_step_scalar(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], p: A
     }
 }
 
-/// Squared Euclidean distances from one 3-D query point to every point in
-/// an interleaved `xyz` buffer: `out[j] = |q - points[j]|²`, computed as
-/// `(dx·dx + dy·dy) + dz·dz` per point — the exact association a sequential
-/// 3-term fold produces, so results match the pre-lane scalar `dist2`
-/// bit-for-bit. Elementwise over `j`, hence path-independent.
+/// Squared Euclidean distances from one query to every point of a cloud
+/// stored column-major: with `n = out.len()` and `dim = q.len()`,
+/// coordinate `d` of point `j` sits at `cols[d·n + j]`, and
+///
+/// ```text
+/// out[j] = Σ_d (q[d] − cols[d·n + j])²
+/// ```
+///
+/// folded over `d` in order starting from `0.0` — the association of a
+/// sequential scalar fold, so a 3-D distance is `(dx·dx + dy·dy) + dz·dz`.
+/// Elementwise over `j`, hence bit-identical on both paths for any `dim`
+/// (up to NaN payloads: which of two different NaNs an add returns is the
+/// compiler's choice of operand order, and callers only compare distances).
 ///
 /// # Panics
 ///
-/// Panics if `q` is not 3 floats or `points` is not `3 * out.len()` floats.
-pub fn squared_distances_3d(q: &[f32], points: &[f32], out: &mut [f32]) {
-    assert_eq!(q.len(), 3, "query must be a 3-D point");
+/// Panics if `cols` is not `q.len() * out.len()` floats.
+pub fn squared_distances_cols(q: &[f32], cols: &[f32], out: &mut [f32]) {
     assert_eq!(
-        points.len(),
-        out.len() * 3,
-        "points must be [n,3] for out [n]"
+        cols.len(),
+        q.len() * out.len(),
+        "cols must be [dim, n] for q [dim] and out [n]"
     );
     lane_dispatch!(
         out.len(),
-        avx2::sqdist3(q, points, out, 0),
-        sqdist3_scalar(q, points, out)
+        avx2::sqdist_cols(q, cols, out),
+        sqdist_cols_scalar(q, cols, out.len(), out, 0)
     )
 }
 
-fn sqdist3_scalar(q: &[f32], points: &[f32], out: &mut [f32]) {
-    for (o, p) in out.iter_mut().zip(points.chunks_exact(3)) {
-        *o = sqdist3_one(q, p);
+/// Scalar leg of [`squared_distances_cols`] over points `j0..j0 + out.len()`
+/// of an `n`-point column layout. Dimension-outer, so each point's sum
+/// still folds over `d` in order.
+fn sqdist_cols_scalar(q: &[f32], cols: &[f32], n: usize, out: &mut [f32], j0: usize) {
+    out.fill(0.0);
+    for (d, &qd) in q.iter().enumerate() {
+        let col = &cols[d * n + j0..d * n + j0 + out.len()];
+        for (o, &p) in out.iter_mut().zip(col) {
+            let t = qd - p;
+            *o += t * t;
+        }
     }
 }
 
@@ -447,9 +465,10 @@ fn sqdist3_one(q: &[f32], p: &[f32]) -> f32 {
     (dx * dx + dy * dy) + dz * dz
 }
 
-/// [`squared_distances_3d`] over a gathered candidate set:
-/// `out[j] = |q - points[idx[j]]|²`. Same per-element schedule, so it is
-/// bit-identical to computing each distance scalar in `idx` order.
+/// Squared distances from one 3-D query to a gathered candidate set of an
+/// interleaved `xyz` buffer: `out[j] = |q - points[idx[j]]|²`, computed as
+/// `(dx·dx + dy·dy) + dz·dz` — the same association as
+/// [`squared_distances_cols`]. Elementwise over `j`, hence path-independent.
 ///
 /// # Panics
 ///
@@ -473,6 +492,87 @@ pub fn squared_distances_3d_indexed(q: &[f32], points: &[f32], idx: &[usize], ou
 fn sqdist3_indexed_scalar(q: &[f32], points: &[f32], idx: &[usize], out: &mut [f32]) {
     for (o, &j) in out.iter_mut().zip(idx) {
         *o = sqdist3_one(q, &points[j * 3..j * 3 + 3]);
+    }
+}
+
+/// Which extreme [`arg_extremum_rows`] keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Extremum {
+    /// Largest value; a row wins where `row[j] > best[j]`.
+    Max,
+    /// Smallest value; a row wins where `row[j] < best[j]`.
+    Min,
+}
+
+/// Arg-tracked max/min over the `k = rows.len() / c` rows of a row-major
+/// `[k, c]` block, `c = out.len()`: `out[j]` starts as row 0 with
+/// `args[j] = 0`, and row `r` replaces it only where it is *strictly*
+/// better. So the first of several equal winners keeps its index, a NaN
+/// never wins (it compares false), and a NaN in row 0 is never replaced;
+/// `-0.0` and `+0.0` tie. The lane leg compares with `_CMP_GT_OQ` /
+/// `_CMP_LT_OQ` (ordered, false on NaN — the scalar `>`/`<`) and blends
+/// values and indices on the mask, so both paths return the same bits.
+///
+/// # Panics
+///
+/// Panics if `out` is empty, `args` differs from it in length, or `rows`
+/// is not a non-zero multiple of `out.len()` floats.
+pub fn arg_extremum_rows(rows: &[f32], which: Extremum, out: &mut [f32], args: &mut [usize]) {
+    let c = out.len();
+    assert!(c > 0, "arg_extremum_rows needs at least one column");
+    assert_eq!(args.len(), c, "args/out length mismatch");
+    assert!(
+        !rows.is_empty() && rows.len().is_multiple_of(c),
+        "rows must be [k, {c}] with k >= 1, got {} floats",
+        rows.len()
+    );
+    // The lane leg carries row indices in i32 lanes.
+    assert!(rows.len() / c <= i32::MAX as usize, "too many rows");
+    lane_dispatch!(
+        c,
+        avx2::arg_extremum(rows, which, out, args),
+        arg_extremum_scalar(rows, c, which, out, args, 0)
+    )
+}
+
+/// Scalar leg of [`arg_extremum_rows`] over columns `j0..j0 + out.len()`
+/// of a `[k, c]` block. Row-outer (row 0, then each later row across the
+/// column range), so every pass reads one row contiguously.
+fn arg_extremum_scalar(
+    rows: &[f32],
+    c: usize,
+    which: Extremum,
+    out: &mut [f32],
+    args: &mut [usize],
+    j0: usize,
+) {
+    match which {
+        Extremum::Max => arg_scan(rows, c, out, args, j0, |v, best| v > best),
+        Extremum::Min => arg_scan(rows, c, out, args, j0, |v, best| v < best),
+    }
+}
+
+/// The row-outer scan for one comparison; monomorphised per [`Extremum`] so
+/// the inner loop carries no `which` branch.
+#[inline(always)]
+fn arg_scan(
+    rows: &[f32],
+    c: usize,
+    out: &mut [f32],
+    args: &mut [usize],
+    j0: usize,
+    wins: impl Fn(f32, f32) -> bool,
+) {
+    let w = out.len();
+    out.copy_from_slice(&rows[j0..j0 + w]);
+    args.fill(0);
+    for (r, row) in rows.chunks_exact(c).enumerate().skip(1) {
+        for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(&row[j0..j0 + w]) {
+            if wins(v, *o) {
+                *o = v;
+                *a = r;
+            }
+        }
     }
 }
 
@@ -680,23 +780,72 @@ mod avx2 {
         }
     }
 
-    /// Distances to 8 interleaved-`xyz` points at a time via stride-3
-    /// gathers; `base` offsets the candidate range (contiguous case).
+    /// Distances to 8 column-layout points at a time: one running sum per
+    /// lane, folded over the dimensions in order.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `cols` must hold `q.len() * out.len()`
+    /// floats (checked by `squared_distances_cols`), so every load at
+    /// `d·n + j` with `j + 8 <= n` stays in bounds.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sqdist3(q: &[f32], points: &[f32], out: &mut [f32], base: usize) {
+    pub(super) unsafe fn sqdist_cols(q: &[f32], cols: &[f32], out: &mut [f32]) {
         let n = out.len();
-        let qx = _mm256_set1_ps(q[0]);
-        let qy = _mm256_set1_ps(q[1]);
-        let qz = _mm256_set1_ps(q[2]);
-        let step = _mm256_setr_epi32(0, 3, 6, 9, 12, 15, 18, 21);
         let mut j = 0;
         while j + LANES <= n {
-            let ix = _mm256_add_epi32(_mm256_set1_epi32(((base + j) * 3) as i32), step);
-            let d = sqdist3_gather(qx, qy, qz, points.as_ptr(), ix);
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), d);
+            let mut acc = _mm256_setzero_ps();
+            for (d, &qd) in q.iter().enumerate() {
+                let p = _mm256_loadu_ps(cols.as_ptr().add(d * n + j));
+                let t = _mm256_sub_ps(_mm256_set1_ps(qd), p);
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(t, t));
+            }
+            _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
             j += LANES;
         }
-        super::sqdist3_scalar(q, &points[(base + j) * 3..(base + n) * 3], &mut out[j..]);
+        super::sqdist_cols_scalar(q, cols, n, &mut out[j..], j);
+    }
+
+    /// 8 columns at a time: the running best and its row index stay in
+    /// registers across all `k` rows; the ragged column tail runs scalar.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `out` must be non-empty, `args` as long as
+    /// `out`, and `rows` a whole number `k >= 1` of `out.len()`-float rows
+    /// (checked by `arg_extremum_rows`), so every load at `r·c + j` with
+    /// `r < k` and `j + 8 <= c` stays in bounds.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn arg_extremum(
+        rows: &[f32],
+        which: super::Extremum,
+        out: &mut [f32],
+        args: &mut [usize],
+    ) {
+        let c = out.len();
+        let k = rows.len() / c;
+        let mut lane_args = [0i32; LANES];
+        let mut j = 0;
+        while j + LANES <= c {
+            let mut best = _mm256_loadu_ps(rows.as_ptr().add(j));
+            let mut arg = _mm256_setzero_ps();
+            for r in 1..k {
+                let v = _mm256_loadu_ps(rows.as_ptr().add(r * c + j));
+                let wins = match which {
+                    super::Extremum::Max => _mm256_cmp_ps::<_CMP_GT_OQ>(v, best),
+                    super::Extremum::Min => _mm256_cmp_ps::<_CMP_LT_OQ>(v, best),
+                };
+                best = _mm256_blendv_ps(best, v, wins);
+                let ri = _mm256_castsi256_ps(_mm256_set1_epi32(r as i32));
+                arg = _mm256_blendv_ps(arg, ri, wins);
+            }
+            _mm256_storeu_ps(out.as_mut_ptr().add(j), best);
+            _mm256_storeu_si256(lane_args.as_mut_ptr().cast(), _mm256_castps_si256(arg));
+            for (a, &l) in args[j..j + LANES].iter_mut().zip(&lane_args) {
+                *a = l as usize;
+            }
+            j += LANES;
+        }
+        super::arg_extremum_scalar(rows, c, which, &mut out[j..], &mut args[j..], j);
     }
 
     #[target_feature(enable = "avx2")]
@@ -1004,16 +1153,47 @@ mod tests {
         adam_step(&mut [0.0; 3], &mut [0.0; 3], &mut [0.0; 4], &[0.0; 3], p);
     }
 
+    /// Interleaved `[n, dim]` points to the `[dim, n]` column layout.
+    fn columns(pts: &[f32], dim: usize) -> Vec<f32> {
+        let n = pts.len() / dim;
+        let mut cols = vec![0.0f32; pts.len()];
+        for (j, p) in pts.chunks_exact(dim).enumerate() {
+            for (d, &v) in p.iter().enumerate() {
+                cols[d * n + j] = v;
+            }
+        }
+        cols
+    }
+
     #[test]
     fn distances_match_across_paths() {
+        for dim in [1usize, 3, 5] {
+            for n in RAGGED {
+                let pts = seq(n * dim, 0.4);
+                let cols = columns(&pts, dim);
+                let q = seq(dim, 1.3);
+                let mut s = vec![0.0f32; n];
+                let mut l = vec![0.0f32; n];
+                with_path(LanePath::Scalar, || {
+                    squared_distances_cols(&q, &cols, &mut s)
+                });
+                with_path(LanePath::Avx2, || squared_distances_cols(&q, &cols, &mut l));
+                assert_eq!(bits(&s), bits(&l), "dim {dim} n {n}");
+                for (j, p) in pts.chunks_exact(dim).enumerate() {
+                    let fold = q
+                        .iter()
+                        .zip(p)
+                        .fold(0.0f32, |a, (x, y)| a + (x - y) * (x - y));
+                    assert_eq!(s[j].to_bits(), fold.to_bits(), "dim {dim} n {n} j {j}");
+                }
+            }
+        }
+        // The gathered 3-D variant, deliberately shuffled + duplicated
+        // indices, agrees with the column sweep.
         let pts = seq(64 * 3, 0.4);
         let q = &pts[9..12];
         let mut s = vec![0.0f32; 64];
-        let mut l = vec![0.0f32; 64];
-        with_path(LanePath::Scalar, || squared_distances_3d(q, &pts, &mut s));
-        with_path(LanePath::Avx2, || squared_distances_3d(q, &pts, &mut l));
-        assert_eq!(s, l);
-        // Indexed variant, deliberately shuffled + duplicated indices.
+        squared_distances_cols(q, &columns(&pts, 3), &mut s);
         let idx: Vec<usize> = (0..64).map(|i| (i * 13 + 5) % 64).collect();
         let mut si = vec![0.0f32; idx.len()];
         let mut li = vec![0.0f32; idx.len()];
@@ -1027,6 +1207,30 @@ mod tests {
         for (t, &j) in idx.iter().enumerate() {
             assert_eq!(si[t].to_bits(), s[j].to_bits());
         }
+    }
+
+    #[test]
+    fn arg_extremum_keeps_first_strict_winner() {
+        // Column 0: a tie at rows 1 and 2 keeps row 1. Column 1: NaN in row
+        // 0 is never replaced. Column 2: a later NaN never wins. Column 3:
+        // +0.0 does not beat -0.0. Nine columns so the lane leg runs.
+        let nan = f32::NAN;
+        let rows = [
+            1.0, nan, 1.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, // row 0
+            3.0, 5.0, nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, // row 1
+            3.0, 9.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, // row 2
+        ];
+        let mut out = [0.0f32; 9];
+        let mut args = [0usize; 9];
+        arg_extremum_rows(&rows, Extremum::Max, &mut out, &mut args);
+        assert_eq!(out[0], 3.0);
+        assert!(out[1].is_nan());
+        assert_eq!(out[2], 1.0);
+        assert_eq!(out[3].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(args, [1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        arg_extremum_rows(&rows, Extremum::Min, &mut out, &mut args);
+        assert_eq!((out[2], args[2]), (0.5, 2));
+        assert_eq!(args[0], 0);
     }
 
     #[test]

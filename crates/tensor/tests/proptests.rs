@@ -4,7 +4,7 @@ use hgnas_tensor::kernels::{
     concat_cols, fold_rows, gather_rows, repeat_rows, row_norms, scatter_add_rows, split_cols,
 };
 use hgnas_tensor::matmul::{matmul_at, matmul_blocked, matmul_bt, matmul_naive, matmul_parallel};
-use hgnas_tensor::reduce::{reduce_mid_axis, segment_reduce_rows, Reduction};
+use hgnas_tensor::reduce::{reduce_row_groups, segment_reduce_rows, Reduction};
 use hgnas_tensor::simd::{self, LanePath};
 use hgnas_tensor::threads::with_kernel_threads;
 use hgnas_tensor::Tensor;
@@ -118,10 +118,10 @@ proptest! {
     fn reductions_bounded_by_extremes(
         data in prop::collection::vec(-100.0f32..100.0, 24)
     ) {
-        let t = Tensor::from_vec(data, &[2, 4, 3]);
-        let max = reduce_mid_axis(&t, Reduction::Max).values;
-        let min = reduce_mid_axis(&t, Reduction::Min).values;
-        let mean = reduce_mid_axis(&t, Reduction::Mean).values;
+        let t = Tensor::from_vec(data, &[2 * 4, 3]);
+        let max = reduce_row_groups(&t, 4, Reduction::Max).values;
+        let min = reduce_row_groups(&t, 4, Reduction::Min).values;
+        let mean = reduce_row_groups(&t, 4, Reduction::Mean).values;
         for i in 0..max.numel() {
             prop_assert!(min.data()[i] <= mean.data()[i] + 1e-4);
             prop_assert!(mean.data()[i] <= max.data()[i] + 1e-4);
@@ -132,9 +132,9 @@ proptest! {
     fn sum_reduction_matches_k_times_mean(
         data in prop::collection::vec(-10.0f32..10.0, 30)
     ) {
-        let t = Tensor::from_vec(data, &[2, 5, 3]);
-        let sum = reduce_mid_axis(&t, Reduction::Sum).values;
-        let mean = reduce_mid_axis(&t, Reduction::Mean).values;
+        let t = Tensor::from_vec(data, &[2 * 5, 3]);
+        let sum = reduce_row_groups(&t, 5, Reduction::Sum).values;
+        let mean = reduce_row_groups(&t, 5, Reduction::Mean).values;
         prop_assert!(sum.allclose(&mean.scale(5.0), 1e-3));
     }
 }
@@ -251,18 +251,23 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let q = Tensor::rand_uniform(&mut rng, &[1, 3], -1.0, 1.0);
         let pts = Tensor::rand_uniform(&mut rng, &[n, 3], -1.0, 1.0);
+        let cols = pts.transpose2();
         // Every other point, reversed: a ragged, non-contiguous index set.
         let idx: Vec<usize> = (0..n).rev().step_by(2).collect();
 
         let (s, l) = on_both_paths(|| {
             let mut d = vec![0.0f32; n];
-            simd::squared_distances_3d(q.data(), pts.data(), &mut d);
+            simd::squared_distances_cols(q.data(), cols.data(), &mut d);
             let mut di = vec![0.0f32; idx.len()];
             simd::squared_distances_3d_indexed(q.data(), pts.data(), &idx, &mut di);
             (d, di)
         });
         prop_assert!(s.0.iter().zip(&l.0).all(|(a, b)| a.to_bits() == b.to_bits()));
         prop_assert!(s.1.iter().zip(&l.1).all(|(a, b)| a.to_bits() == b.to_bits()));
+        // The gathered leg computes the same distances as the column sweep.
+        for (t, &j) in idx.iter().enumerate() {
+            prop_assert_eq!(s.1[t].to_bits(), s.0[j].to_bits());
+        }
     }
 
     #[test]
@@ -298,7 +303,7 @@ proptest! {
     ) {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let t = Tensor::rand_uniform(&mut rng, &[rows, mid, cols], -5.0, 5.0);
+        let t = Tensor::rand_uniform(&mut rng, &[rows * mid, cols], -5.0, 5.0);
         let flat = Tensor::rand_uniform(&mut rng, &[mid, cols], -5.0, 5.0);
         // Ragged segment lengths (3,3,...,remainder) summing to the row count.
         let mut segments = vec![3usize; mid / 3];
@@ -308,10 +313,10 @@ proptest! {
 
         for how in [Reduction::Sum, Reduction::Mean] {
             let (s, l) = on_both_paths(|| (
-                reduce_mid_axis(&t, how).values,
+                reduce_row_groups(&t, mid, how).values,
                 segment_reduce_rows(&flat, &segments, how).values,
             ));
-            prop_assert!(bits_eq(&s.0, &l.0), "reduce_mid_axis diverged");
+            prop_assert!(bits_eq(&s.0, &l.0), "reduce_row_groups diverged");
             prop_assert!(bits_eq(&s.1, &l.1), "segment_reduce_rows diverged");
         }
     }
@@ -333,5 +338,162 @@ proptest! {
         prop_assert!(bits_eq(&s.0, &l.0), "scatter_add_rows diverged");
         prop_assert!(bits_eq(&s.1, &l.1), "fold_rows diverged");
         prop_assert!(bits_eq(&s.2, &l.2), "row_norms diverged");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The arg-tracked max/min kernel and the column distance sweep, pinned on
+// both lane paths against the loops they replaced, kept here as oracles.
+// ---------------------------------------------------------------------------
+
+/// The Max/Min loop the reductions ran before the lane kernel: row 0 seeds
+/// each column's winner, and a later row replaces it only where it is
+/// strictly better.
+fn oracle_arg_extremum(rows: &[f32], c: usize, how: Reduction) -> (Vec<f32>, Vec<usize>) {
+    let mut out = rows[..c].to_vec();
+    let mut arg = vec![0usize; c];
+    for (kk, row) in rows.chunks_exact(c).enumerate().skip(1) {
+        for j in 0..c {
+            let better = match how {
+                Reduction::Max => row[j] > out[j],
+                _ => row[j] < out[j],
+            };
+            if better {
+                out[j] = row[j];
+                arg[j] = kk;
+            }
+        }
+    }
+    (out, arg)
+}
+
+/// The sequential fold KNN computed distances with before the column sweep.
+fn oracle_dist2(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// Values for the arg and distance kernels: NaN, ±∞ and ±0.0, a small pool
+/// of repeated magnitudes so exact ties are common, and ordinary floats.
+fn tie_or_special_f32() -> impl Strategy<Value = f32> {
+    (0usize..16, -3i32..4, -10.0f32..10.0).prop_map(|(pick, tie, v)| match pick {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        5..=9 => tie as f32 * 0.5,
+        _ => v,
+    })
+}
+
+/// Bitwise equality of two slices (NaN payloads included).
+fn slice_bits_eq(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Equality up to NaN payload: identical bits, or NaN on both sides. A
+/// distance sums several terms, and which of two different NaN payloads an
+/// IEEE add returns is up to the compiler's operand order; no caller reads
+/// the payload of a NaN distance.
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Dimensions the column sweep is pinned at: 1 and 3 (raw points), ragged
+/// small ones, and the 16/24 of the searched feature-space graphs.
+const SWEEP_DIMS: [usize; 7] = [1, 2, 3, 5, 13, 16, 24];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn arg_extremum_matches_the_old_loop(
+        k in 1usize..12,
+        c in 1usize..40,
+        data in prop::collection::vec(tie_or_special_f32(), 11 * 39),
+    ) {
+        let rows = &data[..k * c];
+        for (how, which) in [(Reduction::Max, simd::Extremum::Max), (Reduction::Min, simd::Extremum::Min)] {
+            let (want, want_args) = oracle_arg_extremum(rows, c, how);
+            let (s, l) = on_both_paths(|| {
+                let mut out = vec![0.0f32; c];
+                let mut args = vec![usize::MAX; c];
+                simd::arg_extremum_rows(rows, which, &mut out, &mut args);
+                (out, args)
+            });
+            for (path, (out, args)) in [("scalar", s), ("lane", l)] {
+                prop_assert!(slice_bits_eq(&out, &want), "{} {} values k={} c={}", how, path, k, c);
+                prop_assert_eq!(&args, &want_args);
+            }
+        }
+    }
+
+    #[test]
+    fn arg_reductions_match_the_old_loop(
+        n in 1usize..5,
+        k in 1usize..11,
+        c in 1usize..35,
+        data in prop::collection::vec(tie_or_special_f32(), 4 * 10 * 34),
+    ) {
+        let buf = data[..n * k * c].to_vec();
+        let flat = Tensor::from_vec(buf.clone(), &[n * k, c]);
+        // Ragged segments over the same rows: 3, 3, ..., remainder.
+        let rows = n * k;
+        let mut segments = vec![3usize; rows / 3];
+        if rows % 3 != 0 {
+            segments.push(rows % 3);
+        }
+        for how in [Reduction::Max, Reduction::Min] {
+            let mut want = (Vec::new(), Vec::new());
+            for node in buf.chunks_exact(k * c) {
+                let (v, a) = oracle_arg_extremum(node, c, how);
+                want.0.extend(v);
+                want.1.extend(a);
+            }
+            let mut want_seg = (Vec::new(), Vec::new());
+            let mut row0 = 0;
+            for &len in &segments {
+                let (v, a) = oracle_arg_extremum(&buf[row0 * c..(row0 + len) * c], c, how);
+                want_seg.0.extend(v);
+                want_seg.1.extend(a);
+                row0 += len;
+            }
+            let (s, l) = on_both_paths(|| (
+                reduce_row_groups(&flat, k, how),
+                segment_reduce_rows(&flat, &segments, how),
+            ));
+            for (path, (groups, seg)) in [("scalar", s), ("lane", l)] {
+                prop_assert!(slice_bits_eq(groups.values.data(), &want.0), "{} {} reduce_row_groups", how, path);
+                prop_assert_eq!(&groups.args, &want.1);
+                prop_assert!(slice_bits_eq(seg.values.data(), &want_seg.0), "{} {} segment_reduce_rows", how, path);
+                prop_assert_eq!(&seg.args, &want_seg.1);
+            }
+        }
+    }
+
+    #[test]
+    fn column_distances_match_the_old_fold(
+        pick in 0usize..7,
+        n in 1usize..40,
+        data in prop::collection::vec(tie_or_special_f32(), 40 * 24 + 24),
+    ) {
+        let dim = SWEEP_DIMS[pick];
+        let q = &data[..dim];
+        let pts = Tensor::from_vec(data[dim..dim + n * dim].to_vec(), &[n, dim]);
+        let cols = pts.transpose2();
+        let want: Vec<f32> = pts.data().chunks_exact(dim).map(|p| oracle_dist2(q, p)).collect();
+        let (s, l) = on_both_paths(|| {
+            let mut out = vec![0.0f32; n];
+            simd::squared_distances_cols(q, cols.data(), &mut out);
+            out
+        });
+        for (path, out) in [("scalar", s), ("lane", l)] {
+            for j in 0..n {
+                prop_assert!(
+                    same_value(out[j], want[j]),
+                    "{} dim={} n={} point {}: {} vs {}", path, dim, n, j, out[j], want[j]
+                );
+            }
+        }
     }
 }
