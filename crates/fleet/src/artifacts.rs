@@ -1,6 +1,6 @@
-//! The cross-run artifact store: predictor weights, search checkpoints and
-//! evaluator score caches persisted to a directory via the versioned
-//! binary [`crate::codec`].
+//! The cross-run artifact store: predictor weights, search checkpoints,
+//! evaluator score caches and spilled sessions persisted to a directory
+//! through the versioned binary [`crate::codec`].
 //!
 //! Most artifacts are keyed by `(device, configuration fingerprint)` so a
 //! store can hold many tasks and search configurations side by side;
@@ -8,47 +8,69 @@
 //! leave a half-written artifact under a live name (and the codec's
 //! checksum rejects any other corruption at load time).
 //!
-//! # Fingerprints: prefix vs. search
+//! # Layouts
 //!
-//! Two structured fingerprints partition the configuration space:
+//! Every artifact is [`Wire`] values in a row, each type's layout written
+//! down once: predictor weights are a [`PredictorSnapshot`] and a spilled
+//! session a [`SessionSnapshot`], each declared by its field list. Scored
+//! candidates (checkpoint caches, score caches, best models) are stored
+//! without their architecture: the genome plus the task geometry and
+//! function sets rebuild it exactly on load (`Architecture::from_genome`
+//! is how the search built it in the first place), which keeps
+//! checkpoints compact. One candidate codec, generic over the genome,
+//! serves Stage-2 op genomes — which share the artifact's function-set
+//! pair — and one-stage joint genomes, which carry their own.
+//!
+//! # Fingerprints: prefix, search, predictor
+//!
+//! Each fingerprint is FNV-1a over a domain name, [`FINGERPRINT_SCHEMA`]
+//! and the self-delimiting [`Wire`] encoding of exactly what it covers, so
+//! a key covers the same fields the codec writes and cannot drift from it:
 //!
 //! - [`search_fingerprint`] covers **everything that shapes a search
-//!   outcome** (minus the bit-transparent thread budget). Checkpoints,
-//!   score caches and one-stage checkpoints are keyed by it, per device:
-//!   two shards share a checkpoint slot only when they would run the
-//!   byte-identical search.
-//! - [`prefix_fingerprint`] covers **exactly the inputs
-//!   `Hgnas::prepare_session` consumes**: the task, the strategy, the
-//!   Stage-1 EA settings, the Stage-1/Stage-2 epoch counts, the base seed
-//!   (the prefix RNG derivations all flow from it) and the eval-cloud
-//!   budget. It deliberately excludes the device (Stage-1 scoring never
-//!   reads it — clock costing uses a fixed reference profile), α/β
-//!   weights, constraints, the Stage-2 EA, the latency mode and the
-//!   predictor settings, because the session a prefix build produces is
+//!   outcome**: the task and the whole [`SearchConfig`] except
+//!   `eval_threads`. Checkpoints, score caches and one-stage checkpoints
+//!   are keyed by it, per device: two shards share a checkpoint slot only
+//!   when they would run the byte-identical search. The thread budget is
+//!   bit-transparent, and the engine re-splits it per slice while the
+//!   idle GC keys live requests by each spec's own value, so a
+//!   thread-sensitive key would let the stale sweep delete live
+//!   checkpoints.
+//! - [`prefix_fingerprint`] covers the task plus
+//!   [`SearchConfig::prefix_params`]: **exactly the inputs
+//!   `Hgnas::prepare_session` consumes** — the strategy, the Stage-1 EA
+//!   settings, the Stage-1/Stage-2 epoch counts, the base seed (the prefix
+//!   RNG derivations all flow from it) and the eval-cloud budget. It
+//!   deliberately excludes the device (Stage-1 scoring never reads it —
+//!   clock costing uses a fixed reference profile), α/β/γ/δ weights,
+//!   constraints, the Stage-2 EA, the latency mode and the predictor
+//!   settings, because the session a prefix build produces is
 //!   bit-identical across all of them. [`ArtifactKind::Session`] spills
 //!   and the engine's resident session LRU are keyed by it (via
 //!   [`PrefixKey`]), so N shards differing only in Stage-2 seed, α/β, or
 //!   eval budget share **one** pre-trained supernet instead of N.
+//! - [`predictor_fingerprint`] covers the predictor context and the
+//!   predictor config; [`persona_predictor_fingerprint`] adds a calibrated
+//!   persona's profile.
 //!
 //! The session-sharing rule, in one line: a session may serve any shard
 //! whose `(task, SearchConfig::prefix_params())` matches the builder's —
 //! which is exactly what `SessionState::validate` re-checks at run time.
 //!
-//! Fingerprints are *structured*, not Debug-string hashes: every field is
-//! folded with a stable numeric tag and type code through [`FieldHasher`],
-//! so a pure Rust field rename (or doc churn) never re-keys a warm store,
-//! while adding or removing a hashed field — or bumping
-//! [`FINGERPRINT_SCHEMA`] — always does (a cache miss, never a wrong hit).
-//! Golden-value tests pin the exact values.
+//! Field *names* never enter a fingerprint, so a pure Rust field rename
+//! (or doc churn) never re-keys a warm store, while adding or removing a
+//! field in a covered list — or bumping [`FINGERPRINT_SCHEMA`] — always
+//! does (a cache miss, never a wrong hit). Golden-value tests pin the
+//! exact values.
 
-use crate::codec::{ArtifactKind, CodecError, Decoder, Encoder};
+use crate::codec::{wire_struct, ArtifactKind, CodecError, Decoder, Encoder, Fnv1a, Sink, Wire};
 use hgnas_core::{
-    EaConfig, EaSnapshot, EvalStats, JointGenome, LatencyMode, OneStageCheckpoint, ScoredCandidate,
-    SearchCheckpoint, SearchConfig, SearchedModel, SessionSnapshot, Strategy, TaskConfig,
+    EaSnapshot, JointGenome, OneStageCheckpoint, ScoredCandidate, SearchCheckpoint, SearchConfig,
+    SearchedModel, SessionSnapshot, TaskConfig,
 };
 use hgnas_device::{DeviceKind, DevicePersona, DeviceProfile};
-use hgnas_ops::{Aggregator, Architecture, ConnectFn, FunctionSet, MessageType, OpType, SampleFn};
-use hgnas_predictor::{PredictorConfig, PredictorContext, PredictorSnapshot, TrainStats};
+use hgnas_ops::{Architecture, FunctionSet, OpType};
+use hgnas_predictor::{PredictorConfig, PredictorContext, PredictorSnapshot};
 use hgnas_tensor::Tensor;
 use rand::rngs::StdRng;
 use std::fmt;
@@ -148,251 +170,58 @@ impl PrefixKey {
     }
 }
 
-/// Version of the fingerprint *schema* — the tag assignment and field
-/// coverage below. Folded into every fingerprint, so bumping it re-keys
-/// every artifact at once (the escape hatch when coverage must change
-/// without any Rust field changing).
+/// Version of the fingerprint *schema*: how a fingerprint is derived and
+/// what each one covers. Folded into every fingerprint, so bumping it
+/// re-keys every artifact at once (the escape hatch when coverage must
+/// change without any Rust field changing).
 ///
 /// History: v2 added the task-kind code to the hashed task fields and
 /// the multi-metric objective fields (γ/δ weights, energy/peak-memory
-/// caps) plus the optional device persona to [`search_fingerprint`].
-pub const FINGERPRINT_SCHEMA: u16 = 2;
+/// caps) plus the optional device persona to [`search_fingerprint`]; v3
+/// derives every fingerprint from the codec's own field lists — FNV-1a
+/// over the domain, the schema and the [`Wire`] encoding — instead of a
+/// second, hand-tagged list per type (coverage unchanged).
+pub const FINGERPRINT_SCHEMA: u16 = 3;
 
-/// Incremental FNV-1a hasher folding `(tag, type-code, payload)` triples.
-///
-/// This is what makes the fingerprints *structural* rather than textual:
-/// field **names never enter the hash** — only the stable numeric tag the
-/// caller assigns (protobuf-style) plus a type code and the value's
-/// little-endian bytes. Renaming a Rust field therefore keeps its
-/// fingerprint, while adding a field (a new tag) or changing a value
-/// always changes it. Each fingerprint function below owns a tag
-/// namespace; tags are append-only and must never be reused for a
-/// different meaning — retire a field's tag with the field.
-#[derive(Debug, Clone)]
-pub struct FieldHasher {
-    hash: u64,
-}
-
-impl FieldHasher {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A hasher for one fingerprint domain (e.g. `"prefix"`); the domain
-    /// string and [`FINGERPRINT_SCHEMA`] are folded first, so equal field
-    /// sequences in different domains can never collide by construction.
-    pub fn new(domain: &str) -> Self {
-        let mut h = FieldHasher {
-            hash: Self::FNV_OFFSET,
-        };
-        h.raw(&FINGERPRINT_SCHEMA.to_le_bytes());
-        h.raw(domain.as_bytes());
-        h
-    }
-
-    fn raw(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(Self::FNV_PRIME);
-        }
-    }
-
-    fn field(&mut self, tag: u16, type_code: u8, payload: &[u8]) {
-        self.raw(&tag.to_le_bytes());
-        self.raw(&[type_code]);
-        self.raw(payload);
-    }
-
-    /// Folds an unsigned integer field (usize values widen losslessly).
-    pub fn uint(&mut self, tag: u16, v: u64) {
-        self.field(tag, 1, &v.to_le_bytes());
-    }
-
-    /// Folds an `f64` field by IEEE-754 bit pattern.
-    pub fn float64(&mut self, tag: u16, v: f64) {
-        self.field(tag, 2, &v.to_bits().to_le_bytes());
-    }
-
-    /// Folds an `f32` field by IEEE-754 bit pattern.
-    pub fn float32(&mut self, tag: u16, v: f32) {
-        self.field(tag, 3, &v.to_bits().to_le_bytes());
-    }
-
-    /// Folds a bool field.
-    pub fn boolean(&mut self, tag: u16, v: bool) {
-        self.field(tag, 4, &[u8::from(v)]);
-    }
-
-    /// Folds an enum discriminant. Callers must pass a *stable* code (an
-    /// explicit match, or an index into a frozen table) — never a compiler
-    /// discriminant that variant reordering could move.
-    pub fn code(&mut self, tag: u16, v: u32) {
-        self.field(tag, 5, &v.to_le_bytes());
-    }
-
-    /// Folds an optional `f64` (presence byte, then the bits if present).
-    pub fn opt_float64(&mut self, tag: u16, v: Option<f64>) {
-        match v {
-            None => self.field(tag, 6, &[0]),
-            Some(x) => {
-                let mut payload = [0u8; 9];
-                payload[0] = 1;
-                payload[1..].copy_from_slice(&x.to_bits().to_le_bytes());
-                self.field(tag, 6, &payload);
-            }
-        }
-    }
-
-    /// Folds a length-prefixed UTF-8 string (persona names and other
-    /// user-chosen labels; the length prefix keeps adjacent text fields
-    /// unambiguous).
-    pub fn text(&mut self, tag: u16, v: &str) {
-        let mut payload = Vec::with_capacity(8 + v.len());
-        payload.extend_from_slice(&(v.len() as u64).to_le_bytes());
-        payload.extend_from_slice(v.as_bytes());
-        self.field(tag, 8, &payload);
-    }
-
-    /// Folds a length-prefixed slice of unsigned integers.
-    pub fn uint_slice(&mut self, tag: u16, v: &[usize]) {
-        let mut payload = Vec::with_capacity(8 * (v.len() + 1));
-        payload.extend_from_slice(&(v.len() as u64).to_le_bytes());
-        for &x in v {
-            payload.extend_from_slice(&(x as u64).to_le_bytes());
-        }
-        self.field(tag, 7, &payload);
-    }
-
-    /// The finished fingerprint.
-    pub fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// Tags 1–6: the dataset; 10–14: the supernet geometry; 15: the task
-/// kind. Shared by the prefix and search fingerprints (same tags — the
-/// task means the same thing in both domains).
-fn hash_task(h: &mut FieldHasher, task: &TaskConfig) {
-    h.uint(1, task.dataset.classes as u64);
-    h.uint(2, task.dataset.points as u64);
-    h.uint(3, task.dataset.train_per_class as u64);
-    h.uint(4, task.dataset.test_per_class as u64);
-    h.float32(5, task.dataset.noise);
-    h.uint(6, task.dataset.seed);
-    h.uint(10, task.positions as u64);
-    h.uint(11, task.k as u64);
-    h.uint(12, task.supernet_hidden as u64);
-    h.uint_slice(13, &task.head_hidden);
-    h.uint(14, task.seed);
-    h.code(15, u32::from(task.task_kind.code()));
-}
-
-/// Folds one EA config at tags `base..base+4`.
-fn hash_ea(h: &mut FieldHasher, base: u16, ea: &EaConfig) {
-    h.uint(base, ea.population as u64);
-    h.uint(base + 1, ea.iterations as u64);
-    h.float64(base + 2, ea.elite_fraction);
-    h.float64(base + 3, ea.mutation_prob);
-    h.uint(base + 4, ea.seed);
-}
-
-/// Stable wire code for a strategy (not the compiler discriminant).
-fn strategy_code(s: Strategy) -> u32 {
-    match s {
-        Strategy::MultiStage => 0,
-        Strategy::OneStage => 1,
-    }
-}
-
-/// Fingerprint of exactly the inputs `Hgnas::prepare_session` consumes —
-/// see the module docs for the field inventory and the sharing rule it
-/// encodes. Two configurations with equal prefix fingerprints build
-/// bit-identical [`hgnas_core::SessionState`]s, so either can use a
-/// session the other built, resident or spilled.
-pub fn prefix_fingerprint(task: &TaskConfig, cfg: &SearchConfig) -> u64 {
-    let mut h = FieldHasher::new("prefix");
-    hash_task(&mut h, task);
-    let p = cfg.prefix_params();
-    h.code(20, strategy_code(p.strategy));
-    hash_ea(&mut h, 30, &p.ea_stage1);
-    h.uint(40, p.epochs_stage1 as u64);
-    h.uint(41, p.epochs_stage2 as u64);
-    h.uint(42, p.seed);
-    h.uint(43, p.eval_clouds as u64);
+/// FNV-1a over `domain`, [`FINGERPRINT_SCHEMA`] and whatever `fold`
+/// writes. The domain is length-prefixed like any string, so equal
+/// encodings in different domains never collide by construction.
+fn fingerprint(domain: &str, fold: impl FnOnce(&mut Fnv1a)) -> u64 {
+    let mut h = Fnv1a::new();
+    domain.put(&mut h);
+    FINGERPRINT_SCHEMA.put(&mut h);
+    fold(&mut h);
     h.finish()
+}
+
+/// Fingerprint of exactly the inputs `Hgnas::prepare_session` consumes:
+/// the task and [`SearchConfig::prefix_params`] — see the module docs for
+/// the field inventory and the sharing rule it encodes. Two
+/// configurations with equal prefix fingerprints build bit-identical
+/// [`hgnas_core::SessionState`]s, so either can use a session the other
+/// built, resident or spilled.
+pub fn prefix_fingerprint(task: &TaskConfig, cfg: &SearchConfig) -> u64 {
+    fingerprint("prefix", |h| {
+        task.put(h);
+        cfg.prefix_params().put(h);
+    })
 }
 
 /// Fingerprint of everything that shapes a search outcome: the task and
 /// the search configuration *minus* the thread budget, which is
-/// bit-transparent by construction and must not split the artifact space.
-/// (The device is hashed too even though the key carries it — the
-/// fingerprint alone identifies the configuration.)
+/// bit-transparent by construction and must not split the artifact space
+/// (`eval_threads` is folded as 0). The device is covered too even though
+/// the key carries it — the fingerprint alone identifies the
+/// configuration.
 pub fn search_fingerprint(task: &TaskConfig, cfg: &SearchConfig) -> u64 {
-    let mut h = FieldHasher::new("search");
-    hash_task(&mut h, task);
-    h.code(20, strategy_code(cfg.strategy));
-    hash_ea(&mut h, 30, &cfg.ea_stage1);
-    hash_ea(&mut h, 35, &cfg.ea_stage2);
-    h.uint(40, cfg.epochs_stage1 as u64);
-    h.uint(41, cfg.epochs_stage2 as u64);
-    h.uint(42, cfg.seed);
-    h.uint(43, cfg.eval_clouds as u64);
-    h.code(50, cfg.device.index() as u32);
-    h.float64(51, cfg.alpha);
-    h.float64(52, cfg.beta);
-    h.opt_float64(53, cfg.constraint_ms);
-    h.opt_float64(54, cfg.max_size_mb);
-    h.code(
-        55,
-        match cfg.latency_mode {
-            LatencyMode::Predictor => 0,
-            LatencyMode::Measured => 1,
-        },
-    );
-    h.float64(56, cfg.gamma);
-    h.float64(57, cfg.delta);
-    h.opt_float64(58, cfg.max_energy_mj);
-    h.opt_float64(59, cfg.max_peak_mem_mb);
-    hash_predictor_config(&mut h, 60, &cfg.predictor);
-    // Tags 70+: the optional device persona. A calibrated/spec-loaded
-    // persona changes every predicted latency, so it must re-key the
-    // search artifacts; a `None` persona hashes as plain absence, keeping
-    // builtin-device configs on their own stable fingerprints.
-    h.boolean(70, cfg.persona.is_some());
-    if let Some(p) = &cfg.persona {
-        h.text(71, &p.name);
-        hash_profile(&mut h, 72, &p.profile);
-    }
-    h.finish()
-}
-
-/// Folds a device profile at tags `base..base+15`: the base device code,
-/// then every roofline parameter by bit pattern.
-fn hash_profile(h: &mut FieldHasher, base: u16, p: &DeviceProfile) {
-    h.code(base, p.kind.index() as u32);
-    for (i, r) in p.rates.iter().enumerate() {
-        h.float64(base + 1 + 2 * i as u16, r.gflops);
-        h.float64(base + 2 + 2 * i as u16, r.gbps);
-    }
-    h.float64(base + 9, p.overhead_us);
-    h.float64(base + 10, p.base_mem_mb);
-    h.float64(base + 11, p.mem_factor);
-    h.float64(base + 12, p.avail_mem_mb);
-    h.float64(base + 13, p.noise_sigma);
-    h.float64(base + 14, p.measurement_roundtrip_ms);
-    h.float64(base + 15, p.power_w);
-}
-
-/// Folds a predictor config at tags `base..base+8`.
-fn hash_predictor_config(h: &mut FieldHasher, base: u16, cfg: &PredictorConfig) {
-    h.uint(base, cfg.train_samples as u64);
-    h.uint(base + 1, cfg.val_samples as u64);
-    h.uint(base + 2, cfg.epochs as u64);
-    h.float32(base + 3, cfg.lr);
-    h.uint_slice(base + 4, &cfg.gcn_dims);
-    h.uint_slice(base + 5, &cfg.mlp_hidden);
-    h.uint(base + 6, cfg.seed);
-    h.boolean(base + 7, cfg.global_node);
-    h.uint(base + 8, cfg.batch as u64);
+    let cfg = SearchConfig {
+        eval_threads: 0,
+        ..cfg.clone()
+    };
+    fingerprint("search", |h| {
+        task.put(h);
+        cfg.put(h);
+    })
 }
 
 /// Fingerprint of everything that shapes predictor training: the task
@@ -400,14 +229,10 @@ fn hash_predictor_config(h: &mut FieldHasher, base: u16, cfg: &PredictorConfig) 
 /// fingerprints train bit-identical predictors, so one can reuse the
 /// other's weights (the target device lives in the [`ArtifactKey`]).
 pub fn predictor_fingerprint(ctx: &PredictorContext, cfg: &PredictorConfig) -> u64 {
-    let mut h = FieldHasher::new("predictor");
-    h.uint(1, ctx.positions as u64);
-    h.uint(2, ctx.points as u64);
-    h.uint(3, ctx.k as u64);
-    h.uint(4, ctx.classes as u64);
-    h.uint_slice(5, &ctx.head_hidden);
-    hash_predictor_config(&mut h, 10, cfg);
-    h.finish()
+    fingerprint("predictor", |h| {
+        ctx.put(h);
+        cfg.put(h);
+    })
 }
 
 /// Persona-aware predictor fingerprint: the plain
@@ -422,15 +247,15 @@ pub fn persona_predictor_fingerprint(
     cfg: &PredictorConfig,
     persona: Option<&DevicePersona>,
 ) -> u64 {
-    let base = predictor_fingerprint(ctx, cfg);
     match persona {
         Some(p) if p.profile != DeviceProfile::builtin(p.profile.kind) => {
-            let mut h = FieldHasher::new("predictor-persona");
-            h.uint(1, base);
-            hash_profile(&mut h, 10, &p.profile);
-            h.finish()
+            fingerprint("predictor-persona", |h| {
+                ctx.put(h);
+                cfg.put(h);
+                p.profile.put(h);
+            })
         }
-        _ => base,
+        _ => predictor_fingerprint(ctx, cfg),
     }
 }
 
@@ -480,28 +305,46 @@ impl ArtifactStore {
         Ok(final_path)
     }
 
-    fn read_optional(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(self.root.join(name)) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
+    /// Seals what `payload` writes as an artifact of `kind` and writes it
+    /// atomically under `name`.
+    fn save(
+        &self,
+        name: &str,
+        kind: ArtifactKind,
+        payload: impl FnOnce(&mut Encoder),
+    ) -> Result<PathBuf, StoreError> {
+        let mut e = Encoder::new(kind);
+        payload(&mut e);
+        Ok(self.write_atomic(name, &e.finish())?)
     }
 
-    /// Opens a decoder over `bytes`, mapping a version mismatch to `None`:
-    /// an artifact written by an older (or newer) format is a safe cold
-    /// start for its slot — the documented versioning contract — not a
-    /// run-killing error. Anything else (corruption, wrong kind) still
-    /// fails loudly.
-    fn open_current<'a>(
-        bytes: &'a [u8],
+    /// Reads the artifact under `name` through `payload`; a missing file
+    /// is `None`. So is a version mismatch: an artifact written by an
+    /// older (or newer) format is a safe cold start for its slot — the
+    /// documented versioning contract — not a run-killing error. Anything
+    /// else (corruption, wrong kind, an out-of-domain value, trailing
+    /// bytes) still fails loudly.
+    fn load<T>(
+        &self,
+        name: &str,
         kind: ArtifactKind,
-    ) -> Result<Option<Decoder<'a>>, StoreError> {
-        match Decoder::open(bytes, kind) {
-            Ok(d) => Ok(Some(d)),
-            Err(CodecError::UnsupportedVersion(_)) => Ok(None),
-            Err(e) => Err(e.into()),
+        payload: impl FnOnce(&mut Decoder<'_>) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, StoreError> {
+        let bytes = match fs::read(self.root.join(name)) {
+            Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut d = match Decoder::open(&bytes, kind) {
+            Ok(d) => d,
+            Err(CodecError::UnsupportedVersion(_)) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let value = payload(&mut d)?;
+        if !d.is_exhausted() {
+            return Err(CodecError::Invalid("trailing bytes in artifact").into());
         }
+        Ok(Some(value))
     }
 
     /// Persists trained predictor weights.
@@ -514,9 +357,9 @@ impl ArtifactStore {
         key: &ArtifactKey,
         snap: &PredictorSnapshot,
     ) -> Result<PathBuf, StoreError> {
-        let mut e = Encoder::new(ArtifactKind::Predictor);
-        put_predictor(&mut e, snap);
-        Ok(self.write_atomic(&key.file_name("predictor"), &e.finish())?)
+        self.save(&key.file_name("predictor"), ArtifactKind::Predictor, |e| {
+            snap.put(e)
+        })
     }
 
     /// Loads predictor weights if the slot holds any.
@@ -529,13 +372,11 @@ impl ArtifactStore {
         &self,
         key: &ArtifactKey,
     ) -> Result<Option<PredictorSnapshot>, StoreError> {
-        let Some(bytes) = self.read_optional(&key.file_name("predictor"))? else {
-            return Ok(None);
-        };
-        let Some(mut d) = Self::open_current(&bytes, ArtifactKind::Predictor)? else {
-            return Ok(None);
-        };
-        Ok(Some(take_predictor(&mut d)?))
+        self.load(
+            &key.file_name("predictor"),
+            ArtifactKind::Predictor,
+            PredictorSnapshot::take,
+        )
     }
 
     /// Persists a Stage-2 search checkpoint. `task` supplies the
@@ -551,9 +392,21 @@ impl ArtifactStore {
         task: &TaskConfig,
         cp: &SearchCheckpoint,
     ) -> Result<PathBuf, StoreError> {
-        let mut e = Encoder::new(ArtifactKind::Checkpoint);
-        put_checkpoint(&mut e, task, cp);
-        Ok(self.write_atomic(&key.file_name("checkpoint"), &e.finish())?)
+        self.save(
+            &key.file_name("checkpoint"),
+            ArtifactKind::Checkpoint,
+            |e| {
+                (cp.seed, cp.device, task.k, task.classes()).put(e);
+                (cp.functions, cp.ea_config, cp.generation).put(e);
+                Stored::<Vec<OpType>>::store(&cp.ea, e);
+                cp.eval_stats.put(e);
+                Stored::<Vec<OpType>>::store(&cp.cache, e);
+                Stored::<Vec<OpType>>::store(&cp.warm_cache, e);
+                cp.clock_ms.put(e);
+                cp.history.put(e);
+                Stored::<Vec<OpType>>::store(&cp.best, e);
+            },
+        )
     }
 
     /// Loads a search checkpoint if the slot holds one.
@@ -565,13 +418,29 @@ impl ArtifactStore {
         &self,
         key: &ArtifactKey,
     ) -> Result<Option<SearchCheckpoint>, StoreError> {
-        let Some(bytes) = self.read_optional(&key.file_name("checkpoint"))? else {
-            return Ok(None);
-        };
-        let Some(mut d) = Self::open_current(&bytes, ArtifactKind::Checkpoint)? else {
-            return Ok(None);
-        };
-        Ok(Some(take_checkpoint(&mut d)?))
+        self.load(
+            &key.file_name("checkpoint"),
+            ArtifactKind::Checkpoint,
+            |d| {
+                let (seed, device, k, classes) = Wire::take(d)?;
+                let (functions, ea_config, generation) = Wire::take(d)?;
+                let geo = Geometry::new(k, classes, Some(functions));
+                Ok(SearchCheckpoint {
+                    seed,
+                    device,
+                    functions,
+                    ea_config,
+                    generation,
+                    ea: Stored::<Vec<OpType>>::load(d, &geo)?,
+                    eval_stats: Wire::take(d)?,
+                    cache: Stored::<Vec<OpType>>::load(d, &geo)?,
+                    warm_cache: Stored::<Vec<OpType>>::load(d, &geo)?,
+                    clock_ms: Wire::take(d)?,
+                    history: Wire::take(d)?,
+                    best: Stored::<Vec<OpType>>::load(d, &geo)?,
+                })
+            },
+        )
     }
 
     /// Persists a one-stage (joint baseline) checkpoint. The counterpart
@@ -588,9 +457,17 @@ impl ArtifactStore {
         task: &TaskConfig,
         cp: &OneStageCheckpoint,
     ) -> Result<PathBuf, StoreError> {
-        let mut e = Encoder::new(ArtifactKind::OneStageCheckpoint);
-        put_one_stage_checkpoint(&mut e, task, cp);
-        Ok(self.write_atomic(&key.file_name("onestage"), &e.finish())?)
+        let name = key.file_name("onestage");
+        self.save(&name, ArtifactKind::OneStageCheckpoint, |e| {
+            (cp.seed, cp.device, task.k, task.classes()).put(e);
+            (cp.ea_config, cp.generation).put(e);
+            Stored::<JointGenome>::store(&cp.ea, e);
+            cp.eval_stats.put(e);
+            Stored::<JointGenome>::store(&cp.cache, e);
+            cp.clock_ms.put(e);
+            cp.history.put(e);
+            Stored::<JointGenome>::store(&cp.best, e);
+        })
     }
 
     /// Loads a one-stage checkpoint if the slot holds one.
@@ -602,13 +479,24 @@ impl ArtifactStore {
         &self,
         key: &ArtifactKey,
     ) -> Result<Option<OneStageCheckpoint>, StoreError> {
-        let Some(bytes) = self.read_optional(&key.file_name("onestage"))? else {
-            return Ok(None);
-        };
-        let Some(mut d) = Self::open_current(&bytes, ArtifactKind::OneStageCheckpoint)? else {
-            return Ok(None);
-        };
-        Ok(Some(take_one_stage_checkpoint(&mut d)?))
+        let name = key.file_name("onestage");
+        self.load(&name, ArtifactKind::OneStageCheckpoint, |d| {
+            let (seed, device, k, classes) = Wire::take(d)?;
+            let (ea_config, generation) = Wire::take(d)?;
+            let geo = Geometry::new(k, classes, None);
+            Ok(OneStageCheckpoint {
+                seed,
+                device,
+                ea_config,
+                generation,
+                ea: Stored::<JointGenome>::load(d, &geo)?,
+                eval_stats: Wire::take(d)?,
+                cache: Stored::<JointGenome>::load(d, &geo)?,
+                clock_ms: Wire::take(d)?,
+                history: Wire::take(d)?,
+                best: Stored::<JointGenome>::load(d, &geo)?,
+            })
+        })
     }
 
     /// Persists a finished run's evaluator score cache as a standalone
@@ -627,13 +515,14 @@ impl ArtifactStore {
         functions: (FunctionSet, FunctionSet),
         entries: &[(Vec<OpType>, ScoredCandidate)],
     ) -> Result<PathBuf, StoreError> {
-        let mut e = Encoder::new(ArtifactKind::ScoreCache);
-        e.put_usize(task.k);
-        e.put_usize(task.classes());
-        put_function_set(&mut e, &functions.0);
-        put_function_set(&mut e, &functions.1);
-        put_cache_entries(&mut e, entries);
-        Ok(self.write_atomic(&key.file_name("scorecache"), &e.finish())?)
+        self.save(
+            &key.file_name("scorecache"),
+            ArtifactKind::ScoreCache,
+            |e| {
+                (task.k, task.classes(), functions).put(e);
+                Stored::<Vec<OpType>>::store(entries, e);
+            },
+        )
     }
 
     /// Loads a score cache if the slot holds one.
@@ -646,17 +535,14 @@ impl ArtifactStore {
         &self,
         key: &ArtifactKey,
     ) -> Result<Option<Vec<(Vec<OpType>, ScoredCandidate)>>, StoreError> {
-        let Some(bytes) = self.read_optional(&key.file_name("scorecache"))? else {
-            return Ok(None);
-        };
-        let Some(mut d) = Self::open_current(&bytes, ArtifactKind::ScoreCache)? else {
-            return Ok(None);
-        };
-        let k = d.take_usize()?;
-        let classes = d.take_usize()?;
-        let upper = take_function_set(&mut d)?;
-        let lower = take_function_set(&mut d)?;
-        Ok(Some(take_cache_entries(&mut d, upper, lower, k, classes)?))
+        self.load(
+            &key.file_name("scorecache"),
+            ArtifactKind::ScoreCache,
+            |d| {
+                let (k, classes, functions) = Wire::take(d)?;
+                Stored::<Vec<OpType>>::load(d, &Geometry::new(k, classes, Some(functions)))
+            },
+        )
     }
 
     /// Persists a spilled session (`hgnas_core::SessionState::export`):
@@ -675,16 +561,7 @@ impl ArtifactStore {
         key: &PrefixKey,
         snap: &SessionSnapshot,
     ) -> Result<PathBuf, StoreError> {
-        let mut e = Encoder::new(ArtifactKind::Session);
-        put_function_set(&mut e, &snap.functions.0);
-        put_function_set(&mut e, &snap.functions.1);
-        put_eval_stats(&mut e, &snap.stage1_stats);
-        e.put_f64(snap.clock_ms);
-        e.put_usize(snap.weights.len());
-        for w in &snap.weights {
-            put_tensor(&mut e, w);
-        }
-        Ok(self.write_atomic(&key.file_name(), &e.finish())?)
+        self.save(&key.file_name(), ArtifactKind::Session, |e| snap.put(e))
     }
 
     /// Loads a spilled session if the slot holds one.
@@ -693,26 +570,11 @@ impl ArtifactStore {
     ///
     /// As [`ArtifactStore::load_predictor`].
     pub fn load_session(&self, key: &PrefixKey) -> Result<Option<SessionSnapshot>, StoreError> {
-        let Some(bytes) = self.read_optional(&key.file_name())? else {
-            return Ok(None);
-        };
-        let Some(mut d) = Self::open_current(&bytes, ArtifactKind::Session)? else {
-            return Ok(None);
-        };
-        let upper = take_function_set(&mut d)?;
-        let lower = take_function_set(&mut d)?;
-        let stage1_stats = take_eval_stats(&mut d)?;
-        let clock_ms = d.take_f64()?;
-        let n = d.take_usize()?;
-        let weights = (0..n)
-            .map(|_| take_tensor(&mut d))
-            .collect::<Result<_, _>>()?;
-        Ok(Some(SessionSnapshot {
-            functions: (upper, lower),
-            stage1_stats,
-            clock_ms,
-            weights,
-        }))
+        self.load(
+            &key.file_name(),
+            ArtifactKind::Session,
+            SessionSnapshot::take,
+        )
     }
 
     /// Deletes leftover temp files (torn writes) and then the
@@ -830,535 +692,252 @@ pub struct PruneReport {
     pub retained_bytes: u64,
 }
 
-// ---- value encoders/decoders -------------------------------------------
+// ---- layouts -------------------------------------------------------------
 
-pub(crate) fn put_device(e: &mut Encoder, d: DeviceKind) {
-    e.put_u8(d.index() as u8);
+wire_struct! {
+    PredictorSnapshot {
+        device, context, global_node, gcn_dims, mlp_hidden, scale_ms, stats, weights
+    }
+    SessionSnapshot { functions, stage1_stats, clock_ms, weights }
+    EaSnapshot<G> { rng, scored, best, evaluations, history, generation }
 }
 
-pub(crate) fn take_device(d: &mut Decoder) -> Result<DeviceKind, CodecError> {
-    let i = usize::from(d.take_u8()?);
-    DeviceKind::ALL
-        .get(i)
-        .copied()
-        .ok_or(CodecError::Invalid("device index"))
-}
+/// A tensor: its dims, element count and elements. The count is checked
+/// against the dims' product, which must not overflow.
+impl Wire for Tensor {
+    fn put(&self, s: &mut impl Sink) {
+        self.dims().put(s);
+        self.data().put(s);
+    }
 
-pub(crate) fn put_opt_f64(e: &mut Encoder, v: Option<f64>) {
-    e.put_bool(v.is_some());
-    if let Some(v) = v {
-        e.put_f64(v);
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let dims = Vec::<usize>::take(d)?;
+        let n = usize::take(d)?;
+        if dims.iter().try_fold(1usize, |a, &b| a.checked_mul(b)) != Some(n) {
+            return Err(CodecError::Invalid("tensor element count"));
+        }
+        let data = (0..n).map(|_| f32::take(d)).collect::<Result<_, _>>()?;
+        Ok(Tensor::from_vec(data, &dims))
     }
 }
 
-pub(crate) fn take_opt_f64(d: &mut Decoder) -> Result<Option<f64>, CodecError> {
-    Ok(if d.take_bool()? {
-        Some(d.take_f64()?)
-    } else {
+/// A generator's xoshiro256++ state; the all-zero state is invalid.
+impl Wire for StdRng {
+    fn put(&self, s: &mut impl Sink) {
+        self.state().put(s);
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let state = <[u64; 4]>::take(d)?;
+        if state == [0; 4] {
+            return Err(CodecError::Invalid("all-zero rng state"));
+        }
+        Ok(StdRng::from_state(state))
+    }
+}
+
+/// A genome stored candidates are keyed by: a Stage-2 op sequence, which
+/// shares its artifact's function-set pair, or a one-stage
+/// [`JointGenome`], which carries its own.
+pub(crate) trait Genome: Wire + Sized {
+    /// The genome's own function-set pair, if it carries one.
+    fn functions(&self) -> Option<(FunctionSet, FunctionSet)>;
+    /// The op sequence.
+    fn ops(&self) -> &[OpType];
+    /// `model`'s genome in this form: what a best model is stored as.
+    fn of(model: &SearchedModel) -> Self;
+}
+
+impl Genome for Vec<OpType> {
+    fn functions(&self) -> Option<(FunctionSet, FunctionSet)> {
         None
-    })
-}
+    }
 
-pub(crate) fn put_genome(e: &mut Encoder, genome: &[OpType]) {
-    e.put_usize(genome.len());
-    for &op in genome {
-        e.put_u8(op.index() as u8);
+    fn ops(&self) -> &[OpType] {
+        self
+    }
+
+    fn of(model: &SearchedModel) -> Self {
+        model.genome.clone()
     }
 }
 
-pub(crate) fn take_genome(d: &mut Decoder) -> Result<Vec<OpType>, CodecError> {
-    let n = d.take_usize()?;
-    (0..n)
-        .map(|_| {
-            let i = usize::from(d.take_u8()?);
-            OpType::ALL
-                .get(i)
-                .copied()
-                .ok_or(CodecError::Invalid("op type index"))
-        })
-        .collect()
-}
-
-pub(crate) fn put_function_set(e: &mut Encoder, fs: &FunctionSet) {
-    e.put_u8(fs.aggregator.index() as u8);
-    e.put_u8(fs.message.index() as u8);
-    e.put_u8(fs.sample.index() as u8);
-    e.put_u8(fs.connect.index() as u8);
-    e.put_usize(fs.combine_dim);
-}
-
-pub(crate) fn take_function_set(d: &mut Decoder) -> Result<FunctionSet, CodecError> {
-    fn pick<T: Copy>(table: &[T], i: u8, what: &'static str) -> Result<T, CodecError> {
-        table
-            .get(usize::from(i))
-            .copied()
-            .ok_or(CodecError::Invalid(what))
+impl Genome for JointGenome {
+    fn functions(&self) -> Option<(FunctionSet, FunctionSet)> {
+        Some((self.0, self.1))
     }
-    Ok(FunctionSet {
-        aggregator: pick(&Aggregator::ALL, d.take_u8()?, "aggregator index")?,
-        message: pick(&MessageType::ALL, d.take_u8()?, "message index")?,
-        sample: pick(&SampleFn::ALL, d.take_u8()?, "sample index")?,
-        connect: pick(&ConnectFn::ALL, d.take_u8()?, "connect index")?,
-        combine_dim: d.take_usize()?,
-    })
-}
 
-fn put_tensor(e: &mut Encoder, t: &Tensor) {
-    e.put_usize_slice(t.dims());
-    e.put_usize(t.data().len());
-    for &v in t.data() {
-        e.put_f32(v);
+    fn ops(&self) -> &[OpType] {
+        &self.2
+    }
+
+    fn of(model: &SearchedModel) -> Self {
+        (model.functions.0, model.functions.1, model.genome.clone())
     }
 }
 
-fn take_tensor(d: &mut Decoder) -> Result<Tensor, CodecError> {
-    let dims = d.take_usize_vec()?;
-    let n = d.take_usize()?;
-    if n != dims.iter().product::<usize>() {
-        return Err(CodecError::Invalid("tensor element count"));
-    }
-    let data = (0..n)
-        .map(|_| d.take_f32())
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Tensor::from_vec(data, &dims))
-}
-
-pub(crate) fn put_train_stats(e: &mut Encoder, s: &TrainStats) {
-    e.put_f64(s.train_mape);
-    e.put_f64(s.val_mape);
-    e.put_f64(s.val_within_10pct);
-    e.put_usize(s.train_size);
-}
-
-pub(crate) fn take_train_stats(d: &mut Decoder) -> Result<TrainStats, CodecError> {
-    Ok(TrainStats {
-        train_mape: d.take_f64()?,
-        val_mape: d.take_f64()?,
-        val_within_10pct: d.take_f64()?,
-        train_size: d.take_usize()?,
-    })
-}
-
-fn put_context(e: &mut Encoder, c: &PredictorContext) {
-    e.put_usize(c.positions);
-    e.put_usize(c.points);
-    e.put_usize(c.k);
-    e.put_usize(c.classes);
-    e.put_usize_slice(&c.head_hidden);
-}
-
-fn take_context(d: &mut Decoder) -> Result<PredictorContext, CodecError> {
-    Ok(PredictorContext {
-        positions: d.take_usize()?,
-        points: d.take_usize()?,
-        k: d.take_usize()?,
-        classes: d.take_usize()?,
-        head_hidden: d.take_usize_vec()?,
-    })
-}
-
-fn put_predictor(e: &mut Encoder, s: &PredictorSnapshot) {
-    put_device(e, s.device);
-    put_context(e, &s.context);
-    e.put_bool(s.global_node);
-    e.put_usize_slice(&s.gcn_dims);
-    e.put_usize_slice(&s.mlp_hidden);
-    e.put_f64(s.scale_ms);
-    put_train_stats(e, &s.stats);
-    e.put_usize(s.weights.len());
-    for w in &s.weights {
-        put_tensor(e, w);
-    }
-}
-
-fn take_predictor(d: &mut Decoder) -> Result<PredictorSnapshot, CodecError> {
-    Ok(PredictorSnapshot {
-        device: take_device(d)?,
-        context: take_context(d)?,
-        global_node: d.take_bool()?,
-        gcn_dims: d.take_usize_vec()?,
-        mlp_hidden: d.take_usize_vec()?,
-        scale_ms: d.take_f64()?,
-        stats: take_train_stats(d)?,
-        weights: {
-            let n = d.take_usize()?;
-            (0..n).map(|_| take_tensor(d)).collect::<Result<_, _>>()?
-        },
-    })
-}
-
-pub(crate) fn put_ea_config(e: &mut Encoder, c: &EaConfig) {
-    e.put_usize(c.population);
-    e.put_usize(c.iterations);
-    e.put_f64(c.elite_fraction);
-    e.put_f64(c.mutation_prob);
-    e.put_u64(c.seed);
-}
-
-pub(crate) fn take_ea_config(d: &mut Decoder) -> Result<EaConfig, CodecError> {
-    Ok(EaConfig {
-        population: d.take_usize()?,
-        iterations: d.take_usize()?,
-        elite_fraction: d.take_f64()?,
-        mutation_prob: d.take_f64()?,
-        seed: d.take_u64()?,
-    })
-}
-
-pub(crate) fn put_eval_stats(e: &mut Encoder, s: &EvalStats) {
-    e.put_u64(s.hits);
-    e.put_u64(s.misses);
-    e.put_u64(s.imported);
-    e.put_u64(s.validated);
-    e.put_u64(s.rejected);
-    e.put_u64(s.batches);
-    e.put_u64(s.submitted);
-}
-
-pub(crate) fn take_eval_stats(d: &mut Decoder) -> Result<EvalStats, CodecError> {
-    Ok(EvalStats {
-        hits: d.take_u64()?,
-        misses: d.take_u64()?,
-        imported: d.take_u64()?,
-        validated: d.take_u64()?,
-        rejected: d.take_u64()?,
-        batches: d.take_u64()?,
-        submitted: d.take_u64()?,
-    })
-}
-
-fn put_rng(e: &mut Encoder, rng: &StdRng) {
-    for w in rng.state() {
-        e.put_u64(w);
-    }
-}
-
-fn take_rng(d: &mut Decoder) -> Result<StdRng, CodecError> {
-    let mut s = [0u64; 4];
-    for w in &mut s {
-        *w = d.take_u64()?;
-    }
-    if s.iter().all(|&w| w == 0) {
-        return Err(CodecError::Invalid("all-zero rng state"));
-    }
-    Ok(StdRng::from_state(s))
-}
-
-/// Encodes an EA snapshot; `put_g` encodes one genome (the snapshot is
-/// generic over it: op genomes for Stage 2, joint genomes for one-stage).
-fn put_ea_with<G>(e: &mut Encoder, ea: &EaSnapshot<G>, put_g: impl Fn(&mut Encoder, &G)) {
-    put_rng(e, &ea.rng);
-    e.put_usize(ea.scored.len());
-    for (g, f) in &ea.scored {
-        put_g(e, g);
-        e.put_f64(*f);
-    }
-    put_g(e, &ea.best.0);
-    e.put_f64(ea.best.1);
-    e.put_usize(ea.evaluations);
-    e.put_usize(ea.history.len());
-    for &(i, f) in &ea.history {
-        e.put_usize(i);
-        e.put_f64(f);
-    }
-    e.put_usize(ea.generation);
-}
-
-fn take_ea_with<G>(
-    d: &mut Decoder,
-    take_g: impl Fn(&mut Decoder) -> Result<G, CodecError>,
-) -> Result<EaSnapshot<G>, CodecError> {
-    let rng = take_rng(d)?;
-    let n = d.take_usize()?;
-    let scored = (0..n)
-        .map(|_| Ok((take_g(d)?, d.take_f64()?)))
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let best = (take_g(d)?, d.take_f64()?);
-    let evaluations = d.take_usize()?;
-    let h = d.take_usize()?;
-    let history = (0..h)
-        .map(|_| Ok((d.take_usize()?, d.take_f64()?)))
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let generation = d.take_usize()?;
-    Ok(EaSnapshot {
-        rng,
-        scored,
-        best,
-        evaluations,
-        history,
-        generation,
-    })
-}
-
-fn put_joint_genome(e: &mut Encoder, g: &JointGenome) {
-    put_function_set(e, &g.0);
-    put_function_set(e, &g.1);
-    put_genome(e, &g.2);
-}
-
-fn take_joint_genome(d: &mut Decoder) -> Result<JointGenome, CodecError> {
-    let upper = take_function_set(d)?;
-    let lower = take_function_set(d)?;
-    let genome = take_genome(d)?;
-    if genome.is_empty() {
-        return Err(CodecError::Invalid("empty joint genome"));
-    }
-    Ok((upper, lower, genome))
-}
-
-/// Cache entries are stored without their `Architecture`: the genome plus
-/// the run's function sets and task geometry rebuild it exactly
-/// (`Architecture::from_genome` is how the search built it in the first
-/// place), which keeps checkpoints compact.
-fn put_cache_entries(e: &mut Encoder, entries: &[(Vec<OpType>, ScoredCandidate)]) {
-    e.put_usize(entries.len());
-    for (genome, c) in entries {
-        put_genome(e, genome);
-        e.put_f64(c.score);
-        e.put_f64(c.accuracy);
-        e.put_f64(c.latency_ms);
-        e.put_f64(c.cost_ms);
-        e.put_bool(c.valid);
-        put_opt_f64(e, c.energy_mj);
-        put_opt_f64(e, c.peak_mem_mb);
-    }
-}
-
-fn take_cache_entries(
-    d: &mut Decoder,
-    upper: FunctionSet,
-    lower: FunctionSet,
+/// What rebuilds a stored candidate's architecture: the task's `k` and
+/// class count, written ahead of an artifact's candidates, and the
+/// function-set pair its op genomes share.
+pub(crate) struct Geometry {
     k: usize,
     classes: usize,
-) -> Result<Vec<(Vec<OpType>, ScoredCandidate)>, CodecError> {
-    let n = d.take_usize()?;
-    (0..n)
-        .map(|_| {
-            let genome = take_genome(d)?;
-            if genome.is_empty() {
-                return Err(CodecError::Invalid("empty genome"));
-            }
-            let candidate = ScoredCandidate {
-                architecture: Architecture::from_genome(&genome, upper, lower, k, classes),
-                score: d.take_f64()?,
-                accuracy: d.take_f64()?,
-                latency_ms: d.take_f64()?,
-                cost_ms: d.take_f64()?,
-                valid: d.take_bool()?,
-                energy_mj: take_opt_f64(d)?,
-                peak_mem_mb: take_opt_f64(d)?,
-            };
-            Ok((genome, candidate))
+    shared: Option<(FunctionSet, FunctionSet)>,
+}
+
+impl Geometry {
+    pub(crate) fn new(
+        k: usize,
+        classes: usize,
+        shared: Option<(FunctionSet, FunctionSet)>,
+    ) -> Self {
+        Geometry { k, classes, shared }
+    }
+
+    /// `genome`'s function sets and architecture, as the search built
+    /// them. Rejects an empty genome and a geometry no architecture has.
+    fn rebuild(
+        &self,
+        genome: &impl Genome,
+    ) -> Result<((FunctionSet, FunctionSet), Architecture), CodecError> {
+        let (upper, lower) = genome
+            .functions()
+            .or(self.shared)
+            .ok_or(CodecError::Invalid("genome without function sets"))?;
+        if genome.ops().is_empty() {
+            return Err(CodecError::Invalid("empty genome"));
+        }
+        if self.k == 0 || self.classes == 0 {
+            return Err(CodecError::Invalid("zero k or class count"));
+        }
+        let arch = Architecture::from_genome(genome.ops(), upper, lower, self.k, self.classes);
+        Ok(((upper, lower), arch))
+    }
+}
+
+/// Values holding `G` genomes whose architectures are not stored: `store`
+/// writes one, `load` reads it back and rebuilds every architecture
+/// through a [`Geometry`].
+pub(crate) trait Stored<G> {
+    fn store(&self, s: &mut impl Sink);
+
+    fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError>
+    where
+        Self: Sized;
+}
+
+impl<G, T: Stored<G>> Stored<G> for [T] {
+    fn store(&self, s: &mut impl Sink) {
+        self.len().put(s);
+        for v in self {
+            v.store(s);
+        }
+    }
+}
+
+impl<G, T: Stored<G>> Stored<G> for Vec<T> {
+    fn store(&self, s: &mut impl Sink) {
+        Stored::<G>::store(self.as_slice(), s);
+    }
+
+    fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError> {
+        let n = usize::take(d)?;
+        (0..n).map(|_| T::load(d, geo)).collect()
+    }
+}
+
+impl<G, T: Stored<G>> Stored<G> for Option<T> {
+    fn store(&self, s: &mut impl Sink) {
+        self.is_some().put(s);
+        if let Some(v) = self {
+            v.store(s);
+        }
+    }
+
+    fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError> {
+        Ok(if bool::take(d)? {
+            Some(T::load(d, geo)?)
+        } else {
+            None
         })
-        .collect()
-}
-
-fn put_checkpoint(e: &mut Encoder, task: &TaskConfig, cp: &SearchCheckpoint) {
-    e.put_u64(cp.seed);
-    put_device(e, cp.device);
-    e.put_usize(task.k);
-    e.put_usize(task.classes());
-    put_function_set(e, &cp.functions.0);
-    put_function_set(e, &cp.functions.1);
-    put_ea_config(e, &cp.ea_config);
-    e.put_usize(cp.generation);
-    put_ea_with(e, &cp.ea, |e, g: &Vec<OpType>| put_genome(e, g));
-    put_eval_stats(e, &cp.eval_stats);
-    put_cache_entries(e, &cp.cache);
-    put_cache_entries(e, &cp.warm_cache);
-    e.put_f64(cp.clock_ms);
-    e.put_usize(cp.history.len());
-    for &(t, s) in &cp.history {
-        e.put_f64(t);
-        e.put_f64(s);
-    }
-    match &cp.best {
-        None => e.put_bool(false),
-        Some((model, valid)) => {
-            e.put_bool(true);
-            put_genome(e, &model.genome);
-            e.put_f64(model.score);
-            e.put_f64(model.supernet_accuracy);
-            e.put_f64(model.latency_ms);
-            e.put_bool(*valid);
-        }
     }
 }
 
-fn take_checkpoint(d: &mut Decoder) -> Result<SearchCheckpoint, CodecError> {
-    let seed = d.take_u64()?;
-    let device = take_device(d)?;
-    let k = d.take_usize()?;
-    let classes = d.take_usize()?;
-    let upper = take_function_set(d)?;
-    let lower = take_function_set(d)?;
-    let ea_config = take_ea_config(d)?;
-    let generation = d.take_usize()?;
-    let ea = take_ea_with(d, take_genome)?;
-    let eval_stats = take_eval_stats(d)?;
-    let cache = take_cache_entries(d, upper, lower, k, classes)?;
-    let warm_cache = take_cache_entries(d, upper, lower, k, classes)?;
-    let clock_ms = d.take_f64()?;
-    let h = d.take_usize()?;
-    let history = (0..h)
-        .map(|_| Ok((d.take_f64()?, d.take_f64()?)))
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let best = if d.take_bool()? {
-        let genome = take_genome(d)?;
-        if genome.is_empty() {
-            return Err(CodecError::Invalid("empty best genome"));
-        }
-        let architecture = Architecture::from_genome(&genome, upper, lower, k, classes);
-        let model = SearchedModel {
+/// A best model with its constraint-validity flag.
+impl<G, T: Stored<G>> Stored<G> for (T, bool) {
+    fn store(&self, s: &mut impl Sink) {
+        self.0.store(s);
+        self.1.put(s);
+    }
+
+    fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError> {
+        Ok((T::load(d, geo)?, bool::take(d)?))
+    }
+}
+
+/// A cache entry: the genome, then the candidate's scores.
+impl<G: Genome> Stored<G> for (G, ScoredCandidate) {
+    fn store(&self, s: &mut impl Sink) {
+        let (genome, c) = self;
+        genome.put(s);
+        let scores = (c.score, c.accuracy, c.latency_ms, c.cost_ms, c.valid);
+        (scores, c.energy_mj, c.peak_mem_mb).put(s);
+    }
+
+    fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError> {
+        let genome = G::take(d)?;
+        let ((score, accuracy, latency_ms, cost_ms, valid), energy_mj, peak_mem_mb) =
+            Wire::take(d)?;
+        let (_, architecture) = geo.rebuild(&genome)?;
+        let candidate = ScoredCandidate {
             architecture,
-            genome,
-            functions: (upper, lower),
-            score: d.take_f64()?,
-            supernet_accuracy: d.take_f64()?,
-            latency_ms: d.take_f64()?,
+            score,
+            accuracy,
+            latency_ms,
+            cost_ms,
+            valid,
+            energy_mj,
+            peak_mem_mb,
         };
-        let valid = d.take_bool()?;
-        Some((model, valid))
-    } else {
-        None
-    };
-    Ok(SearchCheckpoint {
-        seed,
-        device,
-        functions: (upper, lower),
-        ea_config,
-        generation,
-        ea,
-        eval_stats,
-        cache,
-        warm_cache,
-        clock_ms,
-        history,
-        best,
-    })
-}
-
-/// One-stage cache entries carry each candidate's own function sets (the
-/// joint genome), which is also what rebuilds the architecture at load
-/// time.
-fn put_joint_cache_entries(e: &mut Encoder, entries: &[(JointGenome, ScoredCandidate)]) {
-    e.put_usize(entries.len());
-    for (genome, c) in entries {
-        put_joint_genome(e, genome);
-        e.put_f64(c.score);
-        e.put_f64(c.accuracy);
-        e.put_f64(c.latency_ms);
-        e.put_f64(c.cost_ms);
-        e.put_bool(c.valid);
-        put_opt_f64(e, c.energy_mj);
-        put_opt_f64(e, c.peak_mem_mb);
+        Ok((genome, candidate))
     }
 }
 
-fn take_joint_cache_entries(
-    d: &mut Decoder,
-    k: usize,
-    classes: usize,
-) -> Result<Vec<(JointGenome, ScoredCandidate)>, CodecError> {
-    let n = d.take_usize()?;
-    (0..n)
-        .map(|_| {
-            let genome = take_joint_genome(d)?;
-            let candidate = ScoredCandidate {
-                architecture: Architecture::from_genome(&genome.2, genome.0, genome.1, k, classes),
-                score: d.take_f64()?,
-                accuracy: d.take_f64()?,
-                latency_ms: d.take_f64()?,
-                cost_ms: d.take_f64()?,
-                valid: d.take_bool()?,
-                energy_mj: take_opt_f64(d)?,
-                peak_mem_mb: take_opt_f64(d)?,
-            };
-            Ok((genome, candidate))
+/// A searched model: its genome in `G`'s form, then its scores.
+impl<G: Genome> Stored<G> for SearchedModel {
+    fn store(&self, s: &mut impl Sink) {
+        G::of(self).put(s);
+        (self.score, self.supernet_accuracy, self.latency_ms).put(s);
+    }
+
+    fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError> {
+        let genome = G::take(d)?;
+        let (score, supernet_accuracy, latency_ms) = Wire::take(d)?;
+        let (functions, architecture) = geo.rebuild(&genome)?;
+        Ok(SearchedModel {
+            architecture,
+            genome: genome.ops().to_vec(),
+            functions,
+            score,
+            supernet_accuracy,
+            latency_ms,
         })
-        .collect()
-}
-
-fn put_one_stage_checkpoint(e: &mut Encoder, task: &TaskConfig, cp: &OneStageCheckpoint) {
-    e.put_u64(cp.seed);
-    put_device(e, cp.device);
-    e.put_usize(task.k);
-    e.put_usize(task.classes());
-    put_ea_config(e, &cp.ea_config);
-    e.put_usize(cp.generation);
-    put_ea_with(e, &cp.ea, put_joint_genome);
-    put_eval_stats(e, &cp.eval_stats);
-    put_joint_cache_entries(e, &cp.cache);
-    e.put_f64(cp.clock_ms);
-    e.put_usize(cp.history.len());
-    for &(t, s) in &cp.history {
-        e.put_f64(t);
-        e.put_f64(s);
-    }
-    match &cp.best {
-        None => e.put_bool(false),
-        Some((model, valid)) => {
-            e.put_bool(true);
-            // The one-stage best carries its own function sets (every
-            // candidate evolves them), unlike the Stage-2 best which
-            // shares the checkpoint-level pair.
-            put_function_set(e, &model.functions.0);
-            put_function_set(e, &model.functions.1);
-            put_genome(e, &model.genome);
-            e.put_f64(model.score);
-            e.put_f64(model.supernet_accuracy);
-            e.put_f64(model.latency_ms);
-            e.put_bool(*valid);
-        }
     }
 }
 
-fn take_one_stage_checkpoint(d: &mut Decoder) -> Result<OneStageCheckpoint, CodecError> {
-    let seed = d.take_u64()?;
-    let device = take_device(d)?;
-    let k = d.take_usize()?;
-    let classes = d.take_usize()?;
-    let ea_config = take_ea_config(d)?;
-    let generation = d.take_usize()?;
-    let ea = take_ea_with(d, take_joint_genome)?;
-    let eval_stats = take_eval_stats(d)?;
-    let cache = take_joint_cache_entries(d, k, classes)?;
-    let clock_ms = d.take_f64()?;
-    let h = d.take_usize()?;
-    let history = (0..h)
-        .map(|_| Ok((d.take_f64()?, d.take_f64()?)))
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let best = if d.take_bool()? {
-        let upper = take_function_set(d)?;
-        let lower = take_function_set(d)?;
-        let genome = take_genome(d)?;
-        if genome.is_empty() {
-            return Err(CodecError::Invalid("empty best genome"));
+/// An EA mid-run: its [`Wire`] layout, with every genome checked
+/// non-empty on load.
+impl<G: Genome> Stored<G> for EaSnapshot<G> {
+    fn store(&self, s: &mut impl Sink) {
+        self.put(s);
+    }
+
+    fn load(d: &mut Decoder<'_>, _: &Geometry) -> Result<Self, CodecError> {
+        let ea = EaSnapshot::<G>::take(d)?;
+        let genomes = ea.scored.iter().map(|(g, _)| g).chain([&ea.best.0]);
+        if genomes.map(Genome::ops).any(<[OpType]>::is_empty) {
+            return Err(CodecError::Invalid("empty genome"));
         }
-        let architecture = Architecture::from_genome(&genome, upper, lower, k, classes);
-        let model = SearchedModel {
-            architecture,
-            genome,
-            functions: (upper, lower),
-            score: d.take_f64()?,
-            supernet_accuracy: d.take_f64()?,
-            latency_ms: d.take_f64()?,
-        };
-        let valid = d.take_bool()?;
-        Some((model, valid))
-    } else {
-        None
-    };
-    Ok(OneStageCheckpoint {
-        seed,
-        device,
-        ea_config,
-        generation,
-        ea,
-        eval_stats,
-        cache,
-        clock_ms,
-        history,
-        best,
-    })
+        Ok(ea)
+    }
 }

@@ -1,27 +1,57 @@
-//! A small self-contained versioned binary codec for on-disk artifacts.
+//! The one binary codec behind on-disk artifacts, `hgnas-serve` wire
+//! frames and configuration fingerprints.
 //!
-//! No serde — the shims stay offline. Every artifact is
+//! No serde — the shims stay offline. Every type that is persisted, sent
+//! or fingerprinted implements [`Wire`] once: `put` writes it into a
+//! [`Sink`], `take` reads it back from a [`Decoder`] and checks it. A plain
+//! struct is declared once, as its field list in wire order
+//! (`wire_struct!`), and an enum as its one-byte codes (`wire_enum!`), so
+//! the artifact store, the wire protocol and the fingerprints all read the
+//! same list and cannot drift apart.
+//!
+//! The encoding: integers little-endian, `usize` as u64, floats as raw
+//! IEEE-754 bits (round trips are bit-exact, the property the resume and
+//! warm-start guarantees rest on), `bool` as one byte, `Option` as a
+//! presence `bool` then the value, `Vec` and `String` as a u64 length then
+//! the elements, tuples, fixed-size arrays and structs as their parts in
+//! order with no framing, and enums as a one-byte code from a frozen
+//! table. Every encoding is self-delimiting, so a sequence of values
+//! encodes unambiguously — which is what lets a fingerprint be FNV-1a over
+//! an encoding ([`Fnv1a`] is the second [`Sink`]).
+//!
+//! Every artifact is
 //!
 //! ```text
 //! magic "HGNA" · version u16 · kind u16 · payload · crc32(all preceding)
 //! ```
 //!
-//! with all integers little-endian and floats stored as raw IEEE-754 bits,
-//! so round-trips are bit-exact (the property the resume and warm-start
-//! guarantees rest on). The trailing CRC makes truncated or corrupted
-//! artifacts fail loudly at open time instead of resuming a search from
-//! garbage.
-//!
-//! The same machinery frames the `hgnas-serve` wire protocol:
+//! and every wire frame
 //!
 //! ```text
 //! magic "HGNW" · protocol u8 · kind u16 · payload · crc32(all preceding)
 //! ```
 //!
-//! built by [`Encoder::frame`] and validated by [`Decoder::open_frame`].
-//! Distinct magics keep the two namespaces apart; the single protocol byte
-//! is checked before anything in the payload is believed.
+//! built by [`Encoder::new`] / [`Encoder::frame`] and validated by
+//! [`Decoder::open`] / [`Decoder::open_frame`]. The trailing CRC makes
+//! truncated or corrupted bytes fail loudly at open time instead of
+//! resuming a search from garbage; distinct magics keep the two namespaces
+//! apart, and the version is checked before anything in the payload is
+//! believed.
+//!
+//! # Changing a layout
+//!
+//! To add a field, append it to its type's list and bump [`VERSION`] (a
+//! type stored in artifacts) or [`PROTOCOL_VERSION`] (a type sent in
+//! frames). If the type feeds a fingerprint, bump
+//! [`crate::FINGERPRINT_SCHEMA`] too.
 
+use hgnas_core::{
+    EaConfig, EvalStats, LatencyMode, PrefixParams, SearchConfig, Strategy, TaskConfig,
+};
+use hgnas_device::{ClassRates, DeviceKind, DevicePersona, DeviceProfile};
+use hgnas_ops::{Aggregator, ConnectFn, FunctionSet, MessageType, OpType, SampleFn};
+use hgnas_pointcloud::{DatasetConfig, TaskKind};
+use hgnas_predictor::{PredictorConfig, PredictorContext, TrainStats};
 use std::fmt;
 
 /// File magic: "HGNA".
@@ -106,13 +136,14 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// # Examples
 ///
 /// ```
-/// use hgnas_fleet::codec::{Decoder, Encoder, FrameKind};
+/// use hgnas_fleet::codec::{Decoder, Encoder, FrameKind, Wire};
 ///
 /// let mut e = Encoder::frame(FrameKind::Hello);
-/// e.put_u8(3); // priority
+/// 3u8.put(&mut e); // priority
 /// let bytes = e.finish();
-/// let (kind, _payload) = Decoder::open_frame(&bytes).unwrap();
+/// let (kind, mut payload) = Decoder::open_frame(&bytes).unwrap();
 /// assert_eq!(kind, FrameKind::Hello);
+/// assert_eq!(u8::take(&mut payload), Ok(3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -236,6 +267,33 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Where [`Wire::put`] writes: the artifact/frame [`Encoder`], or the
+/// [`Fnv1a`] state fingerprints are folded into.
+pub trait Sink {
+    /// Appends raw bytes.
+    fn bytes(&mut self, bytes: &[u8]);
+}
+
+/// A type's one binary layout (see the module docs for the encoding).
+/// Unsized types (`str`, slices) are write-only: they encode exactly like
+/// the `String` or `Vec` they are read back as.
+pub trait Wire {
+    /// Writes `self` into `s`.
+    fn put(&self, s: &mut impl Sink);
+
+    /// Reads one value back, checking it against its type's domain.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] past the payload end, and
+    /// [`CodecError::Invalid`] for a value outside its domain (an enum
+    /// code past its table, a bool other than 0 or 1, a length that does
+    /// not fit a `usize`, non-UTF-8 text, …).
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError>
+    where
+        Self: Sized;
+}
+
 /// Append-only artifact writer.
 pub struct Encoder {
     buf: Vec<u8>,
@@ -245,9 +303,7 @@ impl Encoder {
     /// Starts an artifact of the given kind (header written immediately).
     pub fn new(kind: ArtifactKind) -> Self {
         let mut e = Encoder { buf: Vec::new() };
-        e.buf.extend_from_slice(&MAGIC);
-        e.put_u16(VERSION);
-        e.put_u16(kind.code());
+        (MAGIC, VERSION, kind.code()).put(&mut e);
         e
     }
 
@@ -256,77 +312,21 @@ impl Encoder {
     /// as artifacts.
     pub fn frame(kind: FrameKind) -> Self {
         let mut e = Encoder { buf: Vec::new() };
-        e.buf.extend_from_slice(&WIRE_MAGIC);
-        e.put_u8(PROTOCOL_VERSION);
-        e.put_u16(kind.code());
+        (WIRE_MAGIC, PROTOCOL_VERSION, kind.code()).put(&mut e);
         e
     }
 
     /// Seals the artifact: appends the CRC and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         let crc = crc32(&self.buf);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
+        crc.put(&mut self);
         self.buf
     }
+}
 
-    /// Writes one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian u32.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a usize as u64.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Writes a bool as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Writes an f32 as raw bits.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Writes an f64 as raw bits.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Writes a usize slice as length + elements.
-    pub fn put_usize_slice(&mut self, vs: &[usize]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_usize(v);
-        }
-    }
-
-    /// Writes a byte blob as length + raw bytes (strings go through this
-    /// as UTF-8).
-    pub fn put_blob(&mut self, bytes: &[u8]) {
-        self.put_usize(bytes.len());
+impl Sink for Encoder {
+    fn bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Writes a string as a UTF-8 blob.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_blob(s.as_bytes());
     }
 }
 
@@ -338,6 +338,22 @@ pub struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
+    /// Checks the length floor and the trailing CRC, and positions a
+    /// reader at the header.
+    fn sealed(bytes: &'a [u8], min_len: usize) -> Result<Self, CodecError> {
+        if bytes.len() < min_len {
+            return Err(CodecError::UnexpectedEof);
+        }
+        let (content, crc) = bytes.split_at(bytes.len() - 4);
+        if crc32(content).to_le_bytes() != crc {
+            return Err(CodecError::BadChecksum);
+        }
+        Ok(Decoder {
+            bytes: content,
+            pos: 0,
+        })
+    }
+
     /// Validates header + checksum and positions the reader at the payload.
     ///
     /// # Errors
@@ -345,27 +361,15 @@ impl<'a> Decoder<'a> {
     /// Any [`CodecError`] the header/trailer checks produce.
     pub fn open(bytes: &'a [u8], kind: ArtifactKind) -> Result<Self, CodecError> {
         // magic(4) + version(2) + kind(2) + crc(4)
-        if bytes.len() < 12 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (content, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(content) != stored {
-            return Err(CodecError::BadChecksum);
-        }
-        let mut d = Decoder {
-            bytes: content,
-            pos: 0,
-        };
-        let magic = d.take_bytes(4)?;
-        if magic != MAGIC {
+        let mut d = Self::sealed(bytes, 12)?;
+        if <[u8; 4]>::take(&mut d)? != MAGIC {
             return Err(CodecError::BadMagic);
         }
-        let version = d.take_u16()?;
+        let version = u16::take(&mut d)?;
         if version != VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
-        let code = d.take_u16()?;
+        let code = u16::take(&mut d)?;
         match ArtifactKind::from_code(code) {
             Some(k) if k == kind => Ok(d),
             _ => Err(CodecError::WrongKind {
@@ -390,27 +394,15 @@ impl<'a> Decoder<'a> {
     /// [`CodecError::UnknownFrame`] on an unassigned kind code.
     pub fn open_frame(bytes: &'a [u8]) -> Result<(FrameKind, Self), CodecError> {
         // magic(4) + protocol(1) + kind(2) + crc(4)
-        if bytes.len() < 11 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (content, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(content) != stored {
-            return Err(CodecError::BadChecksum);
-        }
-        let mut d = Decoder {
-            bytes: content,
-            pos: 0,
-        };
-        let magic = d.take_bytes(4)?;
-        if magic != WIRE_MAGIC {
+        let mut d = Self::sealed(bytes, 11)?;
+        if <[u8; 4]>::take(&mut d)? != WIRE_MAGIC {
             return Err(CodecError::BadMagic);
         }
-        let protocol = d.take_u8()?;
+        let protocol = u8::take(&mut d)?;
         if protocol != PROTOCOL_VERSION {
             return Err(CodecError::UnsupportedProtocol(protocol));
         }
-        let code = d.take_u16()?;
+        let code = u16::take(&mut d)?;
         let kind = FrameKind::from_code(code).ok_or(CodecError::UnknownFrame(code))?;
         Ok((kind, d))
     }
@@ -420,114 +412,347 @@ impl<'a> Decoder<'a> {
         self.pos == self.bytes.len()
     }
 
-    fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// The next `n` raw bytes.
+    fn raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::UnexpectedEof)?;
-        if end > self.bytes.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let s = &self.bytes[self.pos..end];
+        let s = self
+            .bytes
+            .get(self.pos..end)
+            .ok_or(CodecError::UnexpectedEof)?;
         self.pos = end;
         Ok(s)
     }
 
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::UnexpectedEof`] past the payload end (also below).
-    pub fn take_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take_bytes(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.raw(N)?.try_into().expect("exactly N bytes"))
+    }
+}
+
+/// FNV-1a 64-bit state: the [`Sink`] the store's configuration
+/// fingerprints fold [`Wire`] encodings into.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The FNV-1a offset basis.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
-    /// Reads a u16.
-    #[allow(clippy::missing_errors_doc)]
-    pub fn take_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take_bytes(2)?.try_into().unwrap()))
+    /// The hash of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl Sink for Fnv1a {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// FNV-1a 64-bit hash of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.bytes(bytes);
+    h.finish()
+}
+
+// ---- primitives and containers -----------------------------------------
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, s: &mut impl Sink) {
+                s.bytes(&self.to_le_bytes());
+            }
+
+            fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(<$t>::from_le_bytes(d.array()?))
+            }
+        }
+    )*};
+}
+
+wire_le!(u8, u16, u32, u64);
+
+impl Wire for usize {
+    fn put(&self, s: &mut impl Sink) {
+        (*self as u64).put(s);
     }
 
-    /// Reads a u32.
-    #[allow(clippy::missing_errors_doc)]
-    pub fn take_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take_bytes(4)?.try_into().unwrap()))
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        usize::try_from(u64::take(d)?).map_err(|_| CodecError::Invalid("usize overflow"))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, s: &mut impl Sink) {
+        u8::from(*self).put(s);
     }
 
-    /// Reads a u64.
-    #[allow(clippy::missing_errors_doc)]
-    pub fn take_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take_bytes(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a usize (stored as u64).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Invalid`] when the value does not fit a usize.
-    pub fn take_usize(&mut self) -> Result<usize, CodecError> {
-        usize::try_from(self.take_u64()?).map_err(|_| CodecError::Invalid("usize overflow"))
-    }
-
-    /// Reads a bool.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Invalid`] on anything but 0 or 1.
-    pub fn take_bool(&mut self) -> Result<bool, CodecError> {
-        match self.take_u8()? {
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match u8::take(d)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(CodecError::Invalid("bool out of range")),
         }
     }
+}
 
-    /// Reads an f32 from raw bits.
-    #[allow(clippy::missing_errors_doc)]
-    pub fn take_f32(&mut self) -> Result<f32, CodecError> {
-        Ok(f32::from_bits(self.take_u32()?))
+impl Wire for f32 {
+    fn put(&self, s: &mut impl Sink) {
+        self.to_bits().put(s);
     }
 
-    /// Reads an f64 from raw bits.
-    #[allow(clippy::missing_errors_doc)]
-    pub fn take_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads a usize vector (length + elements).
-    #[allow(clippy::missing_errors_doc)]
-    pub fn take_usize_vec(&mut self) -> Result<Vec<usize>, CodecError> {
-        let n = self.take_usize()?;
-        (0..n).map(|_| self.take_usize()).collect()
-    }
-
-    /// Reads a byte blob (length + raw bytes).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::UnexpectedEof`] when the declared length runs past
-    /// the payload end.
-    pub fn take_blob(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.take_usize()?;
-        Ok(self.take_bytes(n)?.to_vec())
-    }
-
-    /// Reads a UTF-8 string (blob-encoded).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Invalid`] when the bytes are not valid UTF-8.
-    pub fn take_string(&mut self) -> Result<String, CodecError> {
-        String::from_utf8(self.take_blob()?).map_err(|_| CodecError::Invalid("non-UTF-8 string"))
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(f32::from_bits(u32::take(d)?))
     }
 }
 
-/// FNV-1a 64-bit hash; the store keys artifacts by configuration
-/// fingerprints computed with this.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl Wire for f64 {
+    fn put(&self, s: &mut impl Sink) {
+        self.to_bits().put(s);
     }
-    h
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(f64::from_bits(u64::take(d)?))
+    }
+}
+
+impl Wire for str {
+    fn put(&self, s: &mut impl Sink) {
+        self.len().put(s);
+        s.bytes(self.as_bytes());
+    }
+}
+
+impl Wire for String {
+    fn put(&self, s: &mut impl Sink) {
+        self.as_str().put(s);
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let n = usize::take(d)?;
+        String::from_utf8(d.raw(n)?.to_vec()).map_err(|_| CodecError::Invalid("non-UTF-8 string"))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, s: &mut impl Sink) {
+        self.is_some().put(s);
+        if let Some(v) = self {
+            v.put(s);
+        }
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(if bool::take(d)? {
+            Some(T::take(d)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<T: Wire> Wire for [T] {
+    fn put(&self, s: &mut impl Sink) {
+        self.len().put(s);
+        for v in self {
+            v.put(s);
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, s: &mut impl Sink) {
+        self.as_slice().put(s);
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let n = usize::take(d)?;
+        (0..n).map(|_| T::take(d)).collect()
+    }
+}
+
+/// Fixed-size arrays carry no length: `N` is part of the type.
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn put(&self, s: &mut impl Sink) {
+        for v in self {
+            v.put(s);
+        }
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let v = (0..N).map(|_| T::take(d)).collect::<Result<Vec<_>, _>>()?;
+        Ok(v.try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N elements")))
+    }
+}
+
+macro_rules! wire_tuple {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, s: &mut impl Sink) {
+                $(self.$i.put(s);)+
+            }
+
+            fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(($($t::take(d)?,)+))
+            }
+        }
+    )*};
+}
+
+wire_tuple! {
+    (A 0, B 1)
+    (A 0, B 1, C 2)
+    (A 0, B 1, C 2, D 3)
+    (A 0, B 1, C 2, D 3, E 4)
+    (A 0, B 1, C 2, D 3, E 4, F 5)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6)
+}
+
+// ---- code tables ---------------------------------------------------------
+
+/// Enums stored as one byte: their index into the type's frozen `ALL`
+/// table.
+macro_rules! wire_table {
+    ($($t:ty => $what:literal),* $(,)?) => {$(
+        impl Wire for $t {
+            fn put(&self, s: &mut impl Sink) {
+                (self.index() as u8).put(s);
+            }
+
+            fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                <$t>::ALL
+                    .get(usize::from(u8::take(d)?))
+                    .copied()
+                    .ok_or(CodecError::Invalid($what))
+            }
+        }
+    )*};
+}
+
+wire_table! {
+    DeviceKind => "device index",
+    OpType => "op type index",
+    Aggregator => "aggregator index",
+    MessageType => "message index",
+    SampleFn => "sample index",
+    ConnectFn => "connect index",
+}
+
+impl Wire for TaskKind {
+    fn put(&self, s: &mut impl Sink) {
+        self.code().put(s);
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        TaskKind::from_code(u8::take(d)?).ok_or(CodecError::Invalid("task kind code"))
+    }
+}
+
+/// Implements [`Wire`] for an enum from its variants' one-byte codes
+/// (stable protocol numbers, never the compiler's discriminants), each
+/// followed by the variant's fields in wire order:
+///
+/// ```ignore
+/// wire_enum! {
+///     SessionAction: "session action code" {
+///         Built = 0 {},
+///         Evicted = 4 { spilled },
+///     }
+/// }
+/// ```
+macro_rules! wire_enum {
+    ($($t:ident: $what:literal { $($v:ident = $code:literal { $($f:ident),* }),* $(,)? })*) => {$(
+        impl $crate::codec::Wire for $t {
+            fn put(&self, s: &mut impl $crate::codec::Sink) {
+                match self {
+                    $($t::$v { $($f),* } => {
+                        let code: u8 = $code;
+                        $crate::codec::Wire::put(&code, s);
+                        $($crate::codec::Wire::put($f, s);)*
+                    })*
+                }
+            }
+
+            fn take(
+                d: &mut $crate::codec::Decoder<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match <u8 as $crate::codec::Wire>::take(d)? {
+                    $($code => $t::$v { $($f: $crate::codec::Wire::take(d)?),* },)*
+                    _ => return Err($crate::codec::CodecError::Invalid($what)),
+                })
+            }
+        }
+    )*};
+}
+
+pub(crate) use wire_enum;
+
+wire_enum! {
+    LatencyMode: "latency mode code" { Predictor = 0 {}, Measured = 1 {} }
+    Strategy: "strategy code" { MultiStage = 0 {}, OneStage = 1 {} }
+}
+
+// ---- plain structs -------------------------------------------------------
+
+/// Implements [`Wire`] for a plain struct from its field list in wire
+/// order. Every field must be listed (the generated struct literal does
+/// not compile otherwise), so a new field cannot silently stay off the
+/// wire — or out of a fingerprint.
+macro_rules! wire_struct {
+    ($($t:ident $(<$g:ident>)? { $($f:ident),* $(,)? })*) => {$(
+        impl$(<$g: $crate::codec::Wire>)? $crate::codec::Wire for $t$(<$g>)? {
+            fn put(&self, s: &mut impl $crate::codec::Sink) {
+                $($crate::codec::Wire::put(&self.$f, s);)*
+            }
+
+            fn take(
+                d: &mut $crate::codec::Decoder<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok($t { $($f: $crate::codec::Wire::take(d)?,)* })
+            }
+        }
+    )*};
+}
+
+pub(crate) use wire_struct;
+
+wire_struct! {
+    DatasetConfig { classes, points, train_per_class, test_per_class, noise, seed }
+    TaskConfig { task_kind, dataset, positions, k, supernet_hidden, head_hidden, seed }
+    EaConfig { population, iterations, elite_fraction, mutation_prob, seed }
+    PredictorConfig {
+        train_samples, val_samples, epochs, lr, gcn_dims, mlp_hidden, seed, global_node, batch
+    }
+    ClassRates { gflops, gbps }
+    DeviceProfile {
+        kind, rates, overhead_us, base_mem_mb, mem_factor, avail_mem_mb, noise_sigma,
+        measurement_roundtrip_ms, power_w
+    }
+    DevicePersona { name, profile }
+    SearchConfig {
+        device, persona, alpha, beta, gamma, delta, constraint_ms, max_size_mb, max_energy_mj,
+        max_peak_mem_mb, ea_stage1, ea_stage2, epochs_stage1, epochs_stage2, latency_mode,
+        strategy, predictor, eval_clouds, eval_threads, seed
+    }
+    PrefixParams { strategy, ea_stage1, epochs_stage1, epochs_stage2, eval_clouds, seed }
+    FunctionSet { aggregator, message, sample, connect, combine_dim }
+    EvalStats { hits, misses, imported, validated, rejected, batches, submitted }
+    TrainStats { train_mape, val_mape, val_within_10pct, train_size }
+    PredictorContext { positions, points, k, classes, head_hidden }
 }
 
 #[cfg(test)]
@@ -537,35 +762,34 @@ mod tests {
     #[test]
     fn round_trip_all_primitives() {
         let mut e = Encoder::new(ArtifactKind::ScoreCache);
-        e.put_u8(7);
-        e.put_u16(300);
-        e.put_u32(70_000);
-        e.put_u64(1 << 40);
-        e.put_usize(99);
-        e.put_bool(true);
-        e.put_f32(-0.0);
-        e.put_f64(f64::MIN_POSITIVE);
-        e.put_usize_slice(&[1, 2, 3]);
+        7u8.put(&mut e);
+        300u16.put(&mut e);
+        70_000u32.put(&mut e);
+        (1u64 << 40).put(&mut e);
+        99usize.put(&mut e);
+        true.put(&mut e);
+        (-0.0f32).put(&mut e);
+        f64::MIN_POSITIVE.put(&mut e);
+        vec![1usize, 2, 3].put(&mut e);
         let bytes = e.finish();
 
         let mut d = Decoder::open(&bytes, ArtifactKind::ScoreCache).unwrap();
-        assert_eq!(d.take_u8().unwrap(), 7);
-        assert_eq!(d.take_u16().unwrap(), 300);
-        assert_eq!(d.take_u32().unwrap(), 70_000);
-        assert_eq!(d.take_u64().unwrap(), 1 << 40);
-        assert_eq!(d.take_usize().unwrap(), 99);
-        assert!(d.take_bool().unwrap());
-        assert_eq!(d.take_f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert_eq!(d.take_f64().unwrap(), f64::MIN_POSITIVE);
-        assert_eq!(d.take_usize_vec().unwrap(), vec![1, 2, 3]);
+        assert_eq!(u8::take(&mut d).unwrap(), 7);
+        assert_eq!(u16::take(&mut d).unwrap(), 300);
+        assert_eq!(u32::take(&mut d).unwrap(), 70_000);
+        assert_eq!(u64::take(&mut d).unwrap(), 1 << 40);
+        assert_eq!(usize::take(&mut d).unwrap(), 99);
+        assert!(bool::take(&mut d).unwrap());
+        assert_eq!(f32::take(&mut d).unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(f64::take(&mut d).unwrap(), f64::MIN_POSITIVE);
+        assert_eq!(Vec::<usize>::take(&mut d).unwrap(), vec![1, 2, 3]);
         assert!(d.is_exhausted());
     }
 
     #[test]
     fn corruption_detected_at_every_byte() {
         let mut e = Encoder::new(ArtifactKind::Predictor);
-        e.put_u64(0xdead_beef);
-        e.put_f64(1.25);
+        (0xdead_beefu64, 1.25f64).put(&mut e);
         let bytes = e.finish();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
@@ -580,7 +804,7 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let mut e = Encoder::new(ArtifactKind::Checkpoint);
-        e.put_u64(42);
+        42u64.put(&mut e);
         let bytes = e.finish();
         for len in 0..bytes.len() {
             assert!(
@@ -606,19 +830,19 @@ mod tests {
     fn reading_past_payload_is_eof_not_panic() {
         let bytes = Encoder::new(ArtifactKind::ScoreCache).finish();
         let mut d = Decoder::open(&bytes, ArtifactKind::ScoreCache).unwrap();
-        assert_eq!(d.take_u64(), Err(CodecError::UnexpectedEof));
+        assert_eq!(u64::take(&mut d), Err(CodecError::UnexpectedEof));
     }
 
     #[test]
     fn frame_round_trips_kind_and_payload() {
         let mut e = Encoder::frame(FrameKind::Submit);
-        e.put_str("tenant-a");
-        e.put_u64(42);
+        "tenant-a".put(&mut e);
+        42u64.put(&mut e);
         let bytes = e.finish();
         let (kind, mut d) = Decoder::open_frame(&bytes).unwrap();
         assert_eq!(kind, FrameKind::Submit);
-        assert_eq!(d.take_string().unwrap(), "tenant-a");
-        assert_eq!(d.take_u64().unwrap(), 42);
+        assert_eq!(String::take(&mut d).unwrap(), "tenant-a");
+        assert_eq!(u64::take(&mut d).unwrap(), 42);
         assert!(d.is_exhausted());
     }
 
@@ -674,7 +898,7 @@ mod tests {
     #[test]
     fn frame_and_artifact_magics_are_mutually_exclusive() {
         let mut e = Encoder::frame(FrameKind::Report);
-        e.put_u64(0); // payload so the frame clears the artifact min length
+        0u64.put(&mut e); // payload so the frame clears the artifact min length
         let frame = e.finish();
         assert_eq!(
             Decoder::open(&frame, ArtifactKind::Checkpoint).unwrap_err(),
@@ -690,10 +914,10 @@ mod tests {
     #[test]
     fn blob_truncation_is_eof_not_panic() {
         let mut e = Encoder::frame(FrameKind::Hello);
-        e.put_usize(1 << 40); // declared blob length far past the payload
+        (1usize << 40).put(&mut e); // declared string length far past the payload
         let bytes = e.finish();
         let (_, mut d) = Decoder::open_frame(&bytes).unwrap();
-        assert_eq!(d.take_blob(), Err(CodecError::UnexpectedEof));
+        assert_eq!(String::take(&mut d), Err(CodecError::UnexpectedEof));
     }
 
     #[test]

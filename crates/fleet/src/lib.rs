@@ -78,8 +78,7 @@ pub mod wire;
 
 pub use artifacts::{
     persona_predictor_fingerprint, predictor_fingerprint, prefix_fingerprint, search_fingerprint,
-    ArtifactKey, ArtifactStore, FieldHasher, PrefixKey, PruneReport, StoreError,
-    FINGERPRINT_SCHEMA,
+    ArtifactKey, ArtifactStore, PrefixKey, PruneReport, StoreError, FINGERPRINT_SCHEMA,
 };
 pub use codec::{ArtifactKind, CodecError, FrameKind, PROTOCOL_VERSION, WIRE_MAGIC};
 pub use driver::{

@@ -7,14 +7,16 @@
 //! exact, truncation/corruption always reject, and a foreign protocol
 //! version is refused even under a valid CRC.
 
-use hgnas_fleet::codec::{crc32, ArtifactKind, Decoder, Encoder, FrameKind, PROTOCOL_VERSION};
+use hgnas_fleet::codec::{
+    crc32, ArtifactKind, Decoder, Encoder, FrameKind, Wire, PROTOCOL_VERSION,
+};
 use proptest::prelude::*;
 
 /// Encodes an opaque byte payload as a sealed artifact.
 fn encode(kind: ArtifactKind, payload: &[u8]) -> Vec<u8> {
     let mut e = Encoder::new(kind);
     for &b in payload {
-        e.put_u8(b);
+        b.put(&mut e);
     }
     e.finish()
 }
@@ -42,7 +44,7 @@ fn kind() -> impl Strategy<Value = ArtifactKind> {
 fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     let mut e = Encoder::frame(kind);
     for &b in payload {
-        e.put_u8(b);
+        b.put(&mut e);
     }
     e.finish()
 }
@@ -75,7 +77,7 @@ proptest! {
         let bytes = encode(kind, &payload);
         let mut d = Decoder::open(&bytes, kind).unwrap();
         for &b in &payload {
-            prop_assert_eq!(d.take_u8().unwrap(), b);
+            prop_assert_eq!(u8::take(&mut d).unwrap(), b);
         }
         prop_assert!(d.is_exhausted());
     }
@@ -86,20 +88,20 @@ proptest! {
     ) {
         let (a, b, n) = v;
         let mut e = Encoder::new(ArtifactKind::Checkpoint);
-        e.put_u64(a);
+        a.put(&mut e);
         // Arbitrary bit patterns (including NaNs and negative zero) must
         // survive the float round-trip exactly.
-        e.put_f64(f64::from_bits(a));
-        e.put_f32(f32::from_bits(b));
-        e.put_usize(n);
-        e.put_bool(n % 2 == 0);
+        f64::from_bits(a).put(&mut e);
+        f32::from_bits(b).put(&mut e);
+        n.put(&mut e);
+        (n % 2 == 0).put(&mut e);
         let bytes = e.finish();
         let mut d = Decoder::open(&bytes, ArtifactKind::Checkpoint).unwrap();
-        prop_assert_eq!(d.take_u64().unwrap(), a);
-        prop_assert_eq!(d.take_f64().unwrap().to_bits(), a);
-        prop_assert_eq!(d.take_f32().unwrap().to_bits(), b);
-        prop_assert_eq!(d.take_usize().unwrap(), n);
-        prop_assert_eq!(d.take_bool().unwrap(), n % 2 == 0);
+        prop_assert_eq!(u64::take(&mut d).unwrap(), a);
+        prop_assert_eq!(f64::take(&mut d).unwrap().to_bits(), a);
+        prop_assert_eq!(f32::take(&mut d).unwrap().to_bits(), b);
+        prop_assert_eq!(usize::take(&mut d).unwrap(), n);
+        prop_assert_eq!(bool::take(&mut d).unwrap(), n % 2 == 0);
         prop_assert!(d.is_exhausted());
     }
 
@@ -155,7 +157,7 @@ proptest! {
         let (got_kind, mut d) = Decoder::open_frame(&bytes).unwrap();
         prop_assert_eq!(got_kind, kind);
         for &b in &payload {
-            prop_assert_eq!(d.take_u8().unwrap(), b);
+            prop_assert_eq!(u8::take(&mut d).unwrap(), b);
         }
         prop_assert!(d.is_exhausted());
     }

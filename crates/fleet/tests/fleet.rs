@@ -717,8 +717,8 @@ fn score_cache_round_trips() {
     assert!(store.load_score_cache(&empty_key).expect("load").is_none());
 }
 
-/// Golden fingerprint values: the structured field-tagged hashes are a
-/// persistence format (artifact file names embed them), so their values
+/// Golden fingerprint values: fingerprints are a persistence format
+/// (artifact file names embed them), so their values
 /// for a fixed configuration are pinned here. If this test fails you
 /// changed the fingerprint schema — bump [`hgnas_fleet::FINGERPRINT_SCHEMA`]
 /// (or the codec version) deliberately and update the golden values, and
@@ -732,10 +732,10 @@ fn fingerprints_match_committed_golden_values() {
     let search = hgnas_fleet::search_fingerprint(&task, &cfg);
     let predictor = predictor_fingerprint(&task.predictor_context(), &cfg.predictor);
 
-    assert_eq!(prefix, 0x005e_2678_ebcb_8339, "prefix fingerprint drifted");
-    assert_eq!(search, 0x6679_f675_fecb_8751, "search fingerprint drifted");
+    assert_eq!(prefix, 0xef3d_e2f7_c361_e326, "prefix fingerprint drifted");
+    assert_eq!(search, 0x0aa3_c970_12b8_2325, "search fingerprint drifted");
     assert_eq!(
-        predictor, 0xb59a_1ac7_f4b1_f545,
+        predictor, 0xcef3_d84f_4acd_9c53,
         "predictor fingerprint drifted"
     );
 }
@@ -815,76 +815,182 @@ fn prefix_fingerprint_ignores_exactly_the_non_prefix_fields() {
     assert_ne!(sfp(&c), sbase);
 }
 
-/// The [`hgnas_fleet::FieldHasher`] contract behind the golden values:
-/// field *names* never enter the hash (a pure rename is free), while
-/// *adding* a field — even one whose value is zero — changes it, as does
-/// moving a value to a different tag or domain.
+/// Every [`SearchConfig`] field except `eval_threads` moves
+/// `search_fingerprint`, one field at a time. `eval_threads` must not: the
+/// engine keys checkpoints under its own kernel split of the thread
+/// budget while the daemon's idle GC keys live requests by each spec's
+/// own value, so a thread-sensitive key would let the stale sweep delete
+/// live checkpoints. Also pins domain separation and `None` vs
+/// `Some(0.0)`.
 #[test]
-fn field_hasher_is_rename_stable_and_addition_sensitive() {
-    use hgnas_fleet::FieldHasher;
+fn search_fingerprint_moves_with_every_field_but_eval_threads() {
+    use hgnas_core::Strategy;
+    use hgnas_device::{DevicePersona, DeviceProfile};
 
-    // "Version A" of a struct hash…
-    fn hash_with_old_names(population: u64, elite_fraction: f64) -> u64 {
-        let mut h = FieldHasher::new("demo");
-        h.uint(1, population);
-        h.float64(2, elite_fraction);
-        h.finish()
+    type Edit = Box<dyn Fn(&mut SearchConfig)>;
+    let task = TaskConfig::tiny(42);
+    let base = tiny_config(DeviceKind::JetsonTx2, LatencyMode::Predictor);
+    let fp = |c: &SearchConfig| hgnas_fleet::search_fingerprint(&task, c);
+    let baseline = fp(&base);
+    let persona = |profile: DeviceProfile| DevicePersona {
+        name: "tx2-custom".into(),
+        profile,
+    };
+
+    // One edit per field. The destructuring below fails to compile when a
+    // field is added, until it gets an edit here.
+    let SearchConfig {
+        device: _,
+        persona: _,
+        alpha: _,
+        beta: _,
+        gamma: _,
+        delta: _,
+        constraint_ms: _,
+        max_size_mb: _,
+        max_energy_mj: _,
+        max_peak_mem_mb: _,
+        ea_stage1: _,
+        ea_stage2: _,
+        epochs_stage1: _,
+        epochs_stage2: _,
+        latency_mode: _,
+        strategy: _,
+        predictor: _,
+        eval_clouds: _,
+        eval_threads: _,
+        seed: _,
+    } = &base;
+    let edits: Vec<(&str, Edit)> = vec![
+        ("device", Box::new(|c| c.device = DeviceKind::RaspberryPi3B)),
+        (
+            "persona",
+            Box::new(move |c| {
+                c.persona = Some(persona(DeviceProfile::builtin(DeviceKind::JetsonTx2)))
+            }),
+        ),
+        ("alpha", Box::new(|c| c.alpha += 0.5)),
+        ("beta", Box::new(|c| c.beta += 0.5)),
+        ("gamma", Box::new(|c| c.gamma += 0.5)),
+        ("delta", Box::new(|c| c.delta += 0.5)),
+        ("constraint_ms", Box::new(|c| c.constraint_ms = Some(4.0))),
+        ("max_size_mb", Box::new(|c| c.max_size_mb = Some(4.0))),
+        ("max_energy_mj", Box::new(|c| c.max_energy_mj = Some(4.0))),
+        (
+            "max_peak_mem_mb",
+            Box::new(|c| c.max_peak_mem_mb = Some(4.0)),
+        ),
+        (
+            "ea_stage1.population",
+            Box::new(|c| c.ea_stage1.population += 1),
+        ),
+        (
+            "ea_stage1.iterations",
+            Box::new(|c| c.ea_stage1.iterations += 1),
+        ),
+        (
+            "ea_stage1.elite_fraction",
+            Box::new(|c| c.ea_stage1.elite_fraction += 0.1),
+        ),
+        (
+            "ea_stage1.mutation_prob",
+            Box::new(|c| c.ea_stage1.mutation_prob -= 0.1),
+        ),
+        ("ea_stage1.seed", Box::new(|c| c.ea_stage1.seed ^= 1)),
+        (
+            "ea_stage2.population",
+            Box::new(|c| c.ea_stage2.population += 1),
+        ),
+        (
+            "ea_stage2.iterations",
+            Box::new(|c| c.ea_stage2.iterations += 1),
+        ),
+        (
+            "ea_stage2.elite_fraction",
+            Box::new(|c| c.ea_stage2.elite_fraction += 0.1),
+        ),
+        (
+            "ea_stage2.mutation_prob",
+            Box::new(|c| c.ea_stage2.mutation_prob -= 0.1),
+        ),
+        ("ea_stage2.seed", Box::new(|c| c.ea_stage2.seed ^= 1)),
+        ("epochs_stage1", Box::new(|c| c.epochs_stage1 += 1)),
+        ("epochs_stage2", Box::new(|c| c.epochs_stage2 += 1)),
+        (
+            "latency_mode",
+            Box::new(|c| c.latency_mode = LatencyMode::Measured),
+        ),
+        ("strategy", Box::new(|c| c.strategy = Strategy::OneStage)),
+        (
+            "predictor.train_samples",
+            Box::new(|c| c.predictor.train_samples += 1),
+        ),
+        (
+            "predictor.val_samples",
+            Box::new(|c| c.predictor.val_samples += 1),
+        ),
+        ("predictor.epochs", Box::new(|c| c.predictor.epochs += 1)),
+        ("predictor.lr", Box::new(|c| c.predictor.lr *= 2.0)),
+        (
+            "predictor.gcn_dims",
+            Box::new(|c| c.predictor.gcn_dims.push(8)),
+        ),
+        (
+            "predictor.mlp_hidden",
+            Box::new(|c| c.predictor.mlp_hidden.clear()),
+        ),
+        ("predictor.seed", Box::new(|c| c.predictor.seed ^= 1)),
+        (
+            "predictor.global_node",
+            Box::new(|c| c.predictor.global_node ^= true),
+        ),
+        ("predictor.batch", Box::new(|c| c.predictor.batch += 1)),
+        ("eval_clouds", Box::new(|c| c.eval_clouds += 1)),
+        ("seed", Box::new(|c| c.seed ^= 1)),
+    ];
+    let mut seen = std::collections::BTreeMap::new();
+    for (field, edit) in &edits {
+        let mut c = base.clone();
+        edit(&mut c);
+        let moved = fp(&c);
+        assert_ne!(moved, baseline, "{field} must move the search fingerprint");
+        if let Some(other) = seen.insert(moved, *field) {
+            panic!("{field} and {other} collide");
+        }
     }
-    // …and the same struct after renaming both fields: only tags and
-    // values feed the hasher, so the fingerprint cannot move.
-    fn hash_with_new_names(pop_size: u64, elitism: f64) -> u64 {
-        let mut h = FieldHasher::new("demo");
-        h.uint(1, pop_size);
-        h.float64(2, elitism);
-        h.finish()
+
+    // The thread budget is bit-transparent: it must not re-key anything.
+    let mut c = base.clone();
+    c.eval_threads += 7;
+    assert_eq!(fp(&c), baseline, "eval_threads must not move the key");
+
+    // Option presence is part of the encoding: None differs from Some(0.0)
+    // for every optional cap.
+    let caps: [fn(&mut SearchConfig) -> &mut Option<f64>; 4] = [
+        |c| &mut c.constraint_ms,
+        |c| &mut c.max_size_mb,
+        |c| &mut c.max_energy_mj,
+        |c| &mut c.max_peak_mem_mb,
+    ];
+    for cap in caps {
+        let (mut none, mut zero) = (base.clone(), base.clone());
+        *cap(&mut none) = None;
+        *cap(&mut zero) = Some(0.0);
+        assert_ne!(fp(&none), fp(&zero), "None must differ from Some(0.0)");
     }
-    assert_eq!(
-        hash_with_old_names(24, 0.25),
-        hash_with_new_names(24, 0.25),
-        "a pure rename must not invalidate stored artifacts"
-    );
 
-    // Adding a field changes the fingerprint even at a "default" value…
-    let mut h = FieldHasher::new("demo");
-    h.uint(1, 24);
-    h.float64(2, 0.25);
-    h.uint(3, 0);
-    assert_ne!(h.finish(), hash_with_old_names(24, 0.25));
-
-    // …as does re-tagging the same value, a type change at the same tag,
-    // or the same fields under another domain.
-    let mut h = FieldHasher::new("demo");
-    h.uint(4, 24);
-    h.float64(2, 0.25);
-    assert_ne!(h.finish(), hash_with_old_names(24, 0.25));
-    let mut h = FieldHasher::new("demo");
-    h.uint(1, 24);
-    h.float32(2, 0.25);
-    assert_ne!(h.finish(), hash_with_old_names(24, 0.25));
-    let mut h = FieldHasher::new("other");
-    h.uint(1, 24);
-    h.float64(2, 0.25);
-    assert_ne!(h.finish(), hash_with_old_names(24, 0.25));
-
-    // Option presence is a field of its own: None hashes differently
-    // from an absent field and from Some(0.0).
-    let absent = {
-        let mut h = FieldHasher::new("demo");
-        h.uint(1, 1);
-        h.finish()
+    // Domains separate keys over the same inputs: the prefix key is never
+    // the search key, and a calibrated persona re-keys the predictor while
+    // a persona naming the builtin profile keeps the device-keyed one.
+    assert_ne!(hgnas_fleet::prefix_fingerprint(&task, &base), baseline);
+    let ctx = task.predictor_context();
+    let plain = predictor_fingerprint(&ctx, &base.predictor);
+    let builtin = persona(DeviceProfile::builtin(DeviceKind::JetsonTx2));
+    let mut calibrated = builtin.clone();
+    calibrated.profile.overhead_us *= 1.5;
+    let with = |p: &DevicePersona| {
+        hgnas_fleet::persona_predictor_fingerprint(&ctx, &base.predictor, Some(p))
     };
-    let none = {
-        let mut h = FieldHasher::new("demo");
-        h.uint(1, 1);
-        h.opt_float64(2, None);
-        h.finish()
-    };
-    let some_zero = {
-        let mut h = FieldHasher::new("demo");
-        h.uint(1, 1);
-        h.opt_float64(2, Some(0.0));
-        h.finish()
-    };
-    assert_ne!(absent, none);
-    assert_ne!(none, some_zero);
+    assert_eq!(with(&builtin), plain);
+    assert_ne!(with(&calibrated), plain);
 }
