@@ -52,8 +52,9 @@ pub use eval::{CandidateScorer, EvalStats, Evaluator};
 pub use objective::{CandidateMetrics, Objective};
 pub use pareto::{pareto_front, pareto_front_nd};
 pub use search::{
-    Checkpoint, Hgnas, JointGenome, LatencyMode, MeasureBackend, OneStageCheckpoint, PrefixParams,
-    PretrainedPredictor, RunOptions, RunOutput, ScoredCandidate, SearchCheckpoint, SearchConfig,
-    SearchOutcome, SearchedModel, SessionSnapshot, SessionState, Strategy, TaskConfig, TaskError,
+    Checkpoint, ConfigError, Hgnas, JointGenome, LatencyMode, MeasureBackend, OneStageCheckpoint,
+    PrefixParams, PretrainedPredictor, RunOptions, RunOutput, ScoredCandidate, SearchCheckpoint,
+    SearchConfig, SearchOutcome, SearchedModel, SessionSnapshot, SessionState, Strategy,
+    TaskConfig, TaskError,
 };
 pub use supernet::Supernet;

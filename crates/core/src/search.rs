@@ -391,7 +391,93 @@ impl SearchConfig {
             None => self.device.name().to_string(),
         }
     }
+
+    /// Checks the settings a search would otherwise panic on: an empty EA
+    /// population, a mutation probability outside `[0, 1]` (or NaN), and
+    /// a persona based on another device kind than `device`.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (stage, ea) in [(1, &self.ea_stage1), (2, &self.ea_stage2)] {
+            if ea.population == 0 {
+                return Err(ConfigError::EmptyPopulation { stage });
+            }
+            if !(0.0..=1.0).contains(&ea.mutation_prob) {
+                return Err(ConfigError::MutationProb {
+                    stage,
+                    p: ea.mutation_prob,
+                });
+            }
+        }
+        match &self.persona {
+            Some(p) if p.base_kind() != self.device => Err(ConfigError::PersonaDevice {
+                persona: p.name.clone(),
+                base: p.base_kind(),
+                device: self.device,
+            }),
+            _ => Ok(()),
+        }
+    }
 }
+
+/// Why a [`SearchConfig`] cannot be searched (see
+/// [`SearchConfig::validate`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// An EA needs at least one genome per generation.
+    EmptyPopulation {
+        /// The search stage (1 or 2) whose EA is empty.
+        stage: u8,
+    },
+    /// The probability that a child comes from mutation must lie in
+    /// `[0, 1]`.
+    MutationProb {
+        /// The search stage (1 or 2).
+        stage: u8,
+        /// The configured probability.
+        p: f64,
+    },
+    /// A persona must be based on the configured device kind
+    /// ([`SearchConfig::with_persona`] keeps them aligned).
+    PersonaDevice {
+        /// The persona's name.
+        persona: String,
+        /// The device kind the persona is based on.
+        base: DeviceKind,
+        /// The configured device.
+        device: DeviceKind,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::EmptyPopulation { stage } => {
+                write!(f, "stage-{stage} EA population must be at least 1")
+            }
+            ConfigError::MutationProb { stage, p } => {
+                write!(
+                    f,
+                    "stage-{stage} mutation probability {p} must be in [0, 1]"
+                )
+            }
+            ConfigError::PersonaDevice {
+                persona,
+                base,
+                device,
+            } => write!(
+                f,
+                "persona '{persona}' is based on {} but the device is {}",
+                base.name(),
+                device.name()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// The deterministic-prefix inputs of a [`SearchConfig`] — what
 /// [`SearchConfig::prefix_params`] extracts. Field inventory, and why

@@ -629,6 +629,45 @@ fn corrupt_and_truncated_artifacts_are_rejected() {
     );
 }
 
+/// A CRC-valid session artifact whose tensor dims multiply past
+/// `usize::MAX` is a decode error, not an overflow panic (debug) or a
+/// wrapped element count that passes the check (release).
+#[test]
+fn overflowing_tensor_dims_are_rejected() {
+    let temp = TempStore::new("tensor-overflow");
+    let store = temp.open();
+    let key = hgnas_fleet::PrefixKey { fingerprint: 0x0f };
+    let functions = hgnas_ops::FunctionSet::dgcnn_like(64);
+    let snap = hgnas_core::SessionSnapshot {
+        functions: (functions, functions),
+        stage1_stats: hgnas_core::EvalStats::default(),
+        clock_ms: 1.0,
+        weights: vec![hgnas_tensor::Tensor::from_vec(vec![0.5], &[1])],
+    };
+    let path = store.save_session(&key, &snap).expect("save");
+    assert!(store.load_session(&key).expect("load").is_some());
+
+    // Keep everything up to the one tensor (its dims length, one dim,
+    // element count and one f32, then the CRC end the file), then write
+    // dims [2^33, 2^33] with element count 0 (the wrapped product) and
+    // re-seal the CRC.
+    let pristine = std::fs::read(&path).expect("read artifact");
+    let tensor_at = pristine.len() - 4 - (8 + 8 + 8 + 4);
+    let mut bad = pristine[..tensor_at].to_vec();
+    for word in [2u64, 1 << 33, 1 << 33, 0] {
+        bad.extend_from_slice(&word.to_le_bytes());
+    }
+    let crc = hgnas_fleet::codec::crc32(&bad);
+    bad.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bad).expect("write crafted artifact");
+    match store.load_session(&key) {
+        Err(StoreError::Codec(hgnas_fleet::CodecError::Invalid(what))) => {
+            assert_eq!(what, "tensor element count");
+        }
+        other => panic!("overflowing tensor dims accepted: {other:?}"),
+    }
+}
+
 /// A one-stage fleet now enjoys the full artifact story: Pareto fronts
 /// from the joint cache, predictor warm starts, and checkpoint resume at
 /// the final generation on the second run.

@@ -397,13 +397,22 @@ fn conn_loop(
                         reject(0, "submit names no devices or scenarios");
                         continue;
                     }
-                    // Every task the request names is checked before it
-                    // can reach the engine that holds everyone's sessions.
+                    // Every task and search config the request names is
+                    // checked before it can reach the engine that holds
+                    // everyone's sessions (each shard's config, so a
+                    // persona meets the device its shard overrides).
                     let invalid = std::iter::once(&task)
                         .chain(specs.iter().map(|s| &s.task))
-                        .find_map(|t| t.validate().err());
-                    if let Some(e) = invalid {
-                        reject(0, &format!("invalid task: {e}"));
+                        .find_map(|t| t.validate().err())
+                        .map(|e| format!("invalid task: {e}"))
+                        .or_else(|| {
+                            std::iter::once(&config)
+                                .chain(specs.iter().map(|s| &s.config))
+                                .find_map(|c| c.validate().err())
+                                .map(|e| format!("invalid search config: {e}"))
+                        });
+                    if let Some(reason) = invalid {
+                        reject(0, &reason);
                         continue;
                     }
                     let request_id = shared.next_request.fetch_add(1, Ordering::SeqCst);

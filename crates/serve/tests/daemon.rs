@@ -140,6 +140,60 @@ fn invalid_task_is_rejected_and_the_daemon_keeps_serving() {
     server.shutdown();
 }
 
+/// A search config the search would panic on — an empty EA population,
+/// a mutation probability outside `[0, 1]` or NaN, a persona based on
+/// another device kind — is rejected at submit, as the request config or
+/// as a scenario's, before it can kill the engine thread every tenant
+/// shares; a healthy request on the same daemon still gets its report.
+#[test]
+fn invalid_search_config_is_rejected_and_the_daemon_keeps_serving() {
+    use hgnas_device::{DevicePersona, DeviceProfile};
+    let temp = TempStore::new("invalid-config");
+    let server = Server::start(temp.open(), serve_config());
+    let mut client = server.connect();
+    client.hello("grace", 1, TICK).unwrap();
+    let cfg = tiny_config(DeviceKind::JetsonTx2);
+    let edits: [(&str, fn(&mut SearchConfig)); 5] = [
+        ("population", |c| c.ea_stage1.population = 0),
+        ("population", |c| c.ea_stage2.population = 0),
+        ("mutation probability", |c| c.ea_stage2.mutation_prob = 1.5),
+        ("mutation probability", |c| {
+            c.ea_stage1.mutation_prob = f64::NAN
+        }),
+        ("persona", |c| {
+            c.persona = Some(DevicePersona {
+                name: "pi".into(),
+                profile: DeviceProfile::builtin(DeviceKind::RaspberryPi3B),
+            })
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut bad = cfg.clone();
+        edit(&mut bad);
+        let expect_rejected = |r: Result<(u64, usize), ClientError>| match r {
+            Err(ClientError::Rejected { request_id, reason }) => {
+                assert_eq!(request_id, 0, "rejected before a request id exists");
+                assert!(reason.contains(what), "{reason}");
+            }
+            other => panic!("expected the bad {what} rejected, got {other:?}"),
+        };
+        let task = TaskConfig::tiny(1);
+        expect_rejected(client.submit(&task, &bad, &[DeviceKind::JetsonTx2], TICK));
+        let scenario = ScenarioSpec::new("bad-config", task.clone(), bad);
+        expect_rejected(client.submit_scenarios(&task, &cfg, &[scenario], TICK));
+    }
+
+    let (request, shards) = client
+        .submit(&TaskConfig::tiny(62), &cfg, &[DeviceKind::JetsonTx2], TICK)
+        .unwrap();
+    assert_eq!(shards, 1);
+    let report = client.wait_report(request, SEARCH, |_, _| {}).unwrap();
+    assert_eq!(report.shards.len(), 1);
+    assert!(!report.shards[0].outcome.best.genome.is_empty());
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn undecodable_frame_is_rejected_and_connection_dropped() {
     let temp = TempStore::new("garbage");
