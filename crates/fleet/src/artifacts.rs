@@ -702,8 +702,9 @@ wire_struct! {
     EaSnapshot<G> { rng, scored, best, evaluations, history, generation }
 }
 
-/// A tensor: its dims, element count and elements. The count is checked
-/// against the dims' product, which must not overflow.
+/// A tensor: its dims, element count and elements. Every dim must be
+/// positive (as `Tensor` requires), and the count must equal the dims'
+/// product, which must not overflow.
 impl Wire for Tensor {
     fn put(&self, s: &mut impl Sink) {
         self.dims().put(s);
@@ -713,6 +714,9 @@ impl Wire for Tensor {
     fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let dims = Vec::<usize>::take(d)?;
         let n = usize::take(d)?;
+        if dims.contains(&0) {
+            return Err(CodecError::Invalid("zero tensor dimension"));
+        }
         if dims.iter().try_fold(1usize, |a, &b| a.checked_mul(b)) != Some(n) {
             return Err(CodecError::Invalid("tensor element count"));
         }

@@ -631,7 +631,8 @@ fn corrupt_and_truncated_artifacts_are_rejected() {
 
 /// A CRC-valid session artifact whose tensor dims multiply past
 /// `usize::MAX` is a decode error, not an overflow panic (debug) or a
-/// wrapped element count that passes the check (release).
+/// wrapped element count that passes the check (release); so is a zero
+/// dim, which `Tensor` itself would panic on.
 #[test]
 fn overflowing_tensor_dims_are_rejected() {
     let temp = TempStore::new("tensor-overflow");
@@ -649,22 +650,27 @@ fn overflowing_tensor_dims_are_rejected() {
 
     // Keep everything up to the one tensor (its dims length, one dim,
     // element count and one f32, then the CRC end the file), then write
-    // dims [2^33, 2^33] with element count 0 (the wrapped product) and
-    // re-seal the CRC.
+    // two dims with element count 0 (the wrapped product of 2^33 · 2^33)
+    // and re-seal the CRC.
     let pristine = std::fs::read(&path).expect("read artifact");
     let tensor_at = pristine.len() - 4 - (8 + 8 + 8 + 4);
-    let mut bad = pristine[..tensor_at].to_vec();
-    for word in [2u64, 1 << 33, 1 << 33, 0] {
-        bad.extend_from_slice(&word.to_le_bytes());
-    }
-    let crc = hgnas_fleet::codec::crc32(&bad);
-    bad.extend_from_slice(&crc.to_le_bytes());
-    std::fs::write(&path, &bad).expect("write crafted artifact");
-    match store.load_session(&key) {
-        Err(StoreError::Codec(hgnas_fleet::CodecError::Invalid(what))) => {
-            assert_eq!(what, "tensor element count");
+    for (dims, why) in [
+        ([1u64 << 33, 1 << 33], "tensor element count"),
+        ([0, 4], "zero tensor dimension"),
+    ] {
+        let mut bad = pristine[..tensor_at].to_vec();
+        for word in [2, dims[0], dims[1], 0] {
+            bad.extend_from_slice(&word.to_le_bytes());
         }
-        other => panic!("overflowing tensor dims accepted: {other:?}"),
+        let crc = hgnas_fleet::codec::crc32(&bad);
+        bad.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bad).expect("write crafted artifact");
+        match store.load_session(&key) {
+            Err(StoreError::Codec(hgnas_fleet::CodecError::Invalid(what))) => {
+                assert_eq!(what, why);
+            }
+            other => panic!("tensor dims {dims:?} accepted: {other:?}"),
+        }
     }
 }
 
