@@ -19,7 +19,10 @@
 //! is how the search built it in the first place), which keeps
 //! checkpoints compact. One candidate codec, generic over the genome,
 //! serves Stage-2 op genomes — which share the artifact's function-set
-//! pair — and one-stage joint genomes, which carry their own.
+//! pair — and one-stage joint genomes, which carry their own. To add a
+//! field, append it to its type's list and bump
+//! [`crate::codec::VERSION`]; if the type feeds a fingerprint, bump
+//! [`FINGERPRINT_SCHEMA`] too.
 //!
 //! # Fingerprints: prefix, search, predictor
 //!
@@ -392,21 +395,18 @@ impl ArtifactStore {
         task: &TaskConfig,
         cp: &SearchCheckpoint,
     ) -> Result<PathBuf, StoreError> {
-        self.save(
-            &key.file_name("checkpoint"),
-            ArtifactKind::Checkpoint,
-            |e| {
-                (cp.seed, cp.device, task.k, task.classes()).put(e);
-                (cp.functions, cp.ea_config, cp.generation).put(e);
-                Stored::<Vec<OpType>>::store(&cp.ea, e);
-                cp.eval_stats.put(e);
-                Stored::<Vec<OpType>>::store(&cp.cache, e);
-                Stored::<Vec<OpType>>::store(&cp.warm_cache, e);
-                cp.clock_ms.put(e);
-                cp.history.put(e);
-                Stored::<Vec<OpType>>::store(&cp.best, e);
-            },
-        )
+        let name = key.file_name("checkpoint");
+        self.save(&name, ArtifactKind::Checkpoint, |e| {
+            (cp.seed, cp.device, task.k, task.classes()).put(e);
+            (cp.functions, cp.ea_config, cp.generation).put(e);
+            Stored::<Vec<OpType>>::store(&cp.ea, e);
+            cp.eval_stats.put(e);
+            Stored::<Vec<OpType>>::store(&cp.cache, e);
+            Stored::<Vec<OpType>>::store(&cp.warm_cache, e);
+            cp.clock_ms.put(e);
+            cp.history.put(e);
+            Stored::<Vec<OpType>>::store(&cp.best, e);
+        })
     }
 
     /// Loads a search checkpoint if the slot holds one.
@@ -418,29 +418,26 @@ impl ArtifactStore {
         &self,
         key: &ArtifactKey,
     ) -> Result<Option<SearchCheckpoint>, StoreError> {
-        self.load(
-            &key.file_name("checkpoint"),
-            ArtifactKind::Checkpoint,
-            |d| {
-                let (seed, device, k, classes) = Wire::take(d)?;
-                let (functions, ea_config, generation) = Wire::take(d)?;
-                let geo = Geometry::new(k, classes, Some(functions));
-                Ok(SearchCheckpoint {
-                    seed,
-                    device,
-                    functions,
-                    ea_config,
-                    generation,
-                    ea: Stored::<Vec<OpType>>::load(d, &geo)?,
-                    eval_stats: Wire::take(d)?,
-                    cache: Stored::<Vec<OpType>>::load(d, &geo)?,
-                    warm_cache: Stored::<Vec<OpType>>::load(d, &geo)?,
-                    clock_ms: Wire::take(d)?,
-                    history: Wire::take(d)?,
-                    best: Stored::<Vec<OpType>>::load(d, &geo)?,
-                })
-            },
-        )
+        let name = key.file_name("checkpoint");
+        self.load(&name, ArtifactKind::Checkpoint, |d| {
+            let (seed, device, k, classes) = Wire::take(d)?;
+            let (functions, ea_config, generation) = Wire::take(d)?;
+            let geo = Geometry::new(k, classes, Some(functions));
+            Ok(SearchCheckpoint {
+                seed,
+                device,
+                functions,
+                ea_config,
+                generation,
+                ea: Stored::<Vec<OpType>>::load(d, &geo)?,
+                eval_stats: Wire::take(d)?,
+                cache: Stored::<Vec<OpType>>::load(d, &geo)?,
+                warm_cache: Stored::<Vec<OpType>>::load(d, &geo)?,
+                clock_ms: Wire::take(d)?,
+                history: Wire::take(d)?,
+                best: Stored::<Vec<OpType>>::load(d, &geo)?,
+            })
+        })
     }
 
     /// Persists a one-stage (joint baseline) checkpoint. The counterpart
@@ -884,14 +881,14 @@ impl<G: Genome> Stored<G> for (G, ScoredCandidate) {
     fn store(&self, s: &mut impl Sink) {
         let (genome, c) = self;
         genome.put(s);
-        let scores = (c.score, c.accuracy, c.latency_ms, c.cost_ms, c.valid);
-        (scores, c.energy_mj, c.peak_mem_mb).put(s);
+        (c.score, c.accuracy, c.latency_ms, c.cost_ms, c.valid).put(s);
+        (c.energy_mj, c.peak_mem_mb).put(s);
     }
 
     fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError> {
         let genome = G::take(d)?;
-        let ((score, accuracy, latency_ms, cost_ms, valid), energy_mj, peak_mem_mb) =
-            Wire::take(d)?;
+        let (score, accuracy, latency_ms, cost_ms, valid) = Wire::take(d)?;
+        let (energy_mj, peak_mem_mb) = Wire::take(d)?;
         let (_, architecture) = geo.rebuild(&genome)?;
         let candidate = ScoredCandidate {
             architecture,

@@ -618,8 +618,6 @@ wire_tuple! {
     (A 0, B 1, C 2)
     (A 0, B 1, C 2, D 3)
     (A 0, B 1, C 2, D 3, E 4)
-    (A 0, B 1, C 2, D 3, E 4, F 5)
-    (A 0, B 1, C 2, D 3, E 4, F 5, G 6)
 }
 
 // ---- code tables ---------------------------------------------------------
@@ -666,7 +664,7 @@ impl Wire for TaskKind {
 /// (stable protocol numbers, never the compiler's discriminants), each
 /// followed by the variant's fields in wire order:
 ///
-/// ```ignore
+/// ```text
 /// wire_enum! {
 ///     SessionAction: "session action code" {
 ///         Built = 0 {},

@@ -36,9 +36,11 @@
 //!   paper's Table 1 shape). [`shard_specs`] turns a device list or
 //!   scenario list into shards for both the driver and the daemon.
 //! - [`artifacts`] + [`codec`]: the **cross-run artifact store** — a small
-//!   versioned binary codec (no serde; the shims stay offline) persisting
-//!   predictor weights, evaluator score caches and search checkpoints
-//!   (multi-stage *and* one-stage), so a killed search resumes
+//!   versioned binary codec (no serde; the shims stay offline) in which
+//!   every persisted, sent or fingerprinted type is described once
+//!   ([`codec::Wire`]), persisting predictor weights, evaluator score
+//!   caches and search checkpoints (multi-stage *and* one-stage), so a
+//!   killed search resumes
 //!   bit-identically, a second run on the same device skips predictor
 //!   training entirely, and a later run can warm-start its evaluator from
 //!   a prior run's score cache (`eval_stats.imported`) without changing

@@ -228,11 +228,15 @@ wire_enum! {
 impl Wire for WireShardReport {
     fn put(&self, s: &mut impl Sink) {
         self.scenario.put(s);
-        (self.k, self.out_classes, self.device).put(s);
+        self.k.put(s);
+        self.out_classes.put(s);
+        self.device.put(s);
         self.outcome.store(s);
         self.pareto.put(s);
-        (self.warm_predictor, self.resumed_from_generation).put(s);
-        (self.slices, self.prefix_builds).put(s);
+        self.warm_predictor.put(s);
+        self.resumed_from_generation.put(s);
+        self.slices.put(s);
+        self.prefix_builds.put(s);
     }
 
     fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
@@ -261,8 +265,10 @@ impl Stored<JointGenome> for SearchOutcome {
         self.history.put(s);
         self.search_hours.put(s);
         self.predictor_stats.put(s);
-        (self.eval_stats, self.stage1_stats).put(s);
-        (self.reference_ms, self.constraint_ms).put(s);
+        self.eval_stats.put(s);
+        self.stage1_stats.put(s);
+        self.reference_ms.put(s);
+        self.constraint_ms.put(s);
     }
 
     fn load(d: &mut Decoder<'_>, geo: &Geometry) -> Result<Self, CodecError> {

@@ -153,7 +153,8 @@ fn invalid_search_config_is_rejected_and_the_daemon_keeps_serving() {
     let mut client = server.connect();
     client.hello("grace", 1, TICK).unwrap();
     let cfg = tiny_config(DeviceKind::JetsonTx2);
-    let edits: [(&str, fn(&mut SearchConfig)); 5] = [
+    type Edit = fn(&mut SearchConfig);
+    let edits: [(&str, Edit); 5] = [
         ("population", |c| c.ea_stage1.population = 0),
         ("population", |c| c.ea_stage2.population = 0),
         ("mutation probability", |c| c.ea_stage2.mutation_prob = 1.5),
