@@ -942,3 +942,96 @@ impl<G: Genome> Stored<G> for EaSnapshot<G> {
         Ok(ea)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Encodes `value` into a sealed artifact and decodes it back as a `T`.
+    fn reload<T>(
+        put: impl FnOnce(&mut Encoder),
+        take: impl FnOnce(&mut Decoder<'_>) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        let mut e = Encoder::new(ArtifactKind::Checkpoint);
+        put(&mut e);
+        let bytes = e.finish();
+        take(&mut Decoder::open(&bytes, ArtifactKind::Checkpoint)?)
+    }
+
+    fn candidate(genome: Vec<OpType>) -> (Vec<OpType>, ScoredCandidate) {
+        let fs = FunctionSet::dgcnn_like(32);
+        let arch = Architecture::from_genome(&[OpType::ALL[0]], fs, fs, 4, 3);
+        let c = ScoredCandidate {
+            architecture: arch,
+            score: 0.5,
+            accuracy: 0.25,
+            latency_ms: 1.0,
+            cost_ms: 2.0,
+            valid: true,
+            energy_mj: None,
+            peak_mem_mb: Some(-0.0),
+        };
+        (genome, c)
+    }
+
+    #[test]
+    fn candidates_rebuild_their_architecture_and_reject_empty_genomes() {
+        let fs = FunctionSet::dgcnn_like(32);
+        let genome = vec![OpType::ALL[0], OpType::ALL[2], OpType::ALL[1]];
+        let entries = vec![candidate(genome.clone())];
+        let geo = Geometry::new(4, 3, Some((fs, fs)));
+        let back: Vec<(Vec<OpType>, ScoredCandidate)> = reload(
+            |e| Stored::<Vec<OpType>>::store(&entries, e),
+            |d| Stored::<Vec<OpType>>::load(d, &geo),
+        )
+        .unwrap();
+        let arch = Architecture::from_genome(&genome, fs, fs, 4, 3);
+        assert_eq!(back[0].1.architecture, arch);
+
+        let empty = vec![candidate(Vec::new())];
+        let got: Result<Vec<(Vec<OpType>, ScoredCandidate)>, _> = reload(
+            |e| Stored::<Vec<OpType>>::store(&empty, e),
+            |d| Stored::<Vec<OpType>>::load(d, &geo),
+        );
+        assert_eq!(got.unwrap_err(), CodecError::Invalid("empty genome"));
+
+        for (k, classes) in [(0, 3), (4, 0)] {
+            let got: Result<Vec<(Vec<OpType>, ScoredCandidate)>, _> = reload(
+                |e| Stored::<Vec<OpType>>::store(&entries, e),
+                |d| Stored::<Vec<OpType>>::load(d, &Geometry::new(k, classes, Some((fs, fs)))),
+            );
+            assert_eq!(
+                got.unwrap_err(),
+                CodecError::Invalid("zero k or class count")
+            );
+        }
+    }
+
+    #[test]
+    fn ea_snapshots_reject_empty_genomes_and_all_zero_rng_state() {
+        use rand::SeedableRng;
+        let fs = FunctionSet::dgcnn_like(32);
+        let geo = Geometry::new(4, 3, None);
+        let ea = |best: Vec<OpType>| EaSnapshot::<JointGenome> {
+            rng: StdRng::seed_from_u64(7),
+            scored: vec![((fs, fs, vec![OpType::ALL[1]]), 0.5)],
+            best: ((fs, fs, best), 0.5),
+            evaluations: 1,
+            history: vec![(1, 0.5)],
+            generation: 0,
+        };
+        let load = |snap: &EaSnapshot<JointGenome>| {
+            reload(
+                |e| Stored::<JointGenome>::store(snap, e),
+                |d| <EaSnapshot<JointGenome> as Stored<JointGenome>>::load(d, &geo),
+            )
+        };
+        assert!(load(&ea(vec![OpType::ALL[3]])).is_ok());
+        assert_eq!(
+            load(&ea(Vec::new())).unwrap_err(),
+            CodecError::Invalid("empty genome")
+        );
+        let zero = reload(|e| [0u64; 4].put(e), StdRng::take);
+        assert_eq!(zero.unwrap_err(), CodecError::Invalid("all-zero rng state"));
+    }
+}
