@@ -187,10 +187,10 @@ impl PrefixKey {
 pub const FINGERPRINT_SCHEMA: u16 = 3;
 
 /// FNV-1a over `domain`, [`FINGERPRINT_SCHEMA`] and whatever `fold`
-/// writes. The domain is length-prefixed like any string, so equal
-/// encodings in different domains never collide by construction.
+/// writes. The domain is length-prefixed like any string, so one encoding
+/// under two domains is two different inputs to the hash.
 fn fingerprint(domain: &str, fold: impl FnOnce(&mut Fnv1a)) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = Fnv1a::default();
     domain.put(&mut h);
     FINGERPRINT_SCHEMA.put(&mut h);
     fold(&mut h);

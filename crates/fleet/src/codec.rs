@@ -433,21 +433,17 @@ impl<'a> Decoder<'a> {
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
-impl Fnv1a {
+impl Default for Fnv1a {
     /// The FNV-1a offset basis.
-    pub fn new() -> Self {
+    fn default() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// The hash of everything folded so far.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
+impl Fnv1a {
+    /// The hash of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -462,7 +458,7 @@ impl Sink for Fnv1a {
 
 /// FNV-1a 64-bit hash of `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = Fnv1a::default();
     h.bytes(bytes);
     h.finish()
 }
