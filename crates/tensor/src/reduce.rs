@@ -1,23 +1,25 @@
 //! Axis reductions with argument tracking.
 //!
-//! The GNN executor reduces neighbour messages — `[n·k, c]` rows, `k`
-//! consecutive rows per node — over each node's `k` rows, and pools
-//! per-cloud node features `[n, c]` over the rows. Max/min reductions also
-//! return the winning indices so that the autograd layer can route
-//! gradients.
+//! The GNN executor reduces each node's `k` neighbour messages to one row,
+//! and pools per-cloud node features `[n, c]` over the rows. Max/min
+//! reductions also return the winning indices so that the autograd layer
+//! can route gradients.
 //!
-//! Both entry points, [`reduce_row_groups`] and [`segment_reduce_rows`],
-//! reduce contiguous row blocks through one loop over the lane kernels in
-//! [`crate::simd`]: sum/mean accumulate rows with
-//! `add_assign` (then `scale` for the mean), max/min run
+//! Every reduction here runs one per-block body, [`reduce_block`], over the
+//! lane kernels in [`crate::simd`]: sum/mean accumulate rows with
+//! `add_assign` from `+0.0` (then `scale` for the mean), max/min run
 //! [`simd::arg_extremum_rows`], which keeps the running winner and its row
 //! index in registers across a block's rows. Both kernels are elementwise
 //! over the feature axis, so every value and winner index is independent
-//! of the lane path. The arg-tracked max is the aggregation of EdgeConv
-//! and of most searched GNN layers; with KNN sampling it is among the
-//! costliest steps of a supernet train epoch on CPU, in line with the
-//! paper's Fig. 3 finding that sample and aggregate, not the matmuls,
-//! dominate point-cloud GNN latency there.
+//! of the lane path. [`reduce_row_groups`] and [`segment_reduce_rows`]
+//! apply it to contiguous row blocks of a tensor; the autograd tape's fused
+//! edge aggregation applies it to one node's `k` messages at a time, built
+//! in a `k`-row scratch block, so the edge path never holds an `[n·k, c]`
+//! message tensor. The arg-tracked max is the aggregation of EdgeConv and
+//! of most searched GNN layers; with KNN sampling it is among the costliest
+//! steps of a supernet train epoch on CPU, in line with the paper's Fig. 3
+//! finding that sample and aggregate, not the matmuls, dominate point-cloud
+//! GNN latency there.
 
 use crate::simd::{self, Extremum};
 use crate::Tensor;
@@ -67,9 +69,47 @@ impl std::fmt::Display for Reduction {
     }
 }
 
+/// Reduces one row-major block of `rows.len() / out.len()` rows into
+/// `out`: sum/mean fold the rows into `out` from `+0.0` with `add_assign`
+/// (then `scale` by `1/rows` for the mean); max/min keep each column's
+/// first strict winner and write its row index to `args`, which sum/mean
+/// leave alone. The per-block body of every reduction here and of the
+/// autograd tape's fused edge aggregation.
+///
+/// # Panics
+///
+/// Panics if `out` is empty, `rows` is not a non-zero multiple of
+/// `out.len()` floats, or (max/min) `args` differs from `out` in length.
+pub fn reduce_block(rows: &[f32], how: Reduction, out: &mut [f32], args: &mut [usize]) {
+    let c = out.len();
+    assert!(
+        c > 0 && !rows.is_empty() && rows.len().is_multiple_of(c),
+        "reduce_block needs [len, {c}] rows with len >= 1, got {} floats",
+        rows.len()
+    );
+    match how {
+        Reduction::Sum | Reduction::Mean => {
+            out.fill(0.0);
+            for row in rows.chunks_exact(c) {
+                simd::add_assign(out, row);
+            }
+            if how == Reduction::Mean {
+                simd::scale(out, 1.0 / (rows.len() / c) as f32);
+            }
+        }
+        Reduction::Max | Reduction::Min => {
+            let which = if how == Reduction::Max {
+                Extremum::Max
+            } else {
+                Extremum::Min
+            };
+            simd::arg_extremum_rows(rows, which, out, args);
+        }
+    }
+}
+
 /// Reduces consecutive row blocks of a row-major buffer with `c` columns —
-/// block `b` spans the next `lens[b]` rows — to one output row each. The
-/// one loop behind every public reduction here.
+/// block `b` spans the next `lens[b]` rows — to one output row each.
 fn reduce_blocks(
     d: &[f32],
     c: usize,
@@ -87,26 +127,14 @@ fn reduce_blocks(
     }
     let mut row0 = 0usize;
     for (b, len) in lens.enumerate() {
-        let rows = &d[row0 * c..(row0 + len) * c];
-        let out = &mut values[b * c..(b + 1) * c];
-        match how {
-            Reduction::Sum | Reduction::Mean => {
-                for row in rows.chunks_exact(c) {
-                    simd::add_assign(out, row);
-                }
-                if how == Reduction::Mean {
-                    simd::scale(out, 1.0 / len as f32);
-                }
-            }
-            Reduction::Max | Reduction::Min => {
-                let which = if how == Reduction::Max {
-                    Extremum::Max
-                } else {
-                    Extremum::Min
-                };
-                simd::arg_extremum_rows(rows, which, out, &mut args[b * c..(b + 1) * c]);
-            }
-        }
+        // Sum/mean keep no args: an empty slice stands in for the block's.
+        let block_args = args.get_mut(b * c..(b + 1) * c).unwrap_or_default();
+        reduce_block(
+            &d[row0 * c..(row0 + len) * c],
+            how,
+            &mut values[b * c..(b + 1) * c],
+            block_args,
+        );
         row0 += len;
     }
     (values, args)
