@@ -8,11 +8,12 @@
 //! reads gradients back out.
 //!
 //! The op set is exactly what graph message passing needs: dense matmul,
-//! bias/elementwise arithmetic, activations, row gather/repeat/concat for
-//! edge-feature construction, arg-tracked reductions for neighbour
-//! aggregation and global pooling, and the two losses the paper uses
-//! (softmax cross-entropy for classification, MAPE for the latency
-//! predictor).
+//! bias/elementwise arithmetic, activations, a fused edge aggregation
+//! ([`Tape::edge_aggregate`]: message construction and neighbour
+//! reduction in one op), row gather/repeat/concat and arg-tracked
+//! reductions for the unfused form and global pooling, and the two losses
+//! the paper uses (softmax cross-entropy for classification, MAPE for the
+//! latency predictor).
 //!
 //! # Example
 //!
@@ -33,4 +34,4 @@ mod tape;
 
 pub use grad_check::{assert_grad_close, numerical_gradient};
 pub use hgnas_tensor::reduce::Reduction;
-pub use tape::{Tape, Var};
+pub use tape::{EdgeMessage, Tape, Var};

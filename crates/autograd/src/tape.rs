@@ -1,10 +1,28 @@
 //! The autograd tape: forward op recording and reverse-mode gradient flow.
+//!
+//! Neighbour aggregation has two forms. [`Tape::edge_aggregate`] is the one
+//! the supernet and the searched models run: one op builds each target
+//! node's `k` messages in a `k`-row scratch block and reduces the block
+//! with [`reduce_block`], so the edge path never builds an `[n·k, c]`
+//! tensor, forward or backward. The unfused ops it replaces —
+//! [`Tape::gather_rows`], [`Tape::repeat_rows`], [`Tape::sub`],
+//! [`Tape::row_norms`] / [`Tape::concat_cols`], [`Tape::reduce_mid`] — stay
+//! for EdgeConv (a linear layer sits between its message and its max), for
+//! the segmentation head, and as the fused op's test oracle.
+//!
+//! The fused op returns the chain's bits. Its backward replays the chain's
+//! per-element operations edge by edge and keeps the chain's accumulation
+//! order into `x`'s gradient: first the target-side fold (what the repeat
+//! node adds), then the source-side scatter in edge order (what the gather
+//! node adds). `crates/autograd/tests/edge_aggregate.rs` pins both on both
+//! lane paths.
 
 use hgnas_tensor::kernels::{
     concat_cols, fold_rows, gather_rows, repeat_rows, row_norms, scatter_add_rows, split_cols,
 };
-use hgnas_tensor::reduce::{reduce_row_groups, segment_reduce_rows, Reduction};
+use hgnas_tensor::reduce::{reduce_block, reduce_row_groups, segment_reduce_rows, Reduction};
 use hgnas_tensor::{simd, Tensor};
+use std::sync::Arc;
 
 /// Handle to a value recorded on a [`Tape`].
 ///
@@ -23,6 +41,225 @@ impl Var {
 
 /// Epsilon guarding divisions in norm and MAPE backward passes.
 const EPS: f32 = 1e-8;
+
+/// The message [`Tape::edge_aggregate`] builds on the edge from a source
+/// node `j` to a target node `i`, from `ctr = x[i]`, `nbr = x[j]` and
+/// `rel = nbr − ctr` (the paper's Tab. I message functions).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EdgeMessage {
+    /// `nbr`.
+    Source,
+    /// `ctr`.
+    Target,
+    /// `rel`.
+    Rel,
+    /// `‖rel‖₂`, one column.
+    Distance,
+    /// `nbr ‖ rel`.
+    SourceRel,
+    /// `ctr ‖ rel`.
+    TargetRel,
+    /// `ctr ‖ nbr ‖ rel`.
+    Full,
+}
+
+/// Where `ctr`, `nbr` and `rel` sit in a concatenated message, as part
+/// indices: part `p` spans columns `p·c..(p+1)·c`.
+struct Parts {
+    ctr: Option<usize>,
+    nbr: Option<usize>,
+    rel: Option<usize>,
+}
+
+impl EdgeMessage {
+    /// All messages, in Tab. I order.
+    pub const ALL: [EdgeMessage; 7] = [
+        EdgeMessage::Source,
+        EdgeMessage::Target,
+        EdgeMessage::Rel,
+        EdgeMessage::Distance,
+        EdgeMessage::SourceRel,
+        EdgeMessage::TargetRel,
+        EdgeMessage::Full,
+    ];
+
+    /// Message width for `c`-wide node features.
+    pub fn width(self, c: usize) -> usize {
+        match self {
+            EdgeMessage::Source | EdgeMessage::Target | EdgeMessage::Rel => c,
+            EdgeMessage::Distance => 1,
+            EdgeMessage::SourceRel | EdgeMessage::TargetRel => 2 * c,
+            EdgeMessage::Full => 3 * c,
+        }
+    }
+
+    /// The concatenated parts. `Distance` has none: its one column is a
+    /// function of `rel`.
+    fn parts(self) -> Parts {
+        let (ctr, nbr, rel) = match self {
+            EdgeMessage::Source => (None, Some(0), None),
+            EdgeMessage::Target => (Some(0), None, None),
+            EdgeMessage::Rel => (None, None, Some(0)),
+            EdgeMessage::Distance => (None, None, None),
+            EdgeMessage::SourceRel => (None, Some(0), Some(1)),
+            EdgeMessage::TargetRel => (Some(0), None, Some(1)),
+            EdgeMessage::Full => (Some(0), Some(1), Some(2)),
+        };
+        Parts { ctr, nbr, rel }
+    }
+
+    /// Writes one edge's message into `row`, leaving `rel` (scratch, `c`
+    /// wide) holding `nbr − ctr` when the message reads it.
+    fn write(self, ctr: &[f32], nbr: &[f32], rel: &mut [f32], row: &mut [f32]) {
+        let c = ctr.len();
+        let parts = self.parts();
+        if self == EdgeMessage::Distance || parts.rel.is_some() {
+            rel.copy_from_slice(nbr);
+            simd::sub_assign(rel, ctr);
+        }
+        if self == EdgeMessage::Distance {
+            row[0] = simd::dot(rel, rel).sqrt();
+            return;
+        }
+        for (part, src) in [(parts.ctr, ctr), (parts.nbr, nbr), (parts.rel, &*rel)] {
+            if let Some(p) = part {
+                row[p * c..(p + 1) * c].copy_from_slice(src);
+            }
+        }
+    }
+
+    /// Splits one edge's message gradient `g` into the gradients of its
+    /// source row and its target row, returned as `(src, tgt)` slices of
+    /// `scratch` (`4·c` floats; `src` is stale for `Target`, `tgt` for
+    /// `Source`). Replays the unfused chain's per-element operations: the
+    /// concat split, `g·rel / max(‖rel‖, ε)` for the distance, the sub's
+    /// `scale(−1.0)` on the `rel` gradient, and each concat part first
+    /// with the `rel` term added to it.
+    fn backward<'s>(
+        self,
+        g: &[f32],
+        ctr: &[f32],
+        nbr: &[f32],
+        scratch: &'s mut [f32],
+    ) -> (&'s [f32], &'s [f32]) {
+        let c = ctr.len();
+        let (rel, rest) = scratch.split_at_mut(c);
+        let (neg, rest) = rest.split_at_mut(c);
+        let (src, tgt) = rest.split_at_mut(c);
+        let parts = self.parts();
+        let part = |p: usize| &g[p * c..(p + 1) * c];
+        let grel: Option<&[f32]> = if self == EdgeMessage::Distance {
+            rel.copy_from_slice(nbr);
+            simd::sub_assign(rel, ctr);
+            let nv = simd::dot(rel, rel).sqrt().max(EPS);
+            for r in rel.iter_mut() {
+                *r = g[0] * *r / nv;
+            }
+            Some(&*rel)
+        } else {
+            parts.rel.map(part)
+        };
+        if self != EdgeMessage::Target {
+            sum_into(src, parts.nbr.map(part), grel);
+        }
+        if self != EdgeMessage::Source {
+            let gneg = grel.map(|d| {
+                neg.copy_from_slice(d);
+                simd::scale(neg, -1.0);
+                &*neg
+            });
+            sum_into(tgt, parts.ctr.map(part), gneg);
+        }
+        (src, tgt)
+    }
+}
+
+/// `out = a + b` with `a` as the first operand, the order the chain
+/// accumulates a concat part and then the sub's term; a missing term is
+/// left out.
+fn sum_into(out: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>) {
+    match (a, b) {
+        (Some(a), Some(b)) => {
+            out.copy_from_slice(a);
+            simd::add_assign(out, b);
+        }
+        (Some(t), None) | (None, Some(t)) => out.copy_from_slice(t),
+        (None, None) => unreachable!("every edge side gets a concat part or a rel term"),
+    }
+}
+
+/// Writes the gradient of a `k`-row block that reduced to one row `g` into
+/// `block` (`[k, g.len()]`): every row gets `g` for a sum and `g·(1/k)` for
+/// a mean; for max/min each column's winning row (`args`) gets `g` and
+/// every other row `0.0`. Zero rows are written, not skipped, so whatever
+/// consumes the block sees the same `0.0` operands the chain does.
+fn expand_reduce_grad(g: &[f32], k: usize, how: Reduction, args: &[usize], block: &mut [f32]) {
+    let c = g.len();
+    match how {
+        Reduction::Sum | Reduction::Mean => {
+            block[..c].copy_from_slice(g);
+            if how == Reduction::Mean {
+                simd::scale(&mut block[..c], 1.0 / k as f32);
+            }
+            for r in 1..k {
+                block.copy_within(..c, r * c);
+            }
+        }
+        Reduction::Max | Reduction::Min => {
+            block.fill(0.0);
+            for (j, (&gj, &r)) in g.iter().zip(args).enumerate() {
+                block[r * c + j] = gj;
+            }
+        }
+    }
+}
+
+/// What the fused aggregation saves for its backward.
+struct EdgeAggregate {
+    x: Var,
+    neighbors: Arc<Vec<usize>>,
+    k: usize,
+    message: EdgeMessage,
+    how: Reduction,
+    /// Winner indices for max/min, empty for sum/mean.
+    args: Vec<usize>,
+}
+
+impl EdgeAggregate {
+    /// `x`'s gradient contributions from the output gradient `g`, as a
+    /// target-side fold (`None` for `Source`) and a source-side scatter
+    /// (`None` for `Target`): each a fresh zeroed `[n, c]` buffer that edge
+    /// rows are added to in edge order — what the chain's repeat and
+    /// gather nodes add.
+    fn backward(&self, x: &[f32], c: usize, g: &[f32]) -> (Option<Vec<f32>>, Option<Vec<f32>>) {
+        let (k, message) = (self.k, self.message);
+        let n = self.neighbors.len() / k;
+        let w = message.width(c);
+        let mut fold = (message != EdgeMessage::Source).then(|| vec![0.0f32; n * c]);
+        let mut scatter = (message != EdgeMessage::Target).then(|| vec![0.0f32; n * c]);
+        if w == 0 {
+            return (fold, scatter);
+        }
+        let mut block = vec![0.0f32; k * w];
+        let mut scratch = vec![0.0f32; 4 * c];
+        for i in 0..n {
+            let block_args = self.args.get(i * w..(i + 1) * w).unwrap_or_default();
+            expand_reduce_grad(&g[i * w..(i + 1) * w], k, self.how, block_args, &mut block);
+            let ctr = &x[i * c..(i + 1) * c];
+            let sources = &self.neighbors[i * k..(i + 1) * k];
+            for (ge, &j) in block.chunks_exact(w).zip(sources) {
+                let (src, tgt) = message.backward(ge, ctr, &x[j * c..(j + 1) * c], &mut scratch);
+                if let Some(fold) = &mut fold {
+                    simd::add_assign(&mut fold[i * c..(i + 1) * c], tgt);
+                }
+                if let Some(scatter) = &mut scatter {
+                    simd::add_assign(&mut scatter[j * c..(j + 1) * c], src);
+                }
+            }
+        }
+        (fold, scatter)
+    }
+}
 
 /// The recorded operation for one tape node, including everything the
 /// backward pass needs.
@@ -61,6 +298,8 @@ enum Op {
         how: Reduction,
         args: Vec<usize>,
     },
+    /// Fused neighbour aggregation (see [`Tape::edge_aggregate`]).
+    EdgeAggregate(EdgeAggregate),
     /// Segment pooling over rows with saved segment offsets and winner args.
     SegmentPool {
         x: Var,
@@ -148,6 +387,11 @@ impl Tape {
     }
 
     /// Returns the gradient of `v` if it was computed by [`Tape::backward`].
+    ///
+    /// After `backward`, gradients are kept for leaves ([`Tape::param`])
+    /// only: the sweep moves each intermediate node's gradient into its
+    /// op's backward instead of copying it, so `grad` of a non-leaf is
+    /// `None`.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -273,6 +517,76 @@ impl Tape {
                 how,
                 args: r.args,
             },
+            rg,
+        )
+    }
+
+    /// Neighbour aggregation in one op: for every target row `i` of the
+    /// `[n, c]` input, builds the messages of its `k` edges from the sources
+    /// `neighbors[i·k..(i+1)·k]` and reduces them with `how`, producing
+    /// `[n, message.width(c)]`. Returns the bits of the unfused chain
+    /// (`gather_rows`, `repeat_rows`, `sub`, `row_norms` or `concat_cols`,
+    /// then `reduce_mid`) and gives `x` the same gradient bits, without
+    /// building any `[n·k, c]` tensor: the forward allocates the output
+    /// (and the winner indices for max/min), the backward two `[n, c]`
+    /// accumulators and `k`-row scratch. The neighbour list is shared, not
+    /// copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not 2-D, `k == 0`, `neighbors` does not hold `k`
+    /// sources per row of `x`, or a source is out of bounds.
+    pub fn edge_aggregate(
+        &mut self,
+        x: Var,
+        neighbors: Arc<Vec<usize>>,
+        k: usize,
+        message: EdgeMessage,
+        how: Reduction,
+    ) -> Var {
+        let xt = self.value(x);
+        assert_eq!(xt.shape().rank(), 2, "edge_aggregate requires [n,c]");
+        let (n, c) = (xt.dims()[0], xt.dims()[1]);
+        assert!(
+            k > 0 && neighbors.len() == n * k,
+            "edge_aggregate: {} neighbors for {n} rows and k={k}",
+            neighbors.len()
+        );
+        let w = message.width(c);
+        let mut values = vec![0.0f32; n * w];
+        let mut args = match how {
+            Reduction::Max | Reduction::Min => vec![0usize; n * w],
+            Reduction::Sum | Reduction::Mean => Vec::new(),
+        };
+        if w > 0 {
+            let d = xt.data();
+            let mut block = vec![0.0f32; k * w];
+            let mut rel = vec![0.0f32; c];
+            for i in 0..n {
+                let ctr = &d[i * c..(i + 1) * c];
+                for (row, &j) in block
+                    .chunks_exact_mut(w)
+                    .zip(&neighbors[i * k..(i + 1) * k])
+                {
+                    assert!(j < n, "neighbor {j} out of bounds for {n} rows");
+                    message.write(ctr, &d[j * c..(j + 1) * c], &mut rel, row);
+                }
+                // Sum/mean keep no args: an empty slice stands in.
+                let block_args = args.get_mut(i * w..(i + 1) * w).unwrap_or_default();
+                reduce_block(&block, how, &mut values[i * w..(i + 1) * w], block_args);
+            }
+        }
+        let rg = self.requires(x);
+        self.push(
+            Tensor::from_vec(values, &[n, w]),
+            Op::EdgeAggregate(EdgeAggregate {
+                x,
+                neighbors,
+                k,
+                message,
+                how,
+                args,
+            }),
             rg,
         )
     }
@@ -427,7 +741,9 @@ impl Tape {
     }
 
     /// Runs the reverse sweep from `loss` (which must be scalar), populating
-    /// gradients for every node with `requires_grad`.
+    /// gradients for every leaf with `requires_grad`. Each intermediate
+    /// node's gradient is moved into its op's backward, not copied, so only
+    /// leaves keep theirs (see [`Tape::grad`]).
     ///
     /// # Panics
     ///
@@ -440,13 +756,15 @@ impl Tape {
         );
         self.nodes[loss.0].grad = Some(Tensor::full(self.nodes[loss.0].value.dims(), 1.0));
         for i in (0..=loss.0).rev() {
-            if !self.nodes[i].requires_grad {
+            // Leaves keep their gradient: optimizers read it after the sweep.
+            if !self.nodes[i].requires_grad || matches!(self.nodes[i].op, Op::Leaf) {
                 continue;
             }
-            let Some(gout) = self.nodes[i].grad.clone() else {
+            let Some(gout) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Take op context by reference; clone the small bits we need.
+            // Op context is borrowed; each arm computes its input gradients
+            // before accumulating them.
             match &self.nodes[i].op {
                 Op::Leaf => {}
                 Op::Matmul(a, b) => {
@@ -466,7 +784,7 @@ impl Tape {
                     for row in gout.data().chunks_exact(cols) {
                         simd::add_assign(&mut db, row);
                     }
-                    self.accumulate(x, gout.clone());
+                    self.accumulate(x, gout);
                     self.accumulate(bias, Tensor::from_vec(db, &[cols]));
                 }
                 Op::Add(a, b) => {
@@ -512,9 +830,7 @@ impl Tape {
                 }
                 Op::Gather(x, idx) => {
                     let x = *x;
-                    let n = self.value(x).dims()[0];
-                    let idx = idx.clone();
-                    let dx = scatter_add_rows(&gout, &idx, n);
+                    let dx = scatter_add_rows(&gout, idx, self.value(x).dims()[0]);
                     self.accumulate(x, dx);
                 }
                 Op::Repeat(x, k) => {
@@ -531,43 +847,32 @@ impl Tape {
                 }
                 Op::ReduceMid { x, k, how, args } => {
                     let (x, k, how) = (*x, *k, *how);
-                    let args = args.clone();
                     let (n, c) = (gout.dims()[0], gout.dims()[1]);
                     let mut dx = vec![0.0f32; n * k * c];
-                    match how {
-                        // Sum broadcast is a straight row copy; Mean scales
-                        // each row once (`g·inv`, same per-element bits as
-                        // scaling on every duplicate) and then copies it.
-                        Reduction::Sum => {
-                            for (i2, row) in gout.data().chunks_exact(c).enumerate() {
-                                for kk in 0..k {
-                                    dx[(i2 * k + kk) * c..(i2 * k + kk + 1) * c]
-                                        .copy_from_slice(row);
-                                }
-                            }
-                        }
-                        Reduction::Mean => {
-                            let inv = 1.0 / k as f32;
-                            let mut scaled = vec![0.0f32; c];
-                            for (i2, row) in gout.data().chunks_exact(c).enumerate() {
-                                scaled.copy_from_slice(row);
-                                simd::scale(&mut scaled, inv);
-                                for kk in 0..k {
-                                    dx[(i2 * k + kk) * c..(i2 * k + kk + 1) * c]
-                                        .copy_from_slice(&scaled);
-                                }
-                            }
-                        }
-                        Reduction::Max | Reduction::Min => {
-                            for i2 in 0..n {
-                                for j in 0..c {
-                                    let kk = args[i2 * c + j];
-                                    dx[(i2 * k + kk) * c + j] = gout.data()[i2 * c + j];
-                                }
-                            }
-                        }
+                    for i2 in 0..n {
+                        expand_reduce_grad(
+                            &gout.data()[i2 * c..(i2 + 1) * c],
+                            k,
+                            how,
+                            args.get(i2 * c..(i2 + 1) * c).unwrap_or_default(),
+                            &mut dx[i2 * k * c..(i2 + 1) * k * c],
+                        );
                     }
                     self.accumulate(x, Tensor::from_vec(dx, &[n * k, c]));
+                }
+                Op::EdgeAggregate(op) => {
+                    let x = op.x;
+                    let xt = self.value(x);
+                    let (n, c) = (xt.dims()[0], xt.dims()[1]);
+                    let (fold, scatter) = op.backward(xt.data(), c, gout.data());
+                    // The chain's order: its repeat node (target side) is
+                    // swept before its gather node (source side).
+                    if let Some(fold) = fold {
+                        self.accumulate(x, Tensor::from_vec(fold, &[n, c]));
+                    }
+                    if let Some(scatter) = scatter {
+                        self.accumulate(x, Tensor::from_vec(scatter, &[n, c]));
+                    }
                 }
                 Op::SegmentPool {
                     x,
@@ -577,8 +882,6 @@ impl Tape {
                 } => {
                     let x = *x;
                     let how = *how;
-                    let segments = segments.clone();
-                    let args = args.clone();
                     let c = gout.dims()[1];
                     let total: usize = segments.iter().sum();
                     let mut dx = vec![0.0f32; total * c];
@@ -612,7 +915,7 @@ impl Tape {
                 }
                 Op::RowNorms(x) => {
                     let x = *x;
-                    let xt = self.value(x).clone();
+                    let xt = self.value(x);
                     let (n, c) = (xt.dims()[0], xt.dims()[1]);
                     let norms = &self.nodes[i].value;
                     let mut dx = vec![0.0f32; n * c];
@@ -658,14 +961,13 @@ impl Tape {
                 }
                 Op::MapeLoss { pred, target } => {
                     let pred = *pred;
-                    let target = target.clone();
-                    let p = self.value(pred).clone();
+                    let p = self.value(pred);
                     let n = target.len() as f32;
                     let scale = gout.item() / n;
                     let data: Vec<f32> = p
                         .data()
                         .iter()
-                        .zip(&target)
+                        .zip(target)
                         .map(|(&pi, &ti)| {
                             let s = if pi > ti {
                                 1.0
@@ -677,21 +979,22 @@ impl Tape {
                             scale * s / ti.abs().max(EPS)
                         })
                         .collect();
-                    self.accumulate(pred, Tensor::from_vec(data, p.dims()));
+                    let dx = Tensor::from_vec(data, p.dims());
+                    self.accumulate(pred, dx);
                 }
                 Op::MseLoss { pred, target } => {
                     let pred = *pred;
-                    let target = target.clone();
-                    let p = self.value(pred).clone();
+                    let p = self.value(pred);
                     let n = target.len() as f32;
                     let scale = 2.0 * gout.item() / n;
                     let data: Vec<f32> = p
                         .data()
                         .iter()
-                        .zip(&target)
+                        .zip(target)
                         .map(|(&pi, &ti)| scale * (pi - ti))
                         .collect();
-                    self.accumulate(pred, Tensor::from_vec(data, p.dims()));
+                    let dx = Tensor::from_vec(data, p.dims());
+                    self.accumulate(pred, dx);
                 }
             }
         }

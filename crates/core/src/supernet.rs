@@ -11,7 +11,7 @@
 use hgnas_autograd::{Tape, Var};
 use hgnas_graph::{knn_brute, random_neighbors};
 use hgnas_nn::{Activation, Linear, Mlp, Module, Optimizer, Param};
-use hgnas_ops::{ConnectFn, FunctionSet, MessageType, OpType, SampleFn};
+use hgnas_ops::{ConnectFn, FunctionSet, OpType, SampleFn};
 use hgnas_pointcloud::{fresh_cache_source, Batch, PointCloud, TaskKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -260,38 +260,20 @@ impl Supernet {
                     });
                 }
                 OpType::Aggregate => {
-                    if neighbors.is_none() {
-                        neighbors = Some(if frozen && h_pristine {
+                    let idx = neighbors.get_or_insert_with(|| {
+                        if frozen && h_pristine {
                             batch.cached_neighbors(self.version, k, || build_stem_knn(tape, h))
                         } else {
                             Arc::new(build_stem_knn(tape, h))
-                        });
-                    }
-                    let idx: &[usize] = neighbors.as_ref().unwrap();
-                    let nbr = tape.gather_rows(h, idx);
-                    let ctr = tape.repeat_rows(h, k);
-                    let message = match fs.message {
-                        MessageType::SourcePos => nbr,
-                        MessageType::TargetPos => ctr,
-                        MessageType::RelPos => tape.sub(nbr, ctr),
-                        MessageType::Distance => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.row_norms(rel)
                         }
-                        MessageType::SourceRel => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[nbr, rel])
-                        }
-                        MessageType::TargetRel => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[ctr, rel])
-                        }
-                        MessageType::Full => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[ctr, nbr, rel])
-                        }
-                    };
-                    let agg = tape.reduce_mid(message, k, fs.aggregator.reduction());
+                    });
+                    let agg = tape.edge_aggregate(
+                        h,
+                        Arc::clone(idx),
+                        k,
+                        fs.message.edge_message(),
+                        fs.aggregator.reduction(),
+                    );
                     h = lin(&self.aligns[p], tape, agg);
                     h = tape.relu(h);
                     h_pristine = false;
@@ -457,6 +439,7 @@ impl Module for Supernet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hgnas_ops::MessageType;
     use hgnas_pointcloud::{DatasetConfig, SynthNet40};
 
     fn tiny_supernet(seed: u64) -> (Supernet, SynthNet40) {

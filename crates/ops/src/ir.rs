@@ -1,5 +1,6 @@
 //! IR types: operations, functions, architectures (paper Table I).
 
+use hgnas_autograd::EdgeMessage;
 use hgnas_tensor::reduce::Reduction;
 use std::fmt;
 
@@ -91,14 +92,22 @@ impl MessageType {
         MessageType::Full,
     ];
 
+    /// The tape's edge message that builds this message type.
+    pub fn edge_message(self) -> EdgeMessage {
+        match self {
+            MessageType::SourcePos => EdgeMessage::Source,
+            MessageType::TargetPos => EdgeMessage::Target,
+            MessageType::RelPos => EdgeMessage::Rel,
+            MessageType::Distance => EdgeMessage::Distance,
+            MessageType::SourceRel => EdgeMessage::SourceRel,
+            MessageType::TargetRel => EdgeMessage::TargetRel,
+            MessageType::Full => EdgeMessage::Full,
+        }
+    }
+
     /// Message width given the current feature width `c`.
     pub fn width(self, c: usize) -> usize {
-        match self {
-            MessageType::SourcePos | MessageType::TargetPos | MessageType::RelPos => c,
-            MessageType::Distance => 1,
-            MessageType::SourceRel | MessageType::TargetRel => 2 * c,
-            MessageType::Full => 3 * c,
-        }
+        self.edge_message().width(c)
     }
 
     /// Stable index for feature encoding.

@@ -1,6 +1,6 @@
 //! The trainable executor for fine-grained architectures.
 
-use crate::ir::{Architecture, ConnectFn, MessageType, Operation, SampleFn};
+use crate::ir::{Architecture, ConnectFn, Operation, SampleFn};
 use hgnas_autograd::{Reduction, Tape, Var};
 use hgnas_graph::{knn_brute, random_neighbors};
 use hgnas_nn::{Activation, Linear, Mlp, Module, Param};
@@ -143,44 +143,25 @@ impl GnnModel {
                     });
                 }
                 Operation::Aggregate { agg, msg } => {
-                    if neighbors.is_none() {
-                        // Implicit graph on raw input coordinates — always a
-                        // pure function of the batch, so always cacheable.
-                        neighbors =
-                            Some(batch.cached_neighbors(Batch::RAW_POINTS_SOURCE, k, || {
-                                Self::build_knn_neighbors(
-                                    batch.points.data(),
-                                    &batch.segments,
-                                    self.in_dim,
-                                    k,
-                                )
-                            }));
-                    }
-                    let idx: &[usize] = neighbors.as_ref().unwrap();
-                    let nbr = tape.gather_rows(h, idx);
-                    let ctr = tape.repeat_rows(h, k);
-                    let message = match msg {
-                        MessageType::SourcePos => nbr,
-                        MessageType::TargetPos => ctr,
-                        MessageType::RelPos => tape.sub(nbr, ctr),
-                        MessageType::Distance => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.row_norms(rel)
-                        }
-                        MessageType::SourceRel => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[nbr, rel])
-                        }
-                        MessageType::TargetRel => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[ctr, rel])
-                        }
-                        MessageType::Full => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[ctr, nbr, rel])
-                        }
-                    };
-                    h = tape.reduce_mid(message, k, agg.reduction());
+                    // Implicit graph on raw input coordinates — always a
+                    // pure function of the batch, so always cacheable.
+                    let idx = neighbors.get_or_insert_with(|| {
+                        batch.cached_neighbors(Batch::RAW_POINTS_SOURCE, k, || {
+                            Self::build_knn_neighbors(
+                                batch.points.data(),
+                                &batch.segments,
+                                self.in_dim,
+                                k,
+                            )
+                        })
+                    });
+                    h = tape.edge_aggregate(
+                        h,
+                        Arc::clone(idx),
+                        k,
+                        msg.edge_message(),
+                        agg.reduction(),
+                    );
                     cur_dim = msg.width(cur_dim);
                     h_is_raw = false;
                 }
@@ -235,7 +216,7 @@ impl Module for GnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Aggregator, FunctionSet, OpType};
+    use crate::ir::{Aggregator, FunctionSet, MessageType, OpType};
     use hgnas_pointcloud::{DatasetConfig, SynthNet40};
     use rand::SeedableRng;
 
