@@ -1,11 +1,12 @@
 //! Property-based gradient checks: every differentiable op agrees with its
 //! finite-difference estimate on random inputs.
 
-use hgnas_autograd::{Reduction, Tape};
+use hgnas_autograd::{EdgeMessage, Reduction, Tape};
 use hgnas_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn check(input: &Tensor, tol: f32, build: impl Fn(&mut Tape, &Tensor) -> hgnas_autograd::Var) {
     hgnas_autograd::assert_grad_close(input, 1e-2, tol, build);
@@ -58,6 +59,36 @@ proptest! {
             let pooled = tape.segment_pool(agg, &[5], Reduction::Sum);
             tape.mean_all(pooled)
         });
+
+        // The fused op, for every message × {sum, mean, max}. Row `r` sits
+        // near `0.7·r²` (±0.1 per feature), so a node's distinct neighbours
+        // differ by more than the step in every message column (no max
+        // kink between them), and no edge is a self-loop, so every distance
+        // edge keeps its norm away from zero.
+        let x = Tensor::rand_uniform(&mut rng, &[5, 3], -0.1, 0.1);
+        let x = Tensor::from_vec(
+            x.data().iter().enumerate().map(|(e, v)| v + 0.7 * (e / 3).pow(2) as f32).collect(),
+            &[5, 3],
+        );
+        let idx: Arc<Vec<usize>> = Arc::new(
+            (0..10)
+                .map(|e| {
+                    let j = (e * 3 + seed as usize) % 5;
+                    if j == e / 2 { (j + 1) % 5 } else { j }
+                })
+                .collect(),
+        );
+        for m in EdgeMessage::ALL {
+            for how in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
+                let idx = Arc::clone(&idx);
+                check(&x, 4e-2, move |tape, t| {
+                    let v = tape.param(t.clone());
+                    let agg = tape.edge_aggregate(v, Arc::clone(&idx), 2, m, how);
+                    let pooled = tape.segment_pool(agg, &[5], Reduction::Sum);
+                    tape.mean_all(pooled)
+                });
+            }
+        }
     }
 
     #[test]
