@@ -1,6 +1,7 @@
 //! Criterion micro-benches plus a `BENCH_ops.json` record for the ops-level
 //! hot path: the elementwise/activation kernels the autograd tape runs per
-//! forward/backward, the gather/repeat message kernels, and the per-batch
+//! forward/backward, the gather/repeat message kernels, the fused edge
+//! aggregation against the unfused chain it replaced, and the per-batch
 //! KNN cache (a cold EdgeConv forward pays the O(n²) graph build, a warm
 //! one reads it back).
 //!
@@ -10,7 +11,7 @@
 //! `BENCH_ops.baseline.json`.
 
 use criterion::{criterion_group, Criterion};
-use hgnas_autograd::Tape;
+use hgnas_autograd::{EdgeMessage, Reduction, Tape, Var};
 use hgnas_bench::record::{emit_bench_json, json_only, time_both};
 use hgnas_ops::{DgcnnConfig, EdgeConvModel};
 use hgnas_pointcloud::{Batch, DatasetConfig, PointCloud, SynthNet40};
@@ -20,6 +21,7 @@ use hgnas_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Clouds for the EdgeConv forward records: 8 × 128-point clouds, the
 /// `small` dataset geometry the default harnesses train on.
@@ -54,6 +56,37 @@ fn bench_edgeconv_forward(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// Neighbour lists over `points` stacked points in clouds of `cloud`
+/// points: `k` sources per point from the point's own cloud (a fixed
+/// stride pattern, not a KNN).
+fn cloud_neighbors(points: usize, cloud: usize, k: usize) -> Vec<usize> {
+    (0..points * k)
+        .map(|e| {
+            let (i, kk) = (e / k, e % k);
+            i / cloud * cloud + (i * 31 + kk * 17 + 1) % cloud
+        })
+        .collect()
+}
+
+/// One forward + backward of a `Full`/max aggregation into a scalar loss,
+/// fused (`fused`) or through the unfused chain.
+fn edge_aggregate_step(x: &Tensor, idx: &Arc<Vec<usize>>, k: usize, fused: bool) {
+    let mut tape = Tape::new();
+    let v = tape.param(x.clone());
+    let agg: Var = if fused {
+        tape.edge_aggregate(v, Arc::clone(idx), k, EdgeMessage::Full, Reduction::Max)
+    } else {
+        let nbr = tape.gather_rows(v, idx);
+        let ctr = tape.repeat_rows(v, k);
+        let rel = tape.sub(nbr, ctr);
+        let msg = tape.concat_cols(&[ctr, nbr, rel]);
+        tape.reduce_mid(msg, k, Reduction::Max)
+    };
+    let loss = tape.sum_all(agg);
+    tape.backward(loss);
+    black_box(tape.grad(v));
 }
 
 // ---------------------------------------------------------------------------
@@ -110,6 +143,22 @@ fn emit_ops_json() {
     entries.push(time_both("repeat_rows", "1024x64 k=20", 9, || {
         black_box(repeat_rows(black_box(&t), 20));
     }));
+
+    // Neighbour aggregation, forward + backward: the fused op against the
+    // unfused chain it replaced, at the `solo-small` training shape (8
+    // clouds × 128 points, k=10, hidden 24) and the `tenants` one (8 clouds
+    // × 48 points, k=8, hidden 16), both with the `Full` message and max.
+    for &(points, cloud, k, c) in &[(1024usize, 128usize, 10usize, 24usize), (384, 48, 8, 16)] {
+        let shape = format!("{points}x{c} k={k} full/max");
+        let x = Tensor::rand_uniform(&mut rng, &[points, c], -1.0, 1.0);
+        let idx = Arc::new(cloud_neighbors(points, cloud, k));
+        entries.push(time_both("edge_aggregate_fused", &shape, 9, || {
+            edge_aggregate_step(black_box(&x), &idx, k, true);
+        }));
+        entries.push(time_both("edge_aggregate_chain", &shape, 9, || {
+            edge_aggregate_step(black_box(&x), &idx, k, false);
+        }));
+    }
 
     // The per-batch KNN cache: a cold forward builds the layer-0 graph, a
     // warm forward reads it back from the batch. The cold/warm lane-path
