@@ -45,7 +45,7 @@ const EPS: f32 = 1e-8;
 /// The message [`Tape::edge_aggregate`] builds on the edge from a source
 /// node `j` to a target node `i`, from `ctr = x[i]`, `nbr = x[j]` and
 /// `rel = nbr − ctr` (the paper's Tab. I message functions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeMessage {
     /// `nbr`.
     Source,
