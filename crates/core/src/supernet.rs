@@ -9,7 +9,7 @@
 //! architectures.
 
 use hgnas_autograd::{Tape, Var};
-use hgnas_graph::{knn_brute, random_neighbors};
+use hgnas_graph::{knn_brute_segments, random_neighbors_segments};
 use hgnas_nn::{Activation, Linear, Mlp, Module, Optimizer, Param};
 use hgnas_ops::{ConnectFn, FunctionSet, OpType, SampleFn};
 use hgnas_pointcloud::{fresh_cache_source, Batch, PointCloud, TaskKind};
@@ -154,34 +154,6 @@ impl Supernet {
             .collect()
     }
 
-    /// Per-cloud brute-force KNN over the stacked `c`-dim features, offset
-    /// into the batch row space. Deterministic, hence cacheable whenever its
-    /// input features are stable.
-    fn build_knn_neighbors(data: &[f32], segments: &[usize], c: usize, k: usize) -> Vec<usize> {
-        let mut flat = Vec::new();
-        let mut row0 = 0usize;
-        for &n in segments {
-            let nl = knn_brute(&data[row0 * c..(row0 + n) * c], c, k);
-            flat.extend(nl.flat().iter().map(|&j| j + row0));
-            row0 += n;
-        }
-        flat
-    }
-
-    /// Random-neighbour counterpart: consumes `rng` on every call, so a
-    /// cache hit would skip the draws and desynchronise the RNG stream —
-    /// never cached.
-    fn build_random_neighbors(segments: &[usize], k: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut flat = Vec::new();
-        let mut row0 = 0usize;
-        for &n in segments {
-            let nl = random_neighbors(rng, n, k);
-            flat.extend(nl.flat().iter().map(|&j| j + row0));
-            row0 += n;
-        }
-        flat
-    }
-
     /// Forward pass along the path `genome`, returning `[clouds, classes]`
     /// logits.
     ///
@@ -233,6 +205,12 @@ impl Supernet {
         h = tape.relu(h);
         let mut skip = h;
         let mut neighbors: Option<Arc<Vec<usize>>> = None;
+        // The `h` that `neighbors` is the KNN graph of, if it is one: a
+        // `Sample(Knn)` over the same `h` (say `Sample, Sample`, or
+        // `Sample, Connect(Identity), Sample`) keeps the graph it would
+        // rebuild bit for bit. A random graph is never kept, since every
+        // `Sample(Random)` draws from `rng`.
+        let mut knn_of: Option<Var> = None;
         let hd = self.hidden;
         let k = self.k;
         // While true, `h` is exactly `relu(stem(points))` — a pure function
@@ -241,32 +219,33 @@ impl Supernet {
         // cacheable per batch under that token. Training-mode forwards
         // mutate weights step to step and never consult the cache.
         let mut h_pristine = true;
-        let build_stem_knn = |tape: &Tape, h: Var| {
-            Self::build_knn_neighbors(tape.value(h).data(), &batch.segments, hd, k)
+        let knn_graph = |tape: &Tape, h: Var, h_pristine: bool| {
+            let build = || knn_brute_segments(tape.value(h).data(), &batch.segments, hd, k);
+            if frozen && h_pristine {
+                batch.cached_neighbors(self.version, k, build)
+            } else {
+                Arc::new(build())
+            }
         };
 
         for (p, &ty) in genome.iter().enumerate() {
             let fs = self.function_set(p);
             match ty {
-                OpType::Sample => {
-                    neighbors = Some(match fs.sample {
-                        SampleFn::Knn if frozen && h_pristine => {
-                            batch.cached_neighbors(self.version, k, || build_stem_knn(tape, h))
+                OpType::Sample => match fs.sample {
+                    SampleFn::Knn => {
+                        if knn_of != Some(h) {
+                            neighbors = Some(knn_graph(tape, h, h_pristine));
+                            knn_of = Some(h);
                         }
-                        SampleFn::Knn => Arc::new(build_stem_knn(tape, h)),
-                        SampleFn::Random => {
-                            Arc::new(Self::build_random_neighbors(&batch.segments, k, rng))
-                        }
-                    });
-                }
+                    }
+                    SampleFn::Random => {
+                        neighbors =
+                            Some(Arc::new(random_neighbors_segments(rng, &batch.segments, k)));
+                        knn_of = None;
+                    }
+                },
                 OpType::Aggregate => {
-                    let idx = neighbors.get_or_insert_with(|| {
-                        if frozen && h_pristine {
-                            batch.cached_neighbors(self.version, k, || build_stem_knn(tape, h))
-                        } else {
-                            Arc::new(build_stem_knn(tape, h))
-                        }
-                    });
+                    let idx = neighbors.get_or_insert_with(|| knn_graph(tape, h, h_pristine));
                     let agg = tape.edge_aggregate(
                         h,
                         Arc::clone(idx),

@@ -123,6 +123,26 @@ pub fn knn_brute(points: &[f32], dim: usize, k: usize) -> NeighborList {
     NeighborList::new(n, k, idx)
 }
 
+/// [`knn_brute`] over every cloud of a stacked batch: `segments` holds the
+/// clouds' point counts in row order, and each cloud's neighbour indices
+/// are offset by its first row, so the flat table (`k` entries per row)
+/// indexes the stacked rows.
+///
+/// # Panics
+///
+/// As [`knn_brute`], for any cloud; also if `segments` sums past the rows
+/// in `points`.
+pub fn knn_brute_segments(points: &[f32], segments: &[usize], dim: usize, k: usize) -> Vec<usize> {
+    let mut flat = Vec::with_capacity(segments.iter().sum::<usize>() * k);
+    let mut row0 = 0;
+    for &n in segments {
+        let nl = knn_brute(&points[row0 * dim..(row0 + n) * dim], dim, k);
+        flat.extend(nl.flat().iter().map(|&j| j + row0));
+        row0 += n;
+    }
+    flat
+}
+
 /// Grid-accelerated exact KNN for 3-D points.
 ///
 /// Buckets points into a uniform grid sized so the expected occupancy is a
@@ -247,6 +267,24 @@ pub fn random_neighbors<R: Rng>(rng: &mut R, n: usize, k: usize) -> NeighborList
         }
     }
     NeighborList::new(n, k, idx)
+}
+
+/// [`random_neighbors`] over every cloud of a stacked batch, drawing the
+/// clouds in row order; indices are offset into the stacked rows as in
+/// [`knn_brute_segments`].
+///
+/// # Panics
+///
+/// As [`random_neighbors`], for any cloud.
+pub fn random_neighbors_segments<R: Rng>(rng: &mut R, segments: &[usize], k: usize) -> Vec<usize> {
+    let mut flat = Vec::with_capacity(segments.iter().sum::<usize>() * k);
+    let mut row0 = 0;
+    for &n in segments {
+        let nl = random_neighbors(rng, n, k);
+        flat.extend(nl.flat().iter().map(|&j| j + row0));
+        row0 += n;
+    }
+    flat
 }
 
 #[cfg(test)]

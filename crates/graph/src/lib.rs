@@ -27,5 +27,8 @@ mod neighbors;
 
 pub use digraph::{AdjNorm, DiGraph};
 pub use kdtree::knn_kdtree;
-pub use knn::{knn_brute, knn_brute_calls, knn_grid, random_neighbors};
+pub use knn::{
+    knn_brute, knn_brute_calls, knn_brute_segments, knn_grid, random_neighbors,
+    random_neighbors_segments,
+};
 pub use neighbors::{Csr, NeighborList};

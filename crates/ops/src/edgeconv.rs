@@ -8,7 +8,7 @@
 
 use crate::baselines::DgcnnConfig;
 use hgnas_autograd::{Reduction, Tape, Var};
-use hgnas_graph::knn_brute;
+use hgnas_graph::knn_brute_segments;
 use hgnas_nn::{Activation, Linear, Mlp, Module, Param};
 use hgnas_pointcloud::Batch;
 use rand::rngs::StdRng;
@@ -53,17 +53,6 @@ impl EdgeConvModel {
         &self.cfg
     }
 
-    fn knn_flat(data: &[f32], segments: &[usize], c: usize, k: usize) -> Vec<usize> {
-        let mut flat = Vec::new();
-        let mut row0 = 0usize;
-        for &n in segments {
-            let nl = knn_brute(&data[row0 * c..(row0 + n) * c], c, k);
-            flat.extend(nl.flat().iter().map(|&j| j + row0));
-            row0 += n;
-        }
-        flat
-    }
-
     /// Forward pass over a stacked batch, returning `[clouds, classes]`
     /// logits.
     ///
@@ -82,13 +71,18 @@ impl EdgeConvModel {
             debug_assert_eq!(*ci, cur_dim, "layer {li} input width mismatch");
             if li == 0 {
                 neighbors = Some(batch.cached_neighbors(Batch::RAW_POINTS_SOURCE, k, || {
-                    Self::knn_flat(batch.points.data(), &batch.segments, cur_dim, k)
+                    knn_brute_segments(batch.points.data(), &batch.segments, cur_dim, k)
                 }));
             } else if self.cfg.dynamic && li < self.cfg.reuse_after {
                 // Dynamic graphs depend on the evolving features (and thus
                 // the weights) — never cacheable across forwards.
-                let data = tape.value(h).data().to_vec();
-                neighbors = Some(Arc::new(Self::knn_flat(&data, &batch.segments, cur_dim, k)));
+                let data = tape.value(h).data();
+                neighbors = Some(Arc::new(knn_brute_segments(
+                    data,
+                    &batch.segments,
+                    cur_dim,
+                    k,
+                )));
             }
             let idx: &[usize] = neighbors.as_ref().expect("graph built at layer 0");
             let nbr = tape.gather_rows(h, idx);

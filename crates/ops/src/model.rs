@@ -2,7 +2,7 @@
 
 use crate::ir::{Architecture, ConnectFn, Operation, SampleFn};
 use hgnas_autograd::{Reduction, Tape, Var};
-use hgnas_graph::{knn_brute, random_neighbors};
+use hgnas_graph::{knn_brute_segments, random_neighbors_segments};
 use hgnas_nn::{Activation, Linear, Mlp, Module, Param};
 use hgnas_pointcloud::Batch;
 use rand::rngs::StdRng;
@@ -65,36 +65,6 @@ impl GnnModel {
         &self.arch
     }
 
-    /// Builds the flat KNN index table for a stacked batch: per-cloud
-    /// brute-force KNN over `c`-dim features, offset into the stacked row
-    /// space. Deterministic in its inputs, hence cacheable per batch when
-    /// the features are.
-    fn build_knn_neighbors(data: &[f32], segments: &[usize], c: usize, k: usize) -> Vec<usize> {
-        let mut flat = Vec::with_capacity(data.len() / c * k);
-        let mut row0 = 0usize;
-        for &n in segments {
-            let nl = knn_brute(&data[row0 * c..(row0 + n) * c], c, k);
-            flat.extend(nl.flat().iter().map(|&j| j + row0));
-            row0 += n;
-        }
-        flat
-    }
-
-    /// Random-neighbour counterpart of [`Self::build_knn_neighbors`]. Draws
-    /// from `rng` every call, so it must never be cached — a cache hit would
-    /// skip the draws and desynchronise the RNG stream.
-    fn build_random_neighbors(segments: &[usize], k: usize, rng: &mut StdRng) -> Vec<usize> {
-        let total: usize = segments.iter().sum();
-        let mut flat = Vec::with_capacity(total * k);
-        let mut row0 = 0usize;
-        for &n in segments {
-            let nl = random_neighbors(rng, n, k);
-            flat.extend(nl.flat().iter().map(|&j| j + row0));
-            row0 += n;
-        }
-        flat
-    }
-
     /// Forward pass over a stacked batch, returning `[clouds, classes]`
     /// logits.
     ///
@@ -120,25 +90,17 @@ impl GnnModel {
                     neighbors = Some(match func {
                         SampleFn::Knn if h_is_raw => {
                             batch.cached_neighbors(Batch::RAW_POINTS_SOURCE, k, || {
-                                Self::build_knn_neighbors(
-                                    batch.points.data(),
-                                    &batch.segments,
-                                    cur_dim,
-                                    k,
-                                )
+                                knn_brute_segments(batch.points.data(), &batch.segments, cur_dim, k)
                             })
                         }
-                        SampleFn::Knn => {
-                            let data = tape.value(h).data().to_vec();
-                            Arc::new(Self::build_knn_neighbors(
-                                &data,
-                                &batch.segments,
-                                cur_dim,
-                                k,
-                            ))
-                        }
+                        SampleFn::Knn => Arc::new(knn_brute_segments(
+                            tape.value(h).data(),
+                            &batch.segments,
+                            cur_dim,
+                            k,
+                        )),
                         SampleFn::Random => {
-                            Arc::new(Self::build_random_neighbors(&batch.segments, k, rng))
+                            Arc::new(random_neighbors_segments(rng, &batch.segments, k))
                         }
                     });
                 }
@@ -147,12 +109,7 @@ impl GnnModel {
                     // pure function of the batch, so always cacheable.
                     let idx = neighbors.get_or_insert_with(|| {
                         batch.cached_neighbors(Batch::RAW_POINTS_SOURCE, k, || {
-                            Self::build_knn_neighbors(
-                                batch.points.data(),
-                                &batch.segments,
-                                self.in_dim,
-                                k,
-                            )
+                            knn_brute_segments(batch.points.data(), &batch.segments, self.in_dim, k)
                         })
                     });
                     h = tape.edge_aggregate(
