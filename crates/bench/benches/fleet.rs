@@ -150,17 +150,13 @@ fn bench_scheduler(c: &mut Criterion) {
 }
 
 /// Times one stride-1 engine run of `specs` under a session budget;
-/// returns (wall-clock ms, total prefix builds across shards, phase
-/// breakdown).
-fn time_fleet(
-    specs: &[ShardSpec],
-    session_memory_budget: Option<u64>,
-) -> (f64, u64, hgnas_fleet::PhaseTimings) {
+/// returns (wall-clock ms, total prefix builds across shards, the report).
+fn time_fleet(specs: &[ShardSpec], session_memory_budget: Option<u64>) -> (f64, u64, EngineReport) {
     let t = std::time::Instant::now();
     let report = run_engine(specs, 2, 1, session_memory_budget);
     let ms = t.elapsed().as_secs_f64() * 1e3;
     let builds = report.shards.iter().map(|s| s.prefix_builds).sum();
-    (ms, builds, report.phase_timings)
+    (ms, builds, report)
 }
 
 /// Best-of-3 wall-clock of `f`, in milliseconds.
@@ -274,7 +270,9 @@ fn scenario_rows() -> String {
 /// session cache, plus one phase row per {task × objective} scenario.
 /// Three of the four shards share one prefix fingerprint (same seed,
 /// different devices), so the cached run performs 2 builds for 4 shards
-/// — the PR-7 sharing win on top of the PR-5 residency win.
+/// — the PR-7 sharing win on top of the PR-5 residency win — and its
+/// sessions score each genome's one-shot accuracy once for all the shards
+/// sharing them (`accuracy_scored` against `accuracy_reused`).
 fn emit_bench_json() {
     let specs = tiny_specs(&[
         (DeviceKind::Rtx3080, 0),
@@ -283,20 +281,27 @@ fn emit_bench_json() {
         (DeviceKind::Rtx3080, 1),
     ]);
     let (replay_ms, replay_builds, _) = time_fleet(&specs, Some(0));
-    let (session_ms, session_builds, phases) = time_fleet(&specs, None);
+    let (session_ms, session_builds, session) = time_fleet(&specs, None);
     // The coarse where-did-the-time-go breakdown for the session-cache run
     // (the shipping configuration): the re-profiling signal that names the
     // next optimisation target.
+    let phases = session.phase_timings;
+    // One-shot accuracies the shared sessions scored versus served from
+    // their memos: the same-seed shards share every accuracy.
+    let accuracy = session.session_stats;
     let json = format!(
         "{{\n  \"bench\": \"fleet/session-vs-replay\",\n  \"shards\": {},\n  \
          \"preemption_stride\": 1,\n  \"threads\": 2,\n  \
          \"slice_replay_ms\": {replay_ms:.3},\n  \"session_cache_ms\": {session_ms:.3},\n  \
          \"speedup\": {:.3},\n  \"replay_prefix_builds\": {replay_builds},\n  \
          \"session_prefix_builds\": {session_builds},\n  \
+         \"accuracy_scored\": {},\n  \"accuracy_reused\": {},\n  \
          \"phases\": {{\"predictor_train_ms\": {:.3}, \"session_build_ms\": {:.3}, \
          \"session_restore_ms\": {:.3}, \"search_ms\": {:.3}, \"persist_ms\": {:.3}}}{scenarios}\n}}\n",
         specs.len(),
         replay_ms / session_ms.max(1e-9),
+        accuracy.accuracy_scored,
+        accuracy.accuracy_reused,
         phases.predictor_train_ms,
         phases.session_build_ms,
         phases.session_restore_ms,

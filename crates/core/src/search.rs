@@ -15,8 +15,10 @@ use hgnas_tensor::threads::with_kernel_threads;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How candidate latency is obtained during the search (Fig. 9(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -785,11 +787,15 @@ impl Checkpoint {
 /// [`RunOptions::session`] drops that to O(pre-training) per configuration:
 /// the run skips straight to the (possibly checkpointed) main search loop.
 ///
-/// A session is immutable and `Sync` (the supernet is only ever run
-/// frozen), so shards sharing a configuration fingerprint can share one
-/// session behind an `Arc`. Runs through a session are bit-identical to
-/// full replays — the invariant `cached_prefix_resume_matches_full_replay`
-/// pins down.
+/// A session is `Sync` and read-only except for an append-only memo of
+/// the one-shot accuracies its Stage-2 runs scored (the supernet is only
+/// ever run frozen), so shards sharing a configuration fingerprint share
+/// one session behind an `Arc`, and with it the Stage-2 eval batches and
+/// every accuracy any of them scored. Accuracy does not depend on the
+/// device, the objective or the Stage-2 seed, only on the supernet, the
+/// eval split and the genome, all fixed by the prefix. Runs through a
+/// session are bit-identical to full replays — the invariant
+/// `cached_prefix_resume_matches_full_replay` pins down.
 #[derive(Debug)]
 pub struct SessionState {
     task: TaskConfig,
@@ -801,19 +807,76 @@ pub struct SessionState {
 /// Strategy-specific part of a [`SessionState`].
 #[derive(Debug)]
 enum SessionPrefix {
-    /// Multi-stage: the Stage-1 outcome and the pre-trained supernet.
+    /// Multi-stage: the Stage-1 outcome and the Stage-2 evaluation state.
     MultiStage {
         functions: (FunctionSet, FunctionSet),
         stage1_stats: EvalStats,
         /// Boxed so the one-stage variant does not carry the supernet's
         /// footprint.
-        supernet: Box<Supernet>,
+        stage2: Box<Stage2Eval>,
         /// Simulated elapsed time after Stage 1 + pre-training, ms.
         clock_ms: f64,
     },
     /// One-stage: no prefix beyond the dataset (every candidate trains its
     /// own supernet inside the main loop).
     OneStage,
+}
+
+/// What every Stage-2 run through one session shares: the pre-trained
+/// supernet, the eval split stacked into batches, and a memo of the
+/// one-shot accuracies scored on them.
+#[derive(Debug)]
+struct Stage2Eval {
+    supernet: Supernet,
+    /// Stacked once per session, after Stage 1 (whose own batches cache one
+    /// neighbour graph per Stage-1 candidate), so the frozen supernet's
+    /// per-batch KNN caches pay off across every run, candidate and thread.
+    eval_batches: Vec<Batch>,
+    /// Genome → accuracy. The lock is held only to fetch a genome's cell:
+    /// different genomes score in parallel, and a second caller of a genome
+    /// in flight waits on its cell instead of scoring it again. Never
+    /// persisted, so a restored session starts empty.
+    memo: Mutex<HashMap<Vec<OpType>, Arc<OnceLock<f64>>>>,
+    /// Accuracies this session scored.
+    scored: AtomicU64,
+    /// Accuracy lookups the memo served, waits on another thread included.
+    reused: AtomicU64,
+}
+
+impl Stage2Eval {
+    fn new(supernet: Supernet, task: &TaskConfig, eval_clouds: &[PointCloud]) -> Self {
+        Stage2Eval {
+            supernet,
+            eval_batches: task.task().batches(eval_clouds, 16),
+            memo: Mutex::default(),
+            scored: AtomicU64::new(0),
+            reused: AtomicU64::new(0),
+        }
+    }
+
+    /// The one-shot accuracy of `genome` on the eval split: scored on the
+    /// first call, from the memo after that.
+    fn accuracy(&self, genome: &[OpType]) -> f64 {
+        let cell = {
+            let mut memo = self
+                .memo
+                .lock()
+                .expect("no code panics while holding the accuracy memo lock");
+            match memo.get(genome) {
+                Some(cell) => Arc::clone(cell),
+                None => Arc::clone(memo.entry(genome.to_vec()).or_default()),
+            }
+        };
+        let mut fresh = false;
+        let acc = *cell.get_or_init(|| {
+            fresh = true;
+            self.supernet
+                .eval_genome_batched(genome, &self.eval_batches, 0)
+        });
+        let counter = if fresh { &self.scored } else { &self.reused };
+        counter.fetch_add(1, Ordering::Relaxed);
+        acc
+    }
 }
 
 /// The serialisable image of a multi-stage [`SessionState`]: everything a
@@ -852,7 +915,9 @@ impl SessionState {
     /// Approximate resident size in bytes — what a memory-budgeted session
     /// cache accounts against. Counts the supernet parameters (value +
     /// Adam moments: 12 bytes each) and the dataset floats; the small
-    /// fixed-size fields ride in the constant.
+    /// fixed-size fields ride in the constant. The Stage-2 eval batches (a
+    /// re-stacked copy of the eval split, plus their cached graphs) and the
+    /// accuracy memo are not counted.
     pub fn approx_bytes(&self) -> u64 {
         let dataset_floats: usize = self
             .ds
@@ -862,8 +927,8 @@ impl SessionState {
             .map(|c| c.points.len())
             .sum();
         let supernet_params = match &self.prefix {
-            SessionPrefix::MultiStage { supernet, .. } => {
-                hgnas_nn::Module::param_count(supernet.as_ref())
+            SessionPrefix::MultiStage { stage2, .. } => {
+                hgnas_nn::Module::param_count(&stage2.supernet)
             }
             SessionPrefix::OneStage => 0,
         };
@@ -878,13 +943,13 @@ impl SessionState {
             SessionPrefix::MultiStage {
                 functions,
                 stage1_stats,
-                supernet,
+                stage2,
                 clock_ms,
             } => Some(SessionSnapshot {
                 functions: *functions,
                 stage1_stats: *stage1_stats,
                 clock_ms: *clock_ms,
-                weights: supernet.export_weights(),
+                weights: stage2.supernet.export_weights(),
             }),
             SessionPrefix::OneStage => None,
         }
@@ -894,7 +959,7 @@ impl SessionState {
     /// is regenerated from the task (deterministic), the supernet is
     /// reconstructed and overwritten with the snapshot weights. The result
     /// drives searches bit-identically to the session it was exported
-    /// from.
+    /// from; its accuracy memo starts empty.
     ///
     /// # Panics
     ///
@@ -921,6 +986,7 @@ impl SessionState {
             &task.head_hidden,
         );
         supernet.import_weights(&snap.weights);
+        let stage2 = Stage2Eval::new(supernet, &task, eval_split(&config, &ds));
         SessionState {
             task,
             config,
@@ -928,9 +994,28 @@ impl SessionState {
             prefix: SessionPrefix::MultiStage {
                 functions: snap.functions,
                 stage1_stats: snap.stage1_stats,
-                supernet: Box::new(supernet),
+                stage2: Box::new(stage2),
                 clock_ms: snap.clock_ms,
             },
+        }
+    }
+
+    /// One-shot accuracies this session's Stage-2 runs scored (0 for a
+    /// one-stage session): one per distinct genome, however many runs,
+    /// shards or threads asked for it.
+    pub fn accuracy_scored(&self) -> u64 {
+        match &self.prefix {
+            SessionPrefix::MultiStage { stage2, .. } => stage2.scored.load(Ordering::Relaxed),
+            SessionPrefix::OneStage => 0,
+        }
+    }
+
+    /// Accuracy lookups this session's memo served without scoring,
+    /// including waits for another thread scoring the same genome.
+    pub fn accuracy_reused(&self) -> u64 {
+        match &self.prefix {
+            SessionPrefix::MultiStage { stage2, .. } => stage2.reused.load(Ordering::Relaxed),
+            SessionPrefix::OneStage => 0,
         }
     }
 
@@ -1136,12 +1221,8 @@ struct OneStageRun {
 struct Stage2Scorer<'a> {
     task: &'a TaskConfig,
     functions: (FunctionSet, FunctionSet),
-    supernet: &'a Supernet,
-    /// Evaluation split, stacked into batches once at construction. Besides
-    /// hoisting the per-candidate re-stacking, sharing the batches means the
-    /// frozen supernet's per-batch KNN caches (keyed by its weight version)
-    /// pay off across every candidate and worker thread in the generation.
-    eval_batches: Vec<Batch>,
+    /// The session's supernet, eval batches and accuracy memo.
+    eval: &'a Stage2Eval,
     oracle: &'a LatencyOracle,
     objective: &'a Objective,
     /// Target profile for energy/peak-memory costing — `Some` exactly when
@@ -1201,9 +1282,9 @@ impl CandidateScorer<Vec<OpType>> for Stage2Scorer<'_> {
         let (acc, score) = if !valid {
             (0.0, 0.0)
         } else {
-            let acc = self
-                .supernet
-                .eval_genome_batched(genome, &self.eval_batches, 0);
+            // A memoised accuracy still costs the simulated validation: the
+            // clock models a search that scores every fresh candidate.
+            let acc = self.eval.accuracy(genome);
             cost += self.eval_cost_ms;
             metrics.accuracy = acc;
             (acc, self.objective.evaluate(&metrics))
@@ -1297,6 +1378,13 @@ impl CandidateScorer<JointGenome> for OneStageScorer<'_> {
             peak_mem_mb: metrics.peak_mem_mb,
         }
     }
+}
+
+/// The test clouds one-shot accuracy is scored on: the first
+/// `config.eval_clouds` of the test split.
+fn eval_split<'a>(config: &SearchConfig, ds: &'a SynthNet40) -> &'a [PointCloud] {
+    let n = config.eval_clouds.min(ds.test.len());
+    &ds.test[..n]
 }
 
 /// The HGNAS framework entry point.
@@ -1446,11 +1534,6 @@ impl Hgnas {
         sn
     }
 
-    fn eval_subset<'a>(&self, ds: &'a SynthNet40) -> &'a [PointCloud] {
-        let n = self.config.eval_clouds.min(ds.test.len());
-        &ds.test[..n]
-    }
-
     /// Stage 1: evolve the (upper, lower) function-set pair to maximise
     /// supernet accuracy (Alg. 1 lines 4–9).
     ///
@@ -1473,7 +1556,7 @@ impl Hgnas {
                 FunctionSet::random(&mut seed_rng),
             ),
         ];
-        let eval_subset = self.eval_subset(ds);
+        let eval_subset = eval_split(&self.config, ds);
         let scorer = Stage1Scorer {
             hgnas: self,
             ds,
@@ -1523,25 +1606,23 @@ impl Hgnas {
     fn stage2(
         &self,
         functions: (FunctionSet, FunctionSet),
-        supernet: &Supernet,
+        eval: &Stage2Eval,
         ds: &SynthNet40,
         oracle: &LatencyOracle,
         objective: &Objective,
         clock_in: SearchClock,
         opts: &mut RunOptions,
     ) -> Stage2Run {
-        let eval_subset = self.eval_subset(ds);
         let scorer = Stage2Scorer {
             task: &self.task,
             functions,
-            supernet,
-            eval_batches: self.task.task().batches(eval_subset, 16),
+            eval,
             oracle,
             objective,
             exec_profile: objective
                 .needs_execution_metrics()
                 .then(|| self.config.device_profile()),
-            eval_cost_ms: self.eval_cost_ms(eval_subset.len()),
+            eval_cost_ms: self.eval_cost_ms(eval_split(&self.config, ds).len()),
         };
         // The serial bookkeeping (clock, history, best-so-far) lives in a
         // RefCell so both the evaluator's reduce closure and the
@@ -1655,7 +1736,7 @@ impl Hgnas {
                     _ => OpType::Combine,
                 })
                 .collect();
-            let init = vec![dgcnn_ish, supernet.random_genome(&mut init_rng)];
+            let init = vec![dgcnn_ish, eval.supernet.random_genome(&mut init_rng)];
             EaState::init(init, &self.config.ea_stage2, &mut evaluator, mutate_genome)
         };
 
@@ -1752,7 +1833,7 @@ impl Hgnas {
         objective: &Objective,
         opts: &mut RunOptions,
     ) -> OneStageRun {
-        let eval_subset = self.eval_subset(ds);
+        let eval_subset = eval_split(&self.config, ds);
         let scorer = OneStageScorer {
             hgnas: self,
             ds,
@@ -1958,10 +2039,11 @@ impl Hgnas {
                     self.config.seed.wrapping_add(4),
                     &mut clock,
                 );
+                let stage2 = Stage2Eval::new(supernet, &self.task, eval_split(&self.config, &ds));
                 SessionPrefix::MultiStage {
                     functions,
                     stage1_stats,
-                    supernet: Box::new(supernet),
+                    stage2: Box::new(stage2),
                     clock_ms: clock.elapsed_ms(),
                 }
             }
@@ -2038,7 +2120,7 @@ impl Hgnas {
                 let SessionPrefix::MultiStage {
                     functions,
                     stage1_stats,
-                    supernet,
+                    stage2,
                     clock_ms,
                 } = &session.prefix
                 else {
@@ -2046,9 +2128,7 @@ impl Hgnas {
                 };
                 let (functions, stage1_stats) = (*functions, *stage1_stats);
                 let clock = SearchClock::from_ms(*clock_ms);
-                let run = self.stage2(
-                    functions, supernet, ds, &oracle, &objective, clock, &mut opts,
-                );
+                let run = self.stage2(functions, stage2, ds, &oracle, &objective, clock, &mut opts);
                 if run.aborted {
                     return RunOutput {
                         outcome: None,
@@ -2347,6 +2427,111 @@ mod tests {
             .outcome
             .expect("restored-session run completes");
         assert_outcomes_identical(&via_restored, &full);
+    }
+
+    /// Runs `cfg` through `session` to completion: the outcome plus the
+    /// genomes whose accuracy it needed (the valid ones it scored).
+    fn run_through(
+        task: &TaskConfig,
+        cfg: &SearchConfig,
+        session: &SessionState,
+    ) -> (SearchOutcome, Vec<Vec<OpType>>) {
+        let out = Hgnas::new(task.clone(), cfg.clone()).run_with(RunOptions {
+            session: Some(session),
+            ..RunOptions::default()
+        });
+        let cp = out.checkpoint.expect("final checkpoint");
+        let valid = cp
+            .as_multi_stage()
+            .expect("multi-stage checkpoint")
+            .cache
+            .iter()
+            .filter(|(_, c)| c.valid)
+            .map(|(g, _)| g.clone())
+            .collect();
+        (out.outcome.expect("run completes"), valid)
+    }
+
+    /// Shards differing only in device and objective weights share a
+    /// session, and with it every one-shot accuracy: run serially or two
+    /// at a time, through one session, each outcome matches the same
+    /// configuration on its own session bit for bit, and the shared
+    /// session scores each distinct valid genome exactly once. A session
+    /// restored from its snapshot starts with an empty memo.
+    #[test]
+    fn shared_session_scores_each_genome_once() {
+        let task = TaskConfig::tiny(5);
+        let configs: Vec<SearchConfig> = [
+            (DeviceKind::JetsonTx2, 1.0, 0.6),
+            (DeviceKind::Rtx3080, 1.0, 0.6),
+            (DeviceKind::RaspberryPi3B, 0.5, 1.2),
+            (DeviceKind::JetsonTx2, 2.0, 0.1),
+        ]
+        .into_iter()
+        .map(|(device, alpha, beta)| {
+            let mut cfg = tiny_config(device);
+            cfg.alpha = alpha;
+            cfg.beta = beta;
+            cfg
+        })
+        .collect();
+
+        let mut distinct = std::collections::HashSet::new();
+        let (mut unshared_scored, mut lookups) = (0, 0);
+        let own: Vec<SearchOutcome> = configs
+            .iter()
+            .map(|cfg| {
+                let session = Hgnas::new(task.clone(), cfg.clone()).prepare_session();
+                let (outcome, valid) = run_through(&task, cfg, &session);
+                unshared_scored += session.accuracy_scored();
+                lookups += session.accuracy_scored() + session.accuracy_reused();
+                distinct.extend(valid);
+                outcome
+            })
+            .collect();
+        let distinct = distinct.len() as u64;
+        assert!(
+            unshared_scored > distinct,
+            "the configurations overlap: {unshared_scored} scored on own sessions, \
+             {distinct} distinct"
+        );
+
+        let prepare = || Hgnas::new(task.clone(), configs[0].clone()).prepare_session();
+        let serial = prepare();
+        for (cfg, reference) in configs.iter().zip(&own) {
+            assert_outcomes_identical(&run_through(&task, cfg, &serial).0, reference);
+        }
+        assert_eq!(serial.accuracy_scored(), distinct);
+        assert_eq!(
+            serial.accuracy_scored() + serial.accuracy_reused(),
+            lookups,
+            "sharing changes who scores, not how often a run asks"
+        );
+
+        let paired = prepare();
+        for (cfgs, refs) in configs.chunks(2).zip(own.chunks(2)) {
+            std::thread::scope(|s| {
+                let runs: Vec<_> = cfgs
+                    .iter()
+                    .map(|cfg| s.spawn(|| run_through(&task, cfg, &paired).0))
+                    .collect();
+                for (run, reference) in runs.into_iter().zip(refs) {
+                    assert_outcomes_identical(&run.join().expect("run thread"), reference);
+                }
+            });
+        }
+        assert_eq!(paired.accuracy_scored(), distinct);
+
+        let snap = serial.export().expect("multi-stage sessions export");
+        let restored = SessionState::restore(task.clone(), configs[0].clone(), snap);
+        assert_eq!(
+            (restored.accuracy_scored(), restored.accuracy_reused()),
+            (0, 0)
+        );
+        for (cfg, reference) in configs.iter().zip(&own) {
+            assert_outcomes_identical(&run_through(&task, cfg, &restored).0, reference);
+        }
+        assert_eq!(restored.accuracy_scored(), distinct);
     }
 
     /// One-stage sessions carry the dataset only and have nothing to

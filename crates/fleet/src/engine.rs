@@ -122,6 +122,13 @@ pub struct SessionCacheStats {
     /// another worker (single-flight): no duplicate work, no budget
     /// consumed — the worker went on to other shards.
     pub deferrals: u64,
+    /// One-shot accuracies scored, summed over every session the engine
+    /// held ([`SessionState::accuracy_scored`]): one per distinct valid
+    /// genome per session build or restore, however many shards share it.
+    pub accuracy_scored: u64,
+    /// Accuracy lookups the sessions' memos served without scoring
+    /// ([`SessionState::accuracy_reused`]).
+    pub accuracy_reused: u64,
 }
 
 /// Coarse wall-clock breakdown of an engine's calls, aggregated across all
@@ -194,13 +201,38 @@ struct Owner {
     device: DeviceKind,
 }
 
+/// A session the engine holds. When its last handle drops, its accuracy
+/// counters move into the cache's totals, so [`SessionCacheStats`] sums
+/// over every session the engine ever held.
+struct HeldSession {
+    session: SessionState,
+    released: Arc<AccuracyTotals>,
+}
+
+impl Drop for HeldSession {
+    fn drop(&mut self) {
+        let s = &self.session;
+        let r = &self.released;
+        r.scored.fetch_add(s.accuracy_scored(), Ordering::Relaxed);
+        r.reused.fetch_add(s.accuracy_reused(), Ordering::Relaxed);
+    }
+}
+
+/// Accuracy counters of the sessions the engine has dropped.
+#[derive(Default)]
+struct AccuracyTotals {
+    scored: AtomicU64,
+    reused: AtomicU64,
+}
+
 /// One resident session.
 struct SessionEntry {
     owner: Owner,
-    session: Arc<SessionState>,
+    session: Arc<HeldSession>,
     bytes: u64,
-    /// Whether a spill artifact for this session already exists — sessions
-    /// are immutable, so one write is enough for any number of evictions.
+    /// Whether a spill artifact for this session already exists — a
+    /// session's spillable image never changes, so one write is enough for
+    /// any number of evictions.
     on_disk: bool,
 }
 
@@ -221,6 +253,7 @@ struct SessionCache {
     inner: Mutex<SessionCacheState>,
     /// Signalled whenever an in-flight build publishes or aborts.
     build_done: Condvar,
+    released: Arc<AccuracyTotals>,
 }
 
 #[derive(Default)]
@@ -244,7 +277,7 @@ struct SessionCacheState {
 enum SessionClaim<'a> {
     /// A resident session; the LRU position was refreshed and the hit
     /// counted.
-    Ready(Arc<SessionState>),
+    Ready(Arc<HeldSession>),
     /// The key is absent and the caller is now its only builder: restore
     /// or build the session, then [`BuildGuard::fulfil`]. Dropping the
     /// guard un-fulfilled (store error, panic) releases the key so
@@ -271,12 +304,12 @@ impl BuildGuard<'_> {
     fn fulfil(
         mut self,
         owner: Owner,
-        session: Arc<SessionState>,
+        session: Arc<HeldSession>,
         on_disk: bool,
         store: Option<&ArtifactStore>,
     ) -> Result<Vec<(Owner, bool)>, StoreError> {
         self.fulfilled = true;
-        let bytes = session.approx_bytes();
+        let bytes = session.session.approx_bytes();
         let fp = self.key.fingerprint;
         // Evictions are decided under the lock but *spilled* outside it:
         // serializing supernet weights to disk under the only cache mutex
@@ -317,7 +350,7 @@ impl BuildGuard<'_> {
         let mut result = Ok(());
         for (victim, e, spill) in &mut to_spill {
             if *spill && result.is_ok() {
-                if let (Some(store), Some(snap)) = (store, e.session.export()) {
+                if let (Some(store), Some(snap)) = (store, e.session.session.export()) {
                     let key = PrefixKey {
                         fingerprint: *victim,
                     };
@@ -367,7 +400,16 @@ impl SessionCache {
             budget,
             inner: Mutex::default(),
             build_done: Condvar::new(),
+            released: Arc::default(),
         }
+    }
+
+    /// Wraps a built or restored session for the cache to hold.
+    fn hold(&self, session: SessionState) -> Arc<HeldSession> {
+        Arc::new(HeldSession {
+            session,
+            released: Arc::clone(&self.released),
+        })
     }
 
     /// Resolves `key` to a resident session, a build permission, or a
@@ -434,7 +476,17 @@ impl SessionCache {
     }
 
     fn stats(&self) -> SessionCacheStats {
-        self.inner.lock().unwrap().stats
+        let st = self.inner.lock().unwrap();
+        let resident = |count: fn(&SessionState) -> u64| -> u64 {
+            st.entries.values().map(|e| count(&e.session.session)).sum()
+        };
+        SessionCacheStats {
+            accuracy_scored: self.released.scored.load(Ordering::Relaxed)
+                + resident(SessionState::accuracy_scored),
+            accuracy_reused: self.released.reused.load(Ordering::Relaxed)
+                + resident(SessionState::accuracy_reused),
+            ..st.stats
+        }
     }
 }
 
@@ -1036,7 +1088,7 @@ impl Engine {
                 if let Some(store) = store {
                     if let Some(snap) = store.load_session(&prefix_key)? {
                         restored = Some(PhaseClock::time(&phases.session_restore, || {
-                            Arc::new(SessionState::restore(
+                            self.sessions.hold(SessionState::restore(
                                 spec.task.clone(),
                                 hgnas.config().clone(),
                                 snap,
@@ -1055,7 +1107,7 @@ impl Engine {
                         st.prefix_builds += 1;
                         self.sessions.note(|s| s.builds += 1);
                         let built = PhaseClock::time(&phases.session_build, || {
-                            Arc::new(hgnas.prepare_session())
+                            self.sessions.hold(hgnas.prepare_session())
                         });
                         (built, SessionAction::Built)
                     }
@@ -1163,7 +1215,7 @@ impl Engine {
             checkpoint_every: self.checkpoint_every,
             abort_after_generation: abort_after,
             imported_cache: imported,
-            session: Some(&session),
+            session: Some(&session.session),
         });
         let search_ns = (search_t.elapsed().as_nanos() as u64).saturating_sub(sink_persist_ns);
         phases.search.fetch_add(search_ns, Ordering::Relaxed);

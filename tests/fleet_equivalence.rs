@@ -258,6 +258,11 @@ fn session_cache_pretrains_once_per_shard_and_budget_zero_replays() {
     );
     assert_eq!(report.session_stats.evictions, 0);
     assert!(report.session_stats.hits > 0, "later slices hit the cache");
+    let shared = report.session_stats;
+    assert!(
+        shared.accuracy_reused > 0,
+        "same-prefix shards share one-shot accuracies: {shared:?}"
+    );
     let total_builds: u64 = report.shards.iter().map(|r| r.prefix_builds).sum();
     assert_eq!(total_builds, 2, "per-shard builds sum to distinct prefixes");
     for (result, &(device, seed)) in report.shards.iter().zip(&shards) {
@@ -286,6 +291,12 @@ fn session_cache_pretrains_once_per_shard_and_budget_zero_replays() {
     assert!(report.session_stats.evictions > 0, "budget 0 evicts");
     assert_eq!(report.session_stats.spills, 0, "no store, nothing spilled");
     assert_eq!(report.session_stats.hits, 0, "nothing stays resident");
+    let replayed = report.session_stats;
+    assert_eq!(
+        replayed.accuracy_scored + replayed.accuracy_reused,
+        shared.accuracy_scored + shared.accuracy_reused,
+        "the counts cover every session the engine held, dropped ones too"
+    );
     for (result, &(device, seed)) in report.shards.iter().zip(&shards) {
         assert_eq!(
             result.prefix_builds, result.slices,
