@@ -15,10 +15,11 @@ use crate::engine::{Engine, ShardSpec};
 use crate::events::{FleetEvent, ShardId};
 use crate::oracle::{OracleConfig, OracleStats};
 use crossbeam::channel::Sender;
-use hgnas_core::{SearchConfig, SearchOutcome, Strategy, TaskConfig};
+use hgnas_core::{ConfigError, SearchConfig, SearchOutcome, Strategy, TaskConfig, TaskError};
 use hgnas_device::{DeviceKind, DevicePersona};
 use hgnas_ops::OpType;
 use hgnas_pointcloud::TaskKind;
+use std::fmt;
 use std::fmt::Write as _;
 
 /// One named {task × objective × persona} cell of a fleet: a complete
@@ -354,6 +355,53 @@ pub fn shard_specs(
         .collect()
 }
 
+/// Why [`run_fleet`] returned without a report.
+#[derive(Debug)]
+pub enum FleetError {
+    /// A shard's task cannot be searched; nothing ran.
+    Task {
+        /// The shard's index in report order.
+        shard: ShardId,
+        /// What is wrong with its task.
+        error: TaskError,
+    },
+    /// A shard's search configuration cannot be searched; nothing ran.
+    Config {
+        /// The shard's index in report order.
+        shard: ShardId,
+        /// What is wrong with its configuration.
+        error: ConfigError,
+    },
+    /// Artifact I/O failed or an artifact was corrupt.
+    Store(StoreError),
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::Task { shard, error } => write!(f, "shard {shard}: {error}"),
+            FleetError::Config { shard, error } => write!(f, "shard {shard}: {error}"),
+            FleetError::Store(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FleetError::Task { error, .. } => Some(error),
+            FleetError::Config { error, .. } => Some(error),
+            FleetError::Store(e) => Some(e),
+        }
+    }
+}
+
+impl From<StoreError> for FleetError {
+    fn from(e: StoreError) -> Self {
+        FleetError::Store(e)
+    }
+}
+
 /// Shards `base` across `fleet.devices` (or runs `fleet.scenarios`) on a
 /// fresh [`Engine`] against the shared oracle (measured mode) and artifact
 /// store, blocking until every shard finishes.
@@ -366,8 +414,10 @@ pub fn shard_specs(
 ///
 /// # Errors
 ///
-/// The first [`StoreError`] any shard hit (artifact I/O or a corrupt
-/// artifact).
+/// Before any shard runs, the first shard whose task or search
+/// configuration fails [`TaskConfig::validate`] or
+/// [`SearchConfig::validate`]; after that, the first [`StoreError`] any
+/// shard hit (artifact I/O or a corrupt artifact).
 ///
 /// # Panics
 ///
@@ -378,7 +428,7 @@ pub fn run_fleet(
     base: &SearchConfig,
     fleet: &FleetConfig,
     store: Option<&ArtifactStore>,
-) -> Result<FleetReport, StoreError> {
+) -> Result<FleetReport, FleetError> {
     run_fleet_with_events(task, base, fleet, store, None)
 }
 
@@ -401,9 +451,17 @@ pub fn run_fleet_with_events(
     fleet: &FleetConfig,
     store: Option<&ArtifactStore>,
     events: Option<Sender<FleetEvent>>,
-) -> Result<FleetReport, StoreError> {
+) -> Result<FleetReport, FleetError> {
     let mut specs = shard_specs(task, base, &fleet.devices, &fleet.scenarios);
     assert!(!specs.is_empty(), "fleet needs at least one device");
+    for (shard, spec) in specs.iter().enumerate() {
+        spec.task
+            .validate()
+            .map_err(|error| FleetError::Task { shard, error })?;
+        spec.config
+            .validate()
+            .map_err(|error| FleetError::Config { shard, error })?;
+    }
     if let (Some(seed), Some(store)) = (fleet.warm_start_seed, store) {
         for spec in specs
             .iter_mut()

@@ -85,7 +85,7 @@ pub use artifacts::{
 pub use codec::{ArtifactKind, CodecError, FrameKind, PROTOCOL_VERSION, WIRE_MAGIC};
 pub use driver::{
     cross_scenarios, run_fleet, run_fleet_with_events, shard_specs, DeviceReport, FleetConfig,
-    FleetReport, ObjectiveSpec, ParetoPoint, ScenarioSpec,
+    FleetError, FleetReport, ObjectiveSpec, ParetoPoint, ScenarioSpec,
 };
 pub use engine::{Engine, EngineReport, PhaseTimings, SessionCacheStats, ShardResult, ShardSpec};
 pub use events::{channel as event_channel, FleetEvent, SessionAction, ShardId, StreamingReporter};

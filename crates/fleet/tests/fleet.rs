@@ -3,12 +3,13 @@
 //! and artifact corruption rejection.
 
 use hgnas_core::{
-    Checkpoint, Hgnas, LatencyMode, RunOptions, SearchConfig, SearchOutcome, TaskConfig,
+    Checkpoint, ConfigError, Hgnas, LatencyMode, RunOptions, SearchConfig, SearchOutcome,
+    TaskConfig, TaskError,
 };
 use hgnas_device::DeviceKind;
 use hgnas_fleet::{
-    predictor_fingerprint, run_fleet, ArtifactKey, ArtifactStore, FleetConfig, OracleConfig,
-    StoreError,
+    predictor_fingerprint, run_fleet, ArtifactKey, ArtifactStore, FleetConfig, FleetError,
+    OracleConfig, StoreError,
 };
 use hgnas_predictor::PredictorConfig;
 use std::path::PathBuf;
@@ -760,6 +761,54 @@ fn score_cache_round_trips() {
         fingerprint: 2,
     };
     assert!(store.load_score_cache(&empty_key).expect("load").is_none());
+}
+
+/// `run_fleet` checks every shard's task and search configuration before
+/// any shard runs: the two requests that used to panic inside the search
+/// (a fanout `k` past the points per cloud, an empty Stage-2 population)
+/// come back as typed errors naming the shard, and nothing is written to
+/// the store.
+#[test]
+fn invalid_shards_are_rejected_before_any_shard_runs() {
+    let tmp = TempStore::new("validate");
+    let store = tmp.open();
+    let cfg = tiny_config(DeviceKind::JetsonTx2, LatencyMode::Predictor);
+    let fleet = FleetConfig::new(vec![DeviceKind::JetsonTx2, DeviceKind::Rtx3080]);
+
+    let mut bad_task = TaskConfig::tiny(1);
+    bad_task.k = 10_000;
+    let err = run_fleet(&bad_task, &cfg, &fleet, Some(&store)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FleetError::Task {
+                shard: 0,
+                error: TaskError::Neighbours { k: 10_000, .. }
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("k = 10000"), "{err}");
+
+    let mut bad_cfg = cfg.clone();
+    bad_cfg.ea_stage2.population = 0;
+    let err = run_fleet(&TaskConfig::tiny(1), &bad_cfg, &fleet, Some(&store)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FleetError::Config {
+                shard: 0,
+                error: ConfigError::EmptyPopulation { stage: 2 }
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(std::error::Error::source(&err).is_some());
+    assert_eq!(
+        std::fs::read_dir(&tmp.path).expect("store dir").count(),
+        0,
+        "a rejected request must not touch the store"
+    );
 }
 
 /// Golden fingerprint values: fingerprints are a persistence format
