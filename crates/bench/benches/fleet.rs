@@ -286,9 +286,6 @@ fn emit_bench_json() {
     // (the shipping configuration): the re-profiling signal that names the
     // next optimisation target.
     let phases = session.phase_timings;
-    // One-shot accuracies the shared sessions scored versus served from
-    // their memos: the same-seed shards share every accuracy.
-    let accuracy = session.session_stats;
     let json = format!(
         "{{\n  \"bench\": \"fleet/session-vs-replay\",\n  \"shards\": {},\n  \
          \"preemption_stride\": 1,\n  \"threads\": 2,\n  \
@@ -300,8 +297,8 @@ fn emit_bench_json() {
          \"session_restore_ms\": {:.3}, \"search_ms\": {:.3}, \"persist_ms\": {:.3}}}{scenarios}\n}}\n",
         specs.len(),
         replay_ms / session_ms.max(1e-9),
-        accuracy.accuracy_scored,
-        accuracy.accuracy_reused,
+        session.session_stats.accuracy_scored,
+        session.session_stats.accuracy_reused,
         phases.predictor_train_ms,
         phases.session_build_ms,
         phases.session_restore_ms,

@@ -133,11 +133,22 @@ pub fn knn_brute(points: &[f32], dim: usize, k: usize) -> NeighborList {
 /// As [`knn_brute`], for any cloud; also if `segments` sums past the rows
 /// in `points`.
 pub fn knn_brute_segments(points: &[f32], segments: &[usize], dim: usize, k: usize) -> Vec<usize> {
+    per_segment(segments, k, |row0, n| {
+        knn_brute(&points[row0 * dim..(row0 + n) * dim], dim, k)
+    })
+}
+
+/// Builds each segment's neighbour list from `(first row, points)` in row
+/// order and concatenates them, offset into the stacked rows.
+fn per_segment(
+    segments: &[usize],
+    k: usize,
+    mut build: impl FnMut(usize, usize) -> NeighborList,
+) -> Vec<usize> {
     let mut flat = Vec::with_capacity(segments.iter().sum::<usize>() * k);
     let mut row0 = 0;
     for &n in segments {
-        let nl = knn_brute(&points[row0 * dim..(row0 + n) * dim], dim, k);
-        flat.extend(nl.flat().iter().map(|&j| j + row0));
+        flat.extend(build(row0, n).flat().iter().map(|&j| j + row0));
         row0 += n;
     }
     flat
@@ -277,14 +288,7 @@ pub fn random_neighbors<R: Rng>(rng: &mut R, n: usize, k: usize) -> NeighborList
 ///
 /// As [`random_neighbors`], for any cloud.
 pub fn random_neighbors_segments<R: Rng>(rng: &mut R, segments: &[usize], k: usize) -> Vec<usize> {
-    let mut flat = Vec::with_capacity(segments.iter().sum::<usize>() * k);
-    let mut row0 = 0;
-    for &n in segments {
-        let nl = random_neighbors(rng, n, k);
-        flat.extend(nl.flat().iter().map(|&j| j + row0));
-        row0 += n;
-    }
-    flat
+    per_segment(segments, k, |_, n| random_neighbors(rng, n, k))
 }
 
 #[cfg(test)]
