@@ -87,6 +87,35 @@ fn emit_kernels_json() {
         }));
     }
 
+    // The supernet's combine at the batch geometry each workload trains
+    // with: `small` (8 clouds × 128 points, hidden 24) and `tiny` (8 × 48,
+    // hidden 16). Forward `[rows, h]·[h, h]`; backward the input gradient
+    // `g·wᵀ` (`matmul_bt`) and the weight gradient `xᵀ·g` (`matmul_at`,
+    // contracting over the rows).
+    // The workload shapes draw from their own generator, so the rows that
+    // came before them keep their inputs.
+    let mut wrng = StdRng::seed_from_u64(11);
+    for &(rows, h) in &[(1024usize, 24usize), (384, 16)] {
+        let x = Tensor::rand_uniform(&mut wrng, &[rows, h], -1.0, 1.0);
+        let w = Tensor::rand_uniform(&mut wrng, &[h, h], -1.0, 1.0);
+        let g = Tensor::rand_uniform(&mut wrng, &[rows, h], -1.0, 1.0);
+        let shape = format!("{rows}x{h}x{h}");
+        entries.push(time_both("matmul_blocked", &shape, 25, || {
+            black_box(matmul_blocked(black_box(&x), black_box(&w)));
+        }));
+        entries.push(time_both("matmul_bt", &shape, 25, || {
+            black_box(matmul_bt(black_box(&g), black_box(&w)));
+        }));
+        entries.push(time_both(
+            "matmul_at",
+            &format!("{h}x{rows}x{h}"),
+            25,
+            || {
+                black_box(matmul_at(black_box(&x), black_box(&g)));
+            },
+        ));
+    }
+
     // Message-passing shapes: [points, neighbours, channels] EdgeConv-style,
     // reduced over each point's neighbour rows of the [points*neighbours,
     // channels] message tensor.
@@ -109,16 +138,40 @@ fn emit_kernels_json() {
             },
         ));
     }
-    // Global max pooling of the same batch: 8 segments of 128 rows.
-    let h = Tensor::rand_uniform(&mut rng, &[8 * 128, 24], -1.0, 1.0);
-    let segments = [128usize; 8];
-    entries.push(time_both("segment_pool_max", "8x128x24", 9, || {
-        black_box(segment_reduce_rows(
-            black_box(&h),
-            &segments,
-            Reduction::Max,
+    // The message widths the searched aggregations reduce most often: 48
+    // (two hidden-24 parts) at the `small` geometry, and 16 and 32 at the
+    // `tiny` one (8 clouds x 48 points, k = 8, hidden 16).
+    for &(points, k, c) in &[(1024usize, 10usize, 48usize), (384, 8, 16), (384, 8, 32)] {
+        let msgs = Tensor::rand_uniform(&mut wrng, &[points * k, c], -1.0, 1.0);
+        entries.push(time_both(
+            "reduce_mid_max",
+            &format!("{points}x{k}x{c}"),
+            25,
+            || {
+                black_box(reduce_row_groups(black_box(&msgs), k, Reduction::Max));
+            },
         ));
-    }));
+    }
+    // Global max pooling of the same batches: 8 segments of 128 rows, and
+    // 8 of 48.
+    for &(points, c) in &[(128usize, 24usize), (48, 16)] {
+        let g = if points == 128 { &mut rng } else { &mut wrng };
+        let h = Tensor::rand_uniform(g, &[8 * points, c], -1.0, 1.0);
+        let segments = [points; 8];
+        let reps = if points == 128 { 9 } else { 25 };
+        entries.push(time_both(
+            "segment_pool_max",
+            &format!("8x{points}x{c}"),
+            reps,
+            || {
+                black_box(segment_reduce_rows(
+                    black_box(&h),
+                    &segments,
+                    Reduction::Max,
+                ));
+            },
+        ));
+    }
     let flat = Tensor::rand_uniform(&mut rng, &[1024 * 20, 64], -1.0, 1.0);
     let idx: Vec<usize> = (0..1024 * 20).map(|i| i % 1024).collect();
     entries.push(time_both("scatter_add_rows", "20480x64->1024", 9, || {
