@@ -1,18 +1,19 @@
-//! Criterion micro-benches for the numerical substrate, including the two
-//! ablations DESIGN.md calls out: blocked vs naive matmul and brute-force
-//! vs grid KNN.
+//! Criterion micro-benches for the numerical substrate: naive vs blocked
+//! vs threaded matmul, and the brute-force KNN build.
 //!
 //! Besides the criterion sweep, the bench always writes a machine-readable
-//! `BENCH_kernels.json` comparing the scalar and lane (AVX2) paths of every
-//! kernel ported to the `simd` layer, one record per kernel × shape. The
-//! two paths are bit-identical by construction, so the record is purely a
-//! perf trajectory for CI (`bench_diff` compares it against the committed
-//! baseline). `HGNAS_BENCH_JSON=only` skips the criterion sweep and emits
-//! just the record; `HGNAS_BENCH_OUT` overrides the output path.
+//! `BENCH_kernels.json` timing the matmul, reduction and KNN kernels with
+//! every kernel forced onto its scalar leg and on the host's lane path,
+//! one record per kernel × shape. The two paths are bit-identical by
+//! construction, so the record is purely a perf trajectory for CI
+//! (`bench_diff` compares it against the committed baseline); a kernel
+//! without an AVX2 leg reads about 1.0. `HGNAS_BENCH_JSON=only` skips the
+//! criterion sweep and emits just the record; `HGNAS_BENCH_OUT` overrides
+//! the output path.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use hgnas_bench::record::{emit_bench_json, json_only, time_both};
-use hgnas_graph::{knn_brute, knn_grid, knn_kdtree};
+use hgnas_graph::knn_brute;
 use hgnas_tensor::kernels::{fold_rows, scatter_add_rows};
 use hgnas_tensor::matmul::{matmul_at, matmul_blocked, matmul_bt, matmul_naive, matmul_parallel};
 use hgnas_tensor::reduce::{reduce_row_groups, segment_reduce_rows, Reduction};
@@ -47,12 +48,6 @@ fn bench_knn(c: &mut Criterion) {
         let pts: Vec<f32> = (0..n * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         group.bench_with_input(BenchmarkId::new("brute", n), &n, |bch, _| {
             bch.iter(|| knn_brute(black_box(&pts), 3, 20))
-        });
-        group.bench_with_input(BenchmarkId::new("grid", n), &n, |bch, _| {
-            bch.iter(|| knn_grid(black_box(&pts), 3, 20))
-        });
-        group.bench_with_input(BenchmarkId::new("kdtree", n), &n, |bch, _| {
-            bch.iter(|| knn_kdtree(black_box(&pts), 3, 20))
         });
     }
     group.finish();
@@ -196,13 +191,6 @@ fn emit_kernels_json() {
             },
         ));
     }
-    // The grid builder has no production caller; kept for its gathered
-    // distance leg.
-    let pts: Vec<f32> = (0..1024 * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    entries.push(time_both("knn_grid", "1024x3 k=20", 7, || {
-        black_box(knn_grid(black_box(&pts), 3, 20));
-    }));
-
     emit_bench_json("kernels/scalar-vs-lane", "BENCH_kernels.json", &entries);
 }
 

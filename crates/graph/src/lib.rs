@@ -3,11 +3,10 @@
 //!
 //! Point-cloud GNNs such as DGCNN rebuild a K-nearest-neighbour graph inside
 //! every layer — the very operation the paper identifies as the dominant cost
-//! on GPUs (Fig. 3). This crate provides the lane-parallel brute-force
-//! construction the pipeline runs, grid and k-d tree alternatives
-//! (compared in the `knn` criterion bench), plus the random-sampling
-//! alternative from the design space (Tab. I) and the graph containers the
-//! rest of the stack shares.
+//! on GPUs (Fig. 3). This crate provides the one KNN builder the pipeline
+//! runs, [`knn_brute`] (a lane-parallel distance sweep plus a bounded
+//! top-`k` selection), the random-sampling alternative from the design
+//! space (Tab. I) and the graph containers the rest of the stack shares.
 //!
 //! # Example
 //!
@@ -21,14 +20,11 @@
 //! ```
 
 mod digraph;
-mod kdtree;
 mod knn;
 mod neighbors;
 
 pub use digraph::{AdjNorm, DiGraph};
-pub use kdtree::knn_kdtree;
 pub use knn::{
-    knn_brute, knn_brute_calls, knn_brute_segments, knn_grid, random_neighbors,
-    random_neighbors_segments,
+    knn_brute, knn_brute_calls, knn_brute_segments, random_neighbors, random_neighbors_segments,
 };
 pub use neighbors::{Csr, NeighborList};

@@ -1,6 +1,6 @@
 //! Property-based tests for graph construction.
 
-use hgnas_graph::{knn_brute, knn_grid, random_neighbors, AdjNorm, Csr, DiGraph, NeighborList};
+use hgnas_graph::{knn_brute, random_neighbors, AdjNorm, Csr, DiGraph, NeighborList};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,22 +37,6 @@ proptest! {
                 if j != i && !nl.neighbors(i).contains(&j) {
                     prop_assert!(d2(&pts, i, j) >= worst_selected - 1e-6);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn grid_and_brute_distances_match(seed in 0u64..200, n in 12usize..80) {
-        let k = 5;
-        prop_assume!(n > k);
-        let pts = cloud(seed, n);
-        let a = knn_brute(&pts, 3, k);
-        let b = knn_grid(&pts, 3, k);
-        for i in 0..n {
-            for slot in 0..k {
-                let da = d2(&pts, i, a.neighbors(i)[slot]);
-                let db = d2(&pts, i, b.neighbors(i)[slot]);
-                prop_assert!((da - db).abs() < 1e-6, "node {i} slot {slot}");
             }
         }
     }

@@ -1,36 +1,44 @@
-//! Portable `f32` lane kernels with a **bit-identical** scalar fallback.
+//! Portable `f32` kernels: plain scalar loops, plus three kernels with an
+//! 8-lane AVX2 leg whose results are **bit-identical** to their scalar leg.
 //!
-//! Every kernel in this module has two implementations: an 8-lane AVX2 path
-//! (`core::arch::x86_64` intrinsics behind runtime feature detection) and a
-//! pure-scalar path that executes the *same lane/remainder schedule*. The
-//! load-bearing invariant — the one the fleet layer's whole bit-identity
-//! matrix rests on — is that **both paths produce bit-identical results for
-//! every input**:
+//! Only [`adam_step`], [`squared_distances_cols`] and [`arg_extremum_rows`]
+//! carry an AVX2 leg (`core::arch::x86_64` intrinsics behind runtime
+//! feature detection). Each is kept because the kernels and ops records
+//! show it at least 1.15× faster than its scalar leg at every shape the
+//! `solo-small` and `tenants` workloads call it with. Every other kernel
+//! here is one scalar loop with no dispatch: at those shapes (rows of 12
+//! to 24 floats, matmuls over 16 or 24 columns) an AVX2 leg was no faster,
+//! because the rows are too short to amortise the dispatch and the
+//! compiler already vectorises the plain loops.
 //!
-//! - Elementwise kernels ([`axpy`], [`add_assign`], [`scale`], and the
-//!   distance kernels) compute each output element with exactly the same
-//!   sequence of IEEE-754 operations on either path; vectorising over
-//!   independent elements never reorders any element's own computation, and
+//! The load-bearing invariant — the one the fleet layer's whole
+//! bit-identity matrix rests on — is that **both legs of a lane kernel
+//! produce bit-identical results for every input**:
+//!
+//! - Elementwise kernels ([`adam_step`], [`squared_distances_cols`])
+//!   compute each output element with exactly the same sequence of
+//!   IEEE-754 operations on either leg; vectorising over independent
+//!   elements never reorders any element's own computation, and
 //!   `_mm256_mul_ps`/`_mm256_add_ps` round identically to scalar `*`/`+`.
 //!   No FMA is used anywhere — fused rounding would break the equality.
-//! - The reduction kernel ([`dot`]) uses a *fixed multi-accumulator
-//!   schedule*: [`LANES`] parallel partial sums filled chunk-by-chunk, the
-//!   remainder folded into the leading accumulators, then a fixed binary
-//!   tree (`hsum_tree` order) — mirrored literally in the scalar path, so
-//!   the floating-point association is the same on both.
 //! - The selection kernel ([`arg_extremum_rows`]) computes nothing: it
 //!   compares (ordered `>`/`<`, false on NaN) and moves whole values, so
-//!   its outputs are bit copies of its inputs on either path.
+//!   its outputs are bit copies of its inputs on either leg.
+//! - The reduction kernel [`dot`] has one leg but keeps a *fixed
+//!   multi-accumulator schedule*: [`LANES`] parallel partial sums filled
+//!   chunk-by-chunk, the remainder folded into the leading accumulators,
+//!   then a fixed binary tree (`hsum_tree` order). The schedule is part of
+//!   its numeric contract, which [`crate::matmul::matmul_bt`] inherits.
 //!
 //! Path selection: [`detected`] probes AVX2 once (the `HGNAS_SIMD=scalar`
 //! environment variable, or building without the `simd` cargo feature,
-//! forces the scalar path — the latter keeps the offline-shim builds free
+//! forces the scalar leg — the latter keeps the offline-shim builds free
 //! of any `core::arch` surface). [`with_path`] is a process-global
-//! test/bench hook for comparing the two paths in one process; because
+//! test/bench hook for comparing the two legs in one process; because
 //! results are path-independent, a concurrent override can never change
 //! what another thread computes, only how fast.
 //!
-//! Work-size gates: every kernel falls through to the scalar loop when the
+//! Work-size gates: a lane kernel falls through to its scalar leg when the
 //! contiguous run is shorter than [`LANES`], so tiny inputs never pay lane
 //! dispatch overhead. The gate is value-neutral by the invariant above.
 
@@ -41,12 +49,12 @@ use std::sync::OnceLock;
 /// The scalar fallback mirrors this width in its accumulator schedule.
 pub const LANES: usize = 8;
 
-/// Which implementation the lane kernels run.
+/// Which leg the lane kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LanePath {
     /// 8-lane `core::arch::x86_64` AVX2 intrinsics.
     Avx2,
-    /// Pure-scalar loops executing the same lane/remainder schedule.
+    /// Pure-scalar loops computing the same IEEE operations per element.
     Scalar,
 }
 
@@ -138,18 +146,14 @@ macro_rules! lane_dispatch {
     };
 }
 
-/// `acc[i] += a * x[i]` — the matmul axpy inner loop. Lane-parallel over
-/// `i`; per-element operation order is `mul` then `add` on both paths.
+/// `acc[i] += a * x[i]` — the matmul axpy inner loop; per element `mul`
+/// then `add`.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(acc.len(), x.len(), "axpy length mismatch");
-    lane_dispatch!(acc.len(), avx2::axpy(acc, a, x), axpy_scalar(acc, a, x))
-}
-
-fn axpy_scalar(acc: &mut [f32], a: f32, x: &[f32]) {
     for (c, &v) in acc.iter_mut().zip(x) {
         *c += a * v;
     }
@@ -162,14 +166,6 @@ fn axpy_scalar(acc: &mut [f32], a: f32, x: &[f32]) {
 /// Panics if the slices differ in length.
 pub fn add_assign(acc: &mut [f32], x: &[f32]) {
     assert_eq!(acc.len(), x.len(), "add_assign length mismatch");
-    lane_dispatch!(
-        acc.len(),
-        avx2::add_assign(acc, x),
-        add_assign_scalar(acc, x)
-    )
-}
-
-fn add_assign_scalar(acc: &mut [f32], x: &[f32]) {
     for (c, &v) in acc.iter_mut().zip(x) {
         *c += v;
     }
@@ -183,14 +179,6 @@ fn add_assign_scalar(acc: &mut [f32], x: &[f32]) {
 /// Panics if the slices differ in length.
 pub fn sub_assign(acc: &mut [f32], x: &[f32]) {
     assert_eq!(acc.len(), x.len(), "sub_assign length mismatch");
-    lane_dispatch!(
-        acc.len(),
-        avx2::sub_assign(acc, x),
-        sub_assign_scalar(acc, x)
-    )
-}
-
-fn sub_assign_scalar(acc: &mut [f32], x: &[f32]) {
     for (c, &v) in acc.iter_mut().zip(x) {
         *c -= v;
     }
@@ -204,14 +192,6 @@ fn sub_assign_scalar(acc: &mut [f32], x: &[f32]) {
 /// Panics if the slices differ in length.
 pub fn mul_assign(acc: &mut [f32], x: &[f32]) {
     assert_eq!(acc.len(), x.len(), "mul_assign length mismatch");
-    lane_dispatch!(
-        acc.len(),
-        avx2::mul_assign(acc, x),
-        mul_assign_scalar(acc, x)
-    )
-}
-
-fn mul_assign_scalar(acc: &mut [f32], x: &[f32]) {
     for (c, &v) in acc.iter_mut().zip(x) {
         *c *= v;
     }
@@ -219,26 +199,14 @@ fn mul_assign_scalar(acc: &mut [f32], x: &[f32]) {
 
 /// `buf[i] *= s` — the mean-normalisation loop.
 pub fn scale(buf: &mut [f32], s: f32) {
-    lane_dispatch!(buf.len(), avx2::scale(buf, s), scale_scalar(buf, s))
-}
-
-fn scale_scalar(buf: &mut [f32], s: f32) {
     for v in buf.iter_mut() {
         *v *= s;
     }
 }
 
-/// In-place ReLU: `buf[i] = if buf[i] > 0 { buf[i] } else { +0.0 }`.
-///
-/// The lane leg is `and_ps(v, cmp_gt(v, 0))` — **not** `max_ps` — because
-/// `max_ps` returns the second operand on NaN while the scalar `>` test
-/// sends NaN (and `-0.0`) to `+0.0`; the mask-and form matches the scalar
-/// branch bit-for-bit on every input, NaN and signed zero included.
+/// In-place ReLU: `buf[i] = if buf[i] > 0 { buf[i] } else { +0.0 }`, so
+/// NaN and `-0.0` become `+0.0`.
 pub fn relu(buf: &mut [f32]) {
-    lane_dispatch!(buf.len(), avx2::relu(buf), relu_scalar(buf))
-}
-
-fn relu_scalar(buf: &mut [f32]) {
     for v in buf.iter_mut() {
         *v = if *v > 0.0 { *v } else { 0.0 };
     }
@@ -246,18 +214,9 @@ fn relu_scalar(buf: &mut [f32]) {
 
 /// In-place LeakyReLU: `buf[i] = if buf[i] > 0 { buf[i] } else { slope * buf[i] }`.
 ///
-/// Lane leg: `blendv(slope·v, v, cmp_gt(v, 0))`. Both paths compute the
-/// negative leg as the same single multiply, so NaN payloads, `slope·∞` and
-/// `slope·(-0.0)` propagate identically.
+/// The negative side is one multiply, so NaN payloads, `slope·∞` and
+/// `slope·(-0.0)` propagate as IEEE says.
 pub fn leaky_relu(buf: &mut [f32], slope: f32) {
-    lane_dispatch!(
-        buf.len(),
-        avx2::leaky_relu(buf, slope),
-        leaky_relu_scalar(buf, slope)
-    )
-}
-
-fn leaky_relu_scalar(buf: &mut [f32], slope: f32) {
     for v in buf.iter_mut() {
         *v = if *v > 0.0 { *v } else { slope * *v };
     }
@@ -265,19 +224,14 @@ fn leaky_relu_scalar(buf: &mut [f32], slope: f32) {
 
 /// ReLU backward: `g[i] *= if x[i] > 0 { 1.0 } else { 0.0 }`, where `x` is
 /// the forward *input*. The mask value is multiplied (not selected) so the
-/// IEEE edge cases the PR 6 contract pinned — `0.0 · NaN = NaN`,
-/// `0.0 · ∞ = NaN`, sign of zero — behave exactly like the pre-lane
-/// mask-tensor multiply this replaces.
+/// IEEE edge cases — `0.0 · NaN = NaN`, `0.0 · ∞ = NaN`, sign of zero —
+/// behave exactly like the mask-tensor multiply this kernel replaced.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn relu_grad(g: &mut [f32], x: &[f32]) {
     assert_eq!(g.len(), x.len(), "relu_grad length mismatch");
-    lane_dispatch!(g.len(), avx2::relu_grad(g, x), relu_grad_scalar(g, x))
-}
-
-fn relu_grad_scalar(g: &mut [f32], x: &[f32]) {
     for (gv, &xv) in g.iter_mut().zip(x) {
         *gv *= if xv > 0.0 { 1.0 } else { 0.0 };
     }
@@ -291,22 +245,14 @@ fn relu_grad_scalar(g: &mut [f32], x: &[f32]) {
 /// Panics if the slices differ in length.
 pub fn leaky_relu_grad(g: &mut [f32], x: &[f32], slope: f32) {
     assert_eq!(g.len(), x.len(), "leaky_relu_grad length mismatch");
-    lane_dispatch!(
-        g.len(),
-        avx2::leaky_relu_grad(g, x, slope),
-        leaky_relu_grad_scalar(g, x, slope)
-    )
-}
-
-fn leaky_relu_grad_scalar(g: &mut [f32], x: &[f32], slope: f32) {
     for (gv, &xv) in g.iter_mut().zip(x) {
         *gv *= if xv > 0.0 { 1.0 } else { slope };
     }
 }
 
 /// Fixed-order horizontal sum of the [`LANES`] partial accumulators:
-/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. Shared verbatim by both paths
-/// of [`dot`], so the reduction tree is part of the kernel's contract.
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — the reduction tree of
+/// [`dot`], part of the kernel's contract.
 #[inline]
 fn hsum_tree(l: &[f32; LANES]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
@@ -316,10 +262,10 @@ fn hsum_tree(l: &[f32; LANES]) -> f32 {
 /// sums over full chunks (`lanes[l] += a[c*8+l] * b[c*8+l]` in chunk
 /// order), the tail folded into `lanes[0..tail]`, then `hsum_tree`.
 ///
-/// This is **not** the same association as a sequential `fold` — callers
-/// switching to `dot` accept a one-time numeric re-baselining in exchange
-/// for a schedule both paths can execute bit-identically (and ~`LANES`×
-/// more ILP even in scalar form).
+/// This is **not** the same association as a sequential `fold`: the
+/// schedule is what an 8-lane register would compute, kept so every
+/// result `matmul_bt` ever produced keeps its bits (and it gives ~`LANES`×
+/// more ILP than a fold).
 ///
 /// # Panics
 ///
@@ -327,15 +273,6 @@ fn hsum_tree(l: &[f32; LANES]) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let mut lanes = [0.0f32; LANES];
-    lane_dispatch!(
-        a.len(),
-        avx2::dot_lanes(a, b, &mut lanes),
-        dot_lanes_scalar(a, b, &mut lanes)
-    );
-    hsum_tree(&lanes)
-}
-
-fn dot_lanes_scalar(a: &[f32], b: &[f32], lanes: &mut [f32; LANES]) {
     let full = a.len() / LANES * LANES;
     let mut i = 0;
     while i < full {
@@ -347,6 +284,7 @@ fn dot_lanes_scalar(a: &[f32], b: &[f32], lanes: &mut [f32; LANES]) {
     for (t, i) in (full..a.len()).enumerate() {
         lanes[t] += a[i] * b[i];
     }
+    hsum_tree(&lanes)
 }
 
 /// Scalar hyper-parameters of one [`adam_step`] call. Bias correction is
@@ -457,44 +395,6 @@ fn sqdist_cols_scalar(q: &[f32], cols: &[f32], n: usize, out: &mut [f32], j0: us
     }
 }
 
-#[inline]
-fn sqdist3_one(q: &[f32], p: &[f32]) -> f32 {
-    let dx = q[0] - p[0];
-    let dy = q[1] - p[1];
-    let dz = q[2] - p[2];
-    (dx * dx + dy * dy) + dz * dz
-}
-
-/// Squared distances from one 3-D query to a gathered candidate set of an
-/// interleaved `xyz` buffer: `out[j] = |q - points[idx[j]]|²`, computed as
-/// `(dx·dx + dy·dy) + dz·dz` — the same association as
-/// [`squared_distances_cols`]. Elementwise over `j`, hence path-independent.
-///
-/// # Panics
-///
-/// Panics if `q` is not 3 floats, `idx` and `out` differ in length, or any
-/// index reaches past `points`.
-pub fn squared_distances_3d_indexed(q: &[f32], points: &[f32], idx: &[usize], out: &mut [f32]) {
-    assert_eq!(q.len(), 3, "query must be a 3-D point");
-    assert_eq!(idx.len(), out.len(), "idx/out length mismatch");
-    let n = points.len() / 3;
-    assert!(
-        idx.iter().all(|&j| j < n),
-        "candidate index out of bounds for {n} points"
-    );
-    lane_dispatch!(
-        out.len(),
-        avx2::sqdist3_indexed(q, points, idx, out),
-        sqdist3_indexed_scalar(q, points, idx, out)
-    )
-}
-
-fn sqdist3_indexed_scalar(q: &[f32], points: &[f32], idx: &[usize], out: &mut [f32]) {
-    for (o, &j) in out.iter_mut().zip(idx) {
-        *o = sqdist3_one(q, &points[j * 3..j * 3 + 3]);
-    }
-}
-
 /// Which extreme [`arg_extremum_rows`] keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Extremum {
@@ -589,141 +489,6 @@ mod avx2 {
     use core::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-        let n = acc.len();
-        let va = _mm256_set1_ps(a);
-        let mut i = 0;
-        while i + LANES <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vc = _mm256_loadu_ps(acc.as_ptr().add(i));
-            let r = _mm256_add_ps(vc, _mm256_mul_ps(va, vx));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), r);
-            i += LANES;
-        }
-        super::axpy_scalar(&mut acc[i..], a, &x[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign(acc: &mut [f32], x: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vc = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(vc, vx));
-            i += LANES;
-        }
-        super::add_assign_scalar(&mut acc[i..], &x[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sub_assign(acc: &mut [f32], x: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vc = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_sub_ps(vc, vx));
-            i += LANES;
-        }
-        super::sub_assign_scalar(&mut acc[i..], &x[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_assign(acc: &mut [f32], x: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vc = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_mul_ps(vc, vx));
-            i += LANES;
-        }
-        super::mul_assign_scalar(&mut acc[i..], &x[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn relu(buf: &mut [f32]) {
-        let n = buf.len();
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + LANES <= n {
-            let v = _mm256_loadu_ps(buf.as_ptr().add(i));
-            // gt-mask AND value: NaN and -0.0 compare false and land on +0.0,
-            // exactly like the scalar `if v > 0.0` branch.
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
-            _mm256_storeu_ps(buf.as_mut_ptr().add(i), _mm256_and_ps(v, mask));
-            i += LANES;
-        }
-        super::relu_scalar(&mut buf[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn leaky_relu(buf: &mut [f32], slope: f32) {
-        let n = buf.len();
-        let zero = _mm256_setzero_ps();
-        let vs = _mm256_set1_ps(slope);
-        let mut i = 0;
-        while i + LANES <= n {
-            let v = _mm256_loadu_ps(buf.as_ptr().add(i));
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
-            let neg = _mm256_mul_ps(vs, v);
-            _mm256_storeu_ps(buf.as_mut_ptr().add(i), _mm256_blendv_ps(neg, v, mask));
-            i += LANES;
-        }
-        super::leaky_relu_scalar(&mut buf[i..], slope);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn relu_grad(g: &mut [f32], x: &[f32]) {
-        let n = g.len();
-        let zero = _mm256_setzero_ps();
-        let one = _mm256_set1_ps(1.0);
-        let mut i = 0;
-        while i + LANES <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vg = _mm256_loadu_ps(g.as_ptr().add(i));
-            // Literal multiply by the 1.0/0.0 mask — keeps 0·NaN and 0·∞
-            // producing NaN like the scalar sibling.
-            let mask = _mm256_and_ps(one, _mm256_cmp_ps::<_CMP_GT_OQ>(vx, zero));
-            _mm256_storeu_ps(g.as_mut_ptr().add(i), _mm256_mul_ps(vg, mask));
-            i += LANES;
-        }
-        super::relu_grad_scalar(&mut g[i..], &x[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn leaky_relu_grad(g: &mut [f32], x: &[f32], slope: f32) {
-        let n = g.len();
-        let zero = _mm256_setzero_ps();
-        let one = _mm256_set1_ps(1.0);
-        let vs = _mm256_set1_ps(slope);
-        let mut i = 0;
-        while i + LANES <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vg = _mm256_loadu_ps(g.as_ptr().add(i));
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(vx, zero);
-            let factor = _mm256_blendv_ps(vs, one, mask);
-            _mm256_storeu_ps(g.as_mut_ptr().add(i), _mm256_mul_ps(vg, factor));
-            i += LANES;
-        }
-        super::leaky_relu_grad_scalar(&mut g[i..], &x[i..], slope);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale(buf: &mut [f32], s: f32) {
-        let n = buf.len();
-        let vs = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i + LANES <= n {
-            let v = _mm256_loadu_ps(buf.as_ptr().add(i));
-            _mm256_storeu_ps(buf.as_mut_ptr().add(i), _mm256_mul_ps(v, vs));
-            i += LANES;
-        }
-        super::scale_scalar(&mut buf[i..], s);
-    }
-
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn adam_step(
         w: &mut [f32],
         m: &mut [f32],
@@ -761,23 +526,6 @@ mod avx2 {
             i += LANES;
         }
         super::adam_step_scalar(&mut w[i..], &mut m[i..], &mut v[i..], &g[i..], p);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_lanes(a: &[f32], b: &[f32], lanes: &mut [f32; LANES]) {
-        let full = a.len() / LANES * LANES;
-        let mut acc = _mm256_loadu_ps(lanes.as_ptr());
-        let mut i = 0;
-        while i < full {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-            i += LANES;
-        }
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        for (t, i) in (full..a.len()).enumerate() {
-            lanes[t] += a[i] * b[i];
-        }
     }
 
     /// Distances to 8 column-layout points at a time: one running sum per
@@ -847,58 +595,6 @@ mod avx2 {
         }
         super::arg_extremum_scalar(rows, c, which, &mut out[j..], &mut args[j..], j);
     }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sqdist3_indexed(
-        q: &[f32],
-        points: &[f32],
-        idx: &[usize],
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let qx = _mm256_set1_ps(q[0]);
-        let qy = _mm256_set1_ps(q[1]);
-        let qz = _mm256_set1_ps(q[2]);
-        let mut j = 0;
-        while j + LANES <= n {
-            let ix = _mm256_setr_epi32(
-                (idx[j] * 3) as i32,
-                (idx[j + 1] * 3) as i32,
-                (idx[j + 2] * 3) as i32,
-                (idx[j + 3] * 3) as i32,
-                (idx[j + 4] * 3) as i32,
-                (idx[j + 5] * 3) as i32,
-                (idx[j + 6] * 3) as i32,
-                (idx[j + 7] * 3) as i32,
-            );
-            let d = sqdist3_gather(qx, qy, qz, points.as_ptr(), ix);
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), d);
-            j += LANES;
-        }
-        super::sqdist3_indexed_scalar(q, points, &idx[j..], &mut out[j..]);
-    }
-
-    /// `(dx·dx + dy·dy) + dz·dz` for 8 points whose `x` components sit at
-    /// float offsets `ix` (with `y`/`z` at `+1`/`+2`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn sqdist3_gather(
-        qx: __m256,
-        qy: __m256,
-        qz: __m256,
-        points: *const f32,
-        ix: __m256i,
-    ) -> __m256 {
-        let px = _mm256_i32gather_ps::<4>(points, ix);
-        let py = _mm256_i32gather_ps::<4>(points.add(1), ix);
-        let pz = _mm256_i32gather_ps::<4>(points.add(2), ix);
-        let dx = _mm256_sub_ps(qx, px);
-        let dy = _mm256_sub_ps(qy, py);
-        let dz = _mm256_sub_ps(qz, pz);
-        _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-            _mm256_mul_ps(dz, dz),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -946,18 +642,25 @@ mod tests {
         }
     }
 
+    /// The paths [`with_path`] can force.
+    const PATHS: [LanePath; 2] = [LanePath::Scalar, LanePath::Avx2];
+
     #[test]
     fn add_assign_and_scale_match_across_paths() {
         for len in RAGGED {
             let x = seq(len, 0.3);
-            let base = seq(len, 0.9);
-            let (mut s1, mut l1) = (base.clone(), base.clone());
-            with_path(LanePath::Scalar, || add_assign(&mut s1, &x));
-            with_path(LanePath::Avx2, || add_assign(&mut l1, &x));
-            assert_eq!(s1, l1, "add_assign len {len}");
-            with_path(LanePath::Scalar, || scale(&mut s1, 0.77));
-            with_path(LanePath::Avx2, || scale(&mut l1, 0.77));
-            assert_eq!(s1, l1, "scale len {len}");
+            let mut expect = seq(len, 0.9);
+            for (c, &v) in expect.iter_mut().zip(&x) {
+                *c = (*c + v) * 0.77;
+            }
+            for path in PATHS {
+                let mut got = seq(len, 0.9);
+                with_path(path, || {
+                    add_assign(&mut got, &x);
+                    scale(&mut got, 0.77);
+                });
+                assert_eq!(got, expect, "{path} len {len}");
+            }
         }
     }
 
@@ -981,14 +684,18 @@ mod tests {
     fn sub_and_mul_assign_match_across_paths() {
         for len in RAGGED {
             let x = seq(len, 0.13);
-            let base = seq(len, 0.83);
-            let (mut s, mut l) = (base.clone(), base.clone());
-            with_path(LanePath::Scalar, || sub_assign(&mut s, &x));
-            with_path(LanePath::Avx2, || sub_assign(&mut l, &x));
-            assert_eq!(s, l, "sub_assign len {len}");
-            with_path(LanePath::Scalar, || mul_assign(&mut s, &x));
-            with_path(LanePath::Avx2, || mul_assign(&mut l, &x));
-            assert_eq!(s, l, "mul_assign len {len}");
+            let mut expect = seq(len, 0.83);
+            for (c, &v) in expect.iter_mut().zip(&x) {
+                *c = (*c - v) * v;
+            }
+            for path in PATHS {
+                let mut got = seq(len, 0.83);
+                with_path(path, || {
+                    sub_assign(&mut got, &x);
+                    mul_assign(&mut got, &x);
+                });
+                assert_eq!(got, expect, "{path} len {len}");
+            }
         }
     }
 
@@ -998,26 +705,39 @@ mod tests {
             for salt in 0..8 {
                 let x = specials(len, salt);
                 let g = seq(len, 0.29);
+                let step = |v: f32, neg: f32| if v > 0.0 { v } else { neg * v };
+                let mask = |v: f32, neg: f32| if v > 0.0 { 1.0 } else { neg };
+                let want_relu: Vec<f32> =
+                    x.iter().map(|&v| if v > 0.0 { v } else { 0.0 }).collect();
+                let want_leaky: Vec<f32> = x.iter().map(|&v| step(v, 0.2)).collect();
+                let want_relu_grad: Vec<f32> = g
+                    .iter()
+                    .zip(&x)
+                    .map(|(&gv, &v)| gv * mask(v, 0.0))
+                    .collect();
+                let want_leaky_grad: Vec<f32> = g
+                    .iter()
+                    .zip(&x)
+                    .map(|(&gv, &v)| gv * mask(v, 0.2))
+                    .collect();
+                for path in PATHS {
+                    let at = format!("{path} len {len} salt {salt}");
+                    let mut r = x.clone();
+                    with_path(path, || relu(&mut r));
+                    assert_eq!(bits(&r), bits(&want_relu), "relu {at}");
 
-                let (mut s, mut l) = (x.clone(), x.clone());
-                with_path(LanePath::Scalar, || relu(&mut s));
-                with_path(LanePath::Avx2, || relu(&mut l));
-                assert_eq!(bits(&s), bits(&l), "relu len {len} salt {salt}");
+                    let mut r = x.clone();
+                    with_path(path, || leaky_relu(&mut r, 0.2));
+                    assert_eq!(bits(&r), bits(&want_leaky), "leaky_relu {at}");
 
-                let (mut s, mut l) = (x.clone(), x.clone());
-                with_path(LanePath::Scalar, || leaky_relu(&mut s, 0.2));
-                with_path(LanePath::Avx2, || leaky_relu(&mut l, 0.2));
-                assert_eq!(bits(&s), bits(&l), "leaky_relu len {len} salt {salt}");
+                    let mut r = g.clone();
+                    with_path(path, || relu_grad(&mut r, &x));
+                    assert_eq!(bits(&r), bits(&want_relu_grad), "relu_grad {at}");
 
-                let (mut s, mut l) = (g.clone(), g.clone());
-                with_path(LanePath::Scalar, || relu_grad(&mut s, &x));
-                with_path(LanePath::Avx2, || relu_grad(&mut l, &x));
-                assert_eq!(bits(&s), bits(&l), "relu_grad len {len} salt {salt}");
-
-                let (mut s, mut l) = (g.clone(), g.clone());
-                with_path(LanePath::Scalar, || leaky_relu_grad(&mut s, &x, 0.2));
-                with_path(LanePath::Avx2, || leaky_relu_grad(&mut l, &x, 0.2));
-                assert_eq!(bits(&s), bits(&l), "leaky_relu_grad len {len} salt {salt}");
+                    let mut r = g.clone();
+                    with_path(path, || leaky_relu_grad(&mut r, &x, 0.2));
+                    assert_eq!(bits(&r), bits(&want_leaky_grad), "leaky_relu_grad {at}");
+                }
             }
         }
     }
@@ -1065,9 +785,19 @@ mod tests {
         for len in RAGGED {
             let a = seq(len, 0.2);
             let b = seq(len, 0.5);
-            let s = with_path(LanePath::Scalar, || dot(&a, &b));
-            let l = with_path(LanePath::Avx2, || dot(&a, &b));
-            assert_eq!(s.to_bits(), l.to_bits(), "len {len}");
+            // Element `i` of a full chunk feeds lane `i % LANES`, tail
+            // element `t` lane `t`, each lane in index order.
+            let full = len / LANES * LANES;
+            let mut lanes = [0.0f32; LANES];
+            for i in 0..len {
+                let lane = if i < full { i % LANES } else { i - full };
+                lanes[lane] += a[i] * b[i];
+            }
+            let expect = hsum_tree(&lanes);
+            for path in PATHS {
+                let got = with_path(path, || dot(&a, &b));
+                assert_eq!(got.to_bits(), expect.to_bits(), "{path} len {len}");
+            }
         }
     }
 
@@ -1188,25 +918,6 @@ mod tests {
                 }
             }
         }
-        // The gathered 3-D variant, deliberately shuffled + duplicated
-        // indices, agrees with the column sweep.
-        let pts = seq(64 * 3, 0.4);
-        let q = &pts[9..12];
-        let mut s = vec![0.0f32; 64];
-        squared_distances_cols(q, &columns(&pts, 3), &mut s);
-        let idx: Vec<usize> = (0..64).map(|i| (i * 13 + 5) % 64).collect();
-        let mut si = vec![0.0f32; idx.len()];
-        let mut li = vec![0.0f32; idx.len()];
-        with_path(LanePath::Scalar, || {
-            squared_distances_3d_indexed(q, &pts, &idx, &mut si)
-        });
-        with_path(LanePath::Avx2, || {
-            squared_distances_3d_indexed(q, &pts, &idx, &mut li)
-        });
-        assert_eq!(si, li);
-        for (t, &j) in idx.iter().enumerate() {
-            assert_eq!(si[t].to_bits(), s[j].to_bits());
-        }
     }
 
     #[test]
@@ -1231,14 +942,6 @@ mod tests {
         arg_extremum_rows(&rows, Extremum::Min, &mut out, &mut args);
         assert_eq!((out[2], args[2]), (0.5, 2));
         assert_eq!(args[0], 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn indexed_distances_check_bounds() {
-        let pts = [0.0f32; 9];
-        let mut out = [0.0f32; 1];
-        squared_distances_3d_indexed(&pts[0..3], &pts, &[3], &mut out);
     }
 
     #[test]
