@@ -5,8 +5,8 @@
 //!   overlap: with W workers per device, a shard can keep W measurements
 //!   in flight while it scores other candidates.
 //! - `fleet/scheduler`: one tiny 3-shard fleet searched under different
-//!   engine shapes — the legacy thread-per-shard form vs. bounded
-//!   thread budgets, unpreempted vs. generation-granular slicing. Results
+//!   engine shapes — thread budgets of 1 and 2, unpreempted vs.
+//!   generation-granular slicing. Results
 //!   are bit-identical across shapes; this measures the scheduling
 //!   overhead. With the session cache (PR 5) fine strides no longer
 //!   replay Stage 1 + supernet pre-training per slice.
@@ -137,8 +137,8 @@ fn bench_scheduler(c: &mut Criterion) {
     ]);
 
     let mut group = c.benchmark_group("fleet/scheduler3");
-    // (threads, stride): 0 threads = legacy one-worker-per-shard.
-    for (threads, stride) in [(0usize, 0usize), (2, 0), (2, 1), (1, 1)] {
+    // (threads, stride)
+    for (threads, stride) in [(2usize, 0usize), (2, 1), (1, 1)] {
         let label = format!("t{threads}-s{stride}");
         group.bench_with_input(
             BenchmarkId::new("shape", label),

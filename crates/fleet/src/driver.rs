@@ -166,9 +166,10 @@ pub struct FleetConfig {
     /// Persist a checkpoint every N generations (1 = every boundary).
     /// Ignored without an artifact store (events still fire per boundary).
     pub checkpoint_every: usize,
-    /// Total kernel-thread budget the engine multiplexes shards over.
-    /// `0` (the default) keeps the legacy shape: one worker per shard,
-    /// each with the base config's own `eval_threads`.
+    /// Total kernel-thread budget the engine multiplexes shards over:
+    /// `min(threads, shards)` workers split it between them (0 is treated
+    /// as 1). Defaults to the host's available parallelism. Results are
+    /// bit-identical at any budget.
     pub threads: usize,
     /// Generations per engine time slice; `0` (the default) runs every
     /// shard to completion unpreempted. Results are bit-identical either
@@ -196,14 +197,15 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Fleet over `devices` with default oracle settings, per-generation
-    /// checkpointing, and no preemption.
+    /// checkpointing, no preemption, and the host's available parallelism
+    /// as the thread budget.
     pub fn new(devices: impl Into<Vec<DeviceKind>>) -> Self {
         FleetConfig {
             devices: devices.into(),
             scenarios: Vec::new(),
             oracle: OracleConfig::default(),
             checkpoint_every: 1,
-            threads: 0,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             preemption_stride: 0,
             warm_start_seed: None,
             session_memory_budget: None,

@@ -631,8 +631,8 @@ enum SliceOutcome {
 
 /// The long-lived fleet engine. See the module docs.
 pub struct Engine {
-    /// Total kernel-thread budget; `0` runs one worker per shard, each
-    /// with its spec's own `eval_threads`.
+    /// Total kernel-thread budget, split over the workers (0 is treated
+    /// as 1).
     threads: usize,
     /// Generations per time slice; `0` runs every shard unpreempted.
     preemption_stride: usize,
@@ -779,11 +779,8 @@ impl Engine {
             .iter()
             .map(|&i| Mutex::new(self.parked.remove(&(request, i)).unwrap_or_default()))
             .collect();
-        let workers = if self.threads == 0 {
-            n
-        } else {
-            self.threads.min(n).max(1)
-        };
+        let threads = self.threads.max(1);
+        let workers = threads.min(n);
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         for j in 0..n {
             let _ = tx.send(Job::Slice(j));
@@ -802,14 +799,9 @@ impl Engine {
                 let events = events.clone();
                 let (states, remaining, executed, budget, failure, abort) =
                     (&states, &remaining, &executed, &budget, &failure, &abort);
-                // 0 tells the slice to use the spec's own eval_threads
-                // (legacy one-worker-per-shard mode); otherwise split the
-                // budget, spreading the remainder over the first workers.
-                let kernel_budget = if this.threads == 0 {
-                    0
-                } else {
-                    (this.threads / workers + usize::from(w < this.threads % workers)).max(1)
-                };
+                // Split the budget, spreading the remainder over the first
+                // workers; workers <= threads, so every share is >= 1.
+                let kernel_budget = threads / workers + usize::from(w < threads % workers);
                 s.spawn(move |_| {
                     let finish_one = || {
                         if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -945,11 +937,9 @@ impl Engine {
         let store = self.store.as_ref();
         let phases = &self.phases;
         let mut cfg = spec.config.clone();
-        if kernel_budget > 0 {
-            // Bit-transparent by the evaluator contract, so the engine is
-            // free to re-split the budget as the worker pool shrinks.
-            cfg.eval_threads = kernel_budget;
-        }
+        // Bit-transparent by the evaluator contract, so the engine is free
+        // to re-split the budget as the worker pool shrinks.
+        cfg.eval_threads = kernel_budget;
         let device = cfg.device;
 
         // Predictor: once per shard, reused across every later slice

@@ -47,8 +47,7 @@ use std::time::Duration;
 /// Daemon settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Kernel-thread budget of the daemon's engine (`0` runs one worker
-    /// per shard).
+    /// Kernel-thread budget of the daemon's engine (0 is treated as 1).
     pub threads: usize,
     /// Generations per preemption slice (`0` disables preemption, which
     /// also makes every request run to completion in its first round —
