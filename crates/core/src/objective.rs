@@ -33,9 +33,7 @@ pub struct CandidateMetrics {
 /// Hard gates: `lat < constraint_ms`, `size < max_size_mb`,
 /// `energy < max_energy_mj`, `peak_mem < max_peak_mem_mb` — each applied
 /// only when the bound is set *and* the metric was supplied
-/// ([`Objective::evaluate`] is the single scoring path; the legacy
-/// [`Objective::score`]/[`Objective::score_sized`] entry points delegate to
-/// it with the axes they know about).
+/// ([`Objective::evaluate`] is the single scoring path).
 ///
 /// Every soft term is normalised by a same-device reference (DGCNN latency
 /// / energy / memory), so the α:β:γ:δ weights stay device-independent —
@@ -188,90 +186,65 @@ impl Objective {
         }
         s
     }
-
-    /// Eq. (3) over (accuracy, latency) only — [`Objective::evaluate`]
-    /// with every optional axis absent.
-    pub fn score(&self, accuracy: f64, latency_ms: f64) -> f64 {
-        self.evaluate(&CandidateMetrics {
-            accuracy,
-            latency_ms,
-            ..CandidateMetrics::default()
-        })
-    }
-
-    /// Eq. (3) with the size gate applied as well — [`Objective::evaluate`]
-    /// with the size axis supplied.
-    pub fn score_sized(&self, accuracy: f64, latency_ms: f64, size_mb: f64) -> f64 {
-        self.evaluate(&CandidateMetrics {
-            accuracy,
-            latency_ms,
-            size_mb: Some(size_mb),
-            ..CandidateMetrics::default()
-        })
-    }
-
-    /// Returns a copy with a different α:β ratio, keeping α + β fixed —
-    /// the Fig. 7 sweep knob.
-    pub fn with_ratio(&self, alpha_over_beta: f64) -> Self {
-        let total = self.alpha + self.beta;
-        let beta = total / (1.0 + alpha_over_beta);
-        Objective {
-            alpha: total - beta,
-            beta,
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A candidate with only the always-present axes.
+    fn plain(accuracy: f64, latency_ms: f64) -> CandidateMetrics {
+        CandidateMetrics {
+            accuracy,
+            latency_ms,
+            ..CandidateMetrics::default()
+        }
+    }
+
+    /// A candidate with the size axis supplied as well.
+    fn sized(accuracy: f64, latency_ms: f64, size_mb: f64) -> CandidateMetrics {
+        CandidateMetrics {
+            size_mb: Some(size_mb),
+            ..plain(accuracy, latency_ms)
+        }
+    }
+
     #[test]
     fn constraint_gates_score_to_zero() {
         let o = Objective::new(1.0, 0.5, 100.0, 50.0);
-        assert_eq!(o.score(0.99, 100.0), 0.0);
-        assert_eq!(o.score(0.99, 150.0), 0.0);
-        assert!(o.score(0.99, 40.0) > 0.0);
+        assert_eq!(o.evaluate(&plain(0.99, 100.0)), 0.0);
+        assert_eq!(o.evaluate(&plain(0.99, 150.0)), 0.0);
+        assert!(o.evaluate(&plain(0.99, 40.0)) > 0.0);
     }
 
     #[test]
     fn faster_is_better_at_equal_accuracy() {
         let o = Objective::new(1.0, 0.5, 100.0, 50.0);
-        assert!(o.score(0.9, 10.0) > o.score(0.9, 40.0));
+        assert!(o.evaluate(&plain(0.9, 10.0)) > o.evaluate(&plain(0.9, 40.0)));
     }
 
     #[test]
     fn ratio_sweep_shifts_preference() {
-        let o = Objective::new(1.0, 1.0, 1000.0, 100.0);
-        let acc_heavy = o.with_ratio(10.0);
-        let lat_heavy = o.with_ratio(0.1);
+        // α:β of 10:1 against 1:10, the ends of the Fig. 7 sweep.
+        let acc_heavy = Objective::new(10.0, 1.0, 1000.0, 100.0);
+        let lat_heavy = Objective::new(1.0, 10.0, 1000.0, 100.0);
         // Accurate-but-slow candidate vs fast-but-sloppy candidate.
-        let (slow_acc, fast_sloppy) = ((0.95, 90.0), (0.80, 10.0));
-        assert!(
-            acc_heavy.score(slow_acc.0, slow_acc.1) > acc_heavy.score(fast_sloppy.0, fast_sloppy.1)
-        );
-        assert!(
-            lat_heavy.score(fast_sloppy.0, fast_sloppy.1) > lat_heavy.score(slow_acc.0, slow_acc.1)
-        );
+        let (slow_acc, fast_sloppy) = (plain(0.95, 90.0), plain(0.80, 10.0));
+        assert!(acc_heavy.evaluate(&slow_acc) > acc_heavy.evaluate(&fast_sloppy));
+        assert!(lat_heavy.evaluate(&fast_sloppy) > lat_heavy.evaluate(&slow_acc));
     }
 
     #[test]
     fn size_gate_mirrors_latency_gate() {
         let o = Objective::new(1.0, 0.5, 100.0, 50.0).with_max_size_mb(2.0);
-        assert!(o.score_sized(0.9, 10.0, 1.0) > 0.0);
-        assert_eq!(o.score_sized(0.9, 10.0, 2.5), 0.0);
+        assert!(o.evaluate(&sized(0.9, 10.0, 1.0)) > 0.0);
+        assert_eq!(o.evaluate(&sized(0.9, 10.0, 2.5)), 0.0);
         // Without a size constraint the sized score equals the plain one.
         let free = Objective::new(1.0, 0.5, 100.0, 50.0);
-        assert_eq!(free.score_sized(0.9, 10.0, 99.0), free.score(0.9, 10.0));
-    }
-
-    #[test]
-    fn ratio_preserves_total_weight() {
-        let o = Objective::new(1.5, 0.5, 10.0, 10.0);
-        let r = o.with_ratio(3.0);
-        assert!((r.alpha + r.beta - 2.0).abs() < 1e-12);
-        assert!((r.alpha / r.beta - 3.0).abs() < 1e-9);
+        assert_eq!(
+            free.evaluate(&sized(0.9, 10.0, 99.0)),
+            free.evaluate(&plain(0.9, 10.0))
+        );
     }
 
     /// Every gate's boundary is exclusive: a metric exactly at its bound
@@ -313,16 +286,15 @@ mod tests {
         }
     }
 
-    /// A bound whose metric was not supplied does not gate: callers that
-    /// opt out of an axis keep the legacy behaviour ([`Objective::score`]
-    /// never gated on size either).
+    /// A bound whose metric was not supplied does not gate: a caller that
+    /// opts out of an axis is scored on the axes it supplied.
     #[test]
     fn absent_metrics_pass_their_gates() {
         let o = Objective::new(1.0, 0.5, 100.0, 50.0)
             .with_max_size_mb(0.001)
             .with_max_energy_mj(0.001)
             .with_max_peak_mem_mb(0.001);
-        assert!(o.score(0.9, 10.0) > 0.0);
+        assert!(o.evaluate(&plain(0.9, 10.0)) > 0.0);
     }
 
     #[test]
@@ -338,8 +310,15 @@ mod tests {
         };
         // 1.0 − 0.5·(100/200) − 0.25·(200/400) = 1.0 − 0.25 − 0.125
         assert!((o.evaluate(&m) - 0.625).abs() < 1e-12);
-        // Zero-weight objectives do the exact legacy arithmetic.
-        assert_eq!(base.evaluate(&m).to_bits(), base.score(1.0, 10.0).to_bits());
+        // Zero-weight objectives do the exact two-term arithmetic, whatever
+        // the other axes read.
+        let (alpha, beta, accuracy, latency, reference) = (1.0f64, 0.0, 1.0, 10.0, 50.0);
+        let two_term = alpha * accuracy - beta * (latency / reference);
+        assert_eq!(base.evaluate(&m).to_bits(), two_term.to_bits());
+        assert_eq!(
+            base.evaluate(&m).to_bits(),
+            base.evaluate(&plain(1.0, 10.0)).to_bits()
+        );
     }
 
     #[test]
