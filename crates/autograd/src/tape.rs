@@ -449,15 +449,15 @@ impl Tape {
         self.push(value, Op::Scale(x, s), rg)
     }
 
-    /// Rectified linear unit (lane-kernel forward; anything not strictly
-    /// positive — NaN included — maps to `+0.0`, matching the backward mask).
+    /// Rectified linear unit (anything not strictly positive — NaN
+    /// included — maps to `+0.0`, matching the backward mask).
     pub fn relu(&mut self, x: Var) -> Var {
         let value = self.value(x).relu();
         let rg = self.requires(x);
         self.push(value, Op::Relu(x), rg)
     }
 
-    /// Leaky ReLU with the given negative slope (lane-kernel forward).
+    /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, x: Var, slope: f32) -> Var {
         let value = self.value(x).leaky_relu(slope);
         let rg = self.requires(x);

@@ -1,14 +1,13 @@
 //! Row gather/scatter and layout kernels used by graph message passing.
 //!
 //! The accumulating kernels ([`scatter_add_rows`], [`fold_rows`]) run their
-//! per-row feature loop through [`crate::simd::add_assign`] — elementwise
-//! over the feature axis, so the lane path never changes a bit.
-//! [`row_norms`] contracts with [`crate::simd::dot`]'s fixed
-//! multi-accumulator schedule (same on every path). The pure-copy kernels
+//! per-row feature loop through [`crate::simd::add_assign`], elementwise
+//! over the feature axis. [`row_norms`] contracts with
+//! [`crate::simd::dot`]'s fixed multi-accumulator schedule. The pure-copy
+//! kernels
 //! ([`gather_rows`], [`repeat_rows`], [`concat_cols`], [`split_cols`])
 //! append straight into uninitialised capacity (`extend_from_slice`) — a
-//! single `memcpy` pass per row instead of a zero-fill followed by a copy;
-//! copies move bits, so no lane/scalar distinction exists for them.
+//! single `memcpy` pass per row instead of a zero-fill followed by a copy.
 
 use crate::simd;
 use crate::Tensor;

@@ -10,11 +10,12 @@
 //! The design goal is *predictable* performance without external BLAS:
 //! everything the paper's models require (EdgeConv-style message passing,
 //! GCN propagation, MLP heads) reduces to the kernels here. The hot inner
-//! loops run through the [`simd`] lane layer — AVX2 behind runtime feature
-//! detection (cargo feature `simd`, on by default), with a scalar fallback
-//! executing the same lane/remainder schedule so every path is
-//! bit-identical. The only `unsafe` in the crate is the feature-gated
-//! intrinsics leg of that module.
+//! loops are the [`simd`] kernels. Three of them — the KNN distance sweep,
+//! the arg-tracked max/min and the Adam step — also have an AVX2 leg behind
+//! runtime feature detection (cargo feature `simd`, on by default),
+//! bit-identical to their scalar leg; the others are plain scalar loops.
+//! The only `unsafe` in the crate is the feature-gated intrinsics leg of
+//! that module.
 //!
 //! # Example
 //!

@@ -1,17 +1,17 @@
-//! Matrix-multiplication kernels: naive, cache-blocked, multi-threaded, and
-//! lane-parallel (see [`crate::simd`]).
+//! Matrix-multiplication kernels: naive, cache-blocked and multi-threaded.
 //!
 //! All variants compute `C = A · B` (or a transposed flavour) and are
-//! exact-equivalent; the blocked/threaded/lane versions exist purely for
+//! exact-equivalent; the blocked/threaded versions exist purely for
 //! throughput. The kernels bench (`hgnas-bench`, `BENCH_kernels.json`)
-//! tracks scalar-vs-lane wall clock per shape; the elementwise and
-//! activation kernels that surround these matmuls on the tape live in
-//! [`crate::simd`] directly and are tracked by `BENCH_ops.json`.
+//! tracks their wall clock per shape, including the supernet's combine
+//! shapes; the elementwise and activation kernels that surround these
+//! matmuls on the tape live in [`crate::simd`] and are tracked by
+//! `BENCH_ops.json`.
 //!
 //! # Dispatch decision tree
 //!
 //! Every entry point walks the same gates, so tiny matmuls never pay
-//! thread-spawn or lane-dispatch overhead:
+//! thread-spawn overhead:
 //!
 //! 1. **Threads** ([`Tensor::matmul`], [`matmul_bt`], [`matmul_at`]): use
 //!    the caller's kernel budget ([`crate::threads::kernel_threads`]) only
@@ -22,20 +22,17 @@
 //!    gate for skinny shapes.
 //! 2. **Blocking**: each thread (or the single-threaded fall-through) runs
 //!    the cache-blocked kernel ([`BLOCK`]-edge tiles).
-//! 3. **Lanes**: the innermost contiguous loop dispatches through
-//!    [`crate::simd`], which itself falls back to scalar below one lane
-//!    width ([`crate::simd::LANES`]) or when AVX2 is unavailable. The
-//!    same gate serves the non-matmul tape ops: elementwise
-//!    add/sub/mul/scale and the relu/leaky-relu forwards and gradients
-//!    dispatch per row (or per flat buffer) through the identical
-//!    lane/remainder schedule, so a tensor narrower than one lane runs
-//!    the scalar leg with zero dispatch overhead.
+//! 3. **Inner loop**: the innermost contiguous loop is a plain scalar
+//!    loop — [`crate::simd::axpy`] for [`matmul_blocked`] and
+//!    [`matmul_at`], [`crate::simd::dot`] for [`matmul_bt`] — with no lane
+//!    dispatch. Their AVX2 legs were deleted: at the supernet's combine
+//!    shapes (16 or 24 output columns) they ran at 0.66–0.85× of these
+//!    loops, which the compiler vectorises.
 //!
 //! Every gate is value-neutral: threading partitions output rows without
-//! reordering any row's accumulation, and the lane kernels are bit-identical
-//! to their scalar fallbacks by construction. The only numeric decision is
-//! baked into the kernel itself: [`matmul_bt`] contracts with the fixed
-//! multi-accumulator schedule of [`crate::simd::dot`] on *every* path.
+//! reordering any row's accumulation. The only numeric decision is baked
+//! into the kernel itself: [`matmul_bt`] contracts with the fixed
+//! multi-accumulator schedule of [`crate::simd::dot`].
 //!
 //! # Zero-skip removal (IEEE semantics)
 //!
@@ -97,8 +94,9 @@ fn check_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
 
 /// Reference triple-loop matmul (ikj order, so the inner loop streams both
 /// `B` and `C`). Kept deliberately scalar and branch-free: it is the
-/// independent reference the lane kernels are asserted bit-identical
-/// against (per-element accumulation order over `p` is the same).
+/// independent reference the blocked and threaded kernels are asserted
+/// bit-identical against (per-element accumulation order over `p` is the
+/// same).
 ///
 /// # Panics
 ///
@@ -120,9 +118,9 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(c, &[m, n])
 }
 
-/// Cache-blocked, lane-parallel matmul; bit-identical to [`matmul_naive`]
-/// (blocking only regroups the `p` loop in increasing order, and the lane
-/// axpy preserves per-element operation order).
+/// Cache-blocked matmul; bit-identical to [`matmul_naive`] (blocking only
+/// regroups the `p` loop in increasing order, and the axpy inner loop
+/// keeps the per-element operation order).
 ///
 /// # Panics
 ///
@@ -186,7 +184,7 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
 
 /// Computes `A · Bᵀ` without materialising the transpose. Useful for
 /// gradient kernels (`dX = dY · Wᵀ`) — it sits on the autograd hot path, so
-/// it gets the full blocked + threaded + lane treatment: tiles of `C` are
+/// it gets the full blocked + threaded treatment: tiles of `C` are
 /// filled with [`crate::simd::dot`] contractions (both operands stream
 /// contiguously along `k`), and output rows split across the caller's
 /// kernel budget behind the standard work-size gates.
@@ -246,12 +244,11 @@ fn matmul_bt_into(ad: &[f32], bd: &[f32], c: &mut [f32], k: usize, n: usize) {
 
 /// Computes `Aᵀ · B` without materialising the transpose. Useful for weight
 /// gradients (`dW = Xᵀ · dY`) — like [`matmul_bt`] it is an autograd hot
-/// path and gets the blocked + threaded + lane treatment: the inner loop is
-/// the same lane axpy as [`matmul_blocked`] (elementwise over `j`, so
-/// per-element accumulation order over `p` is preserved exactly), output
-/// rows tile by [`BLOCK`] for cache reuse and split across the caller's
-/// kernel budget behind the standard work-size gates. Bit-identical at any
-/// budget and on every lane path.
+/// path and gets the blocked + threaded treatment: the inner loop is the
+/// same axpy as [`matmul_blocked`] (elementwise over `j`, so per-element
+/// accumulation order over `p` is preserved exactly), output rows tile by
+/// [`BLOCK`] for cache reuse and split across the caller's kernel budget
+/// behind the standard work-size gates. Bit-identical at any budget.
 ///
 /// # Panics
 ///
@@ -305,8 +302,7 @@ impl Tensor {
     /// Matrix product `self · other`, dispatching on the caller's kernel
     /// thread budget (see [`crate::threads`]) and the work-size gates — the
     /// full decision tree is in the [module docs](self). All paths produce
-    /// bit-identical results, so neither the budget nor the lane path ever
-    /// affects values.
+    /// bit-identical results, so the budget never affects values.
     ///
     /// # Panics
     ///
@@ -349,7 +345,7 @@ mod tests {
             let naive = matmul_naive(&a, &b);
             // Blocked (and therefore parallel) is bit-identical to naive,
             // not merely close: blocking regroups the p loop in increasing
-            // order and the lane axpy preserves per-element op order.
+            // order and the axpy preserves per-element op order.
             assert_eq!(matmul_blocked(&a, &b).data(), naive.data());
             assert_eq!(matmul_parallel(&a, &b, 4).data(), naive.data());
         }

@@ -6,7 +6,7 @@
 //! can route gradients.
 //!
 //! Every reduction here runs one per-block body, [`reduce_block`], over the
-//! lane kernels in [`crate::simd`]: sum/mean accumulate rows with
+//! kernels in [`crate::simd`]: sum/mean accumulate rows with
 //! `add_assign` from `+0.0` (then `scale` for the mean), max/min run
 //! [`simd::arg_extremum_rows`], which keeps the running winner and its row
 //! index in registers across a block's rows. Both kernels are elementwise

@@ -211,8 +211,8 @@ impl Tensor {
 
     /// Elementwise addition, supporting a 1-D bias row broadcast over the last
     /// dimension of `self`. Both the same-shape and bias-broadcast legs run
-    /// through the [`crate::simd`] lane layer (per row in the broadcast case,
-    /// preserving the per-element order of the old modulo loop).
+    /// [`crate::simd::add_assign`] (per row in the broadcast case, preserving
+    /// the per-element order of the old modulo loop).
     ///
     /// # Panics
     ///
@@ -236,7 +236,7 @@ impl Tensor {
         out
     }
 
-    /// Elementwise subtraction (same shapes only), on the lane layer.
+    /// Elementwise subtraction (same shapes only).
     ///
     /// # Panics
     ///
@@ -252,7 +252,7 @@ impl Tensor {
         out
     }
 
-    /// Elementwise (Hadamard) product (same shapes only), on the lane layer.
+    /// Elementwise (Hadamard) product (same shapes only).
     ///
     /// # Panics
     ///
@@ -268,7 +268,7 @@ impl Tensor {
         out
     }
 
-    /// Multiplies every element by `s`, on the lane layer.
+    /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Tensor {
         let mut out = self.clone();
         simd::scale(&mut out.data, s);
@@ -276,14 +276,14 @@ impl Tensor {
     }
 
     /// Elementwise ReLU (`max`-free: anything not strictly positive becomes
-    /// `+0.0`, NaN included — see [`crate::simd::relu`]), on the lane layer.
+    /// `+0.0`, NaN included — see [`crate::simd::relu`]).
     pub fn relu(&self) -> Tensor {
         let mut out = self.clone();
         simd::relu(&mut out.data);
         out
     }
 
-    /// Elementwise LeakyReLU with the given negative slope, on the lane layer.
+    /// Elementwise LeakyReLU with the given negative slope.
     pub fn leaky_relu(&self, slope: f32) -> Tensor {
         let mut out = self.clone();
         simd::leaky_relu(&mut out.data, slope);
