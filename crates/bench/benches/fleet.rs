@@ -6,9 +6,8 @@
 //!   in flight while it scores other candidates.
 //! - `fleet/scheduler`: one tiny 3-shard fleet searched under different
 //!   engine shapes — thread budgets of 1 and 2, unpreempted vs.
-//!   generation-granular slicing. Results
-//!   are bit-identical across shapes; this measures the scheduling
-//!   overhead. With the session cache (PR 5) fine strides no longer
+//!   generation-granular slicing. Results are bit-identical across
+//!   shapes; this measures the scheduling overhead. With the session cache (PR 5) fine strides no longer
 //!   replay Stage 1 + supernet pre-training per slice.
 //!
 //! Besides the criterion sweep, the bench always writes two

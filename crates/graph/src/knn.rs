@@ -13,11 +13,9 @@
 //! first-seen first among exact ties, writing straight into the neighbour
 //! list.
 //!
-//! It is the only builder. The uniform-grid and k-d tree builders that
-//! sat beside it had no production caller, indexed 3-D points only, and
-//! kept exact ties in the order they visited cells or nodes rather than
-//! index order, so routing a graph through either would have moved
-//! neighbour lists the golden tests pin.
+//! It is the only builder. An accelerated one (a grid or a k-d tree over
+//! 3-D points) would have to return exact ties in index order, as this
+//! one does, or it would move the neighbour lists the golden tests pin.
 
 use crate::neighbors::NeighborList;
 use hgnas_tensor::simd;

@@ -25,9 +25,9 @@
 //! 3. **Inner loop**: the innermost contiguous loop is a plain scalar
 //!    loop — [`crate::simd::axpy`] for [`matmul_blocked`] and
 //!    [`matmul_at`], [`crate::simd::dot`] for [`matmul_bt`] — with no lane
-//!    dispatch. Their AVX2 legs were deleted: at the supernet's combine
-//!    shapes (16 or 24 output columns) they ran at 0.66–0.85× of these
-//!    loops, which the compiler vectorises.
+//!    dispatch: at the supernet's combine shapes (16 or 24 output
+//!    columns) an AVX2 leg ran at 0.66–0.85× of these loops, which the
+//!    compiler vectorises.
 //!
 //! Every gate is value-neutral: threading partitions output rows without
 //! reordering any row's accumulation. The only numeric decision is baked
