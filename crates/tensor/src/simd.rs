@@ -6,10 +6,11 @@
 //! feature detection). Each is kept because the kernels and ops records
 //! show it at least 1.15× faster than its scalar leg at every shape the
 //! `solo-small` and `tenants` workloads call it with. Every other kernel
-//! here is one scalar loop with no dispatch: at those shapes (rows of 12
-//! to 24 floats, matmuls over 16 or 24 columns) an AVX2 leg was no faster,
-//! because the rows are too short to amortise the dispatch and the
-//! compiler already vectorises the plain loops.
+//! here is one scalar loop with no dispatch: an AVX2 leg fell below that
+//! bar at some shape a workload calls it with (rows of 12 to 24 floats,
+//! matmuls over 16 or 24 columns, the latency predictor's 144- and
+//! 176-float blocks), where a row is too short to pay for the dispatch and
+//! the compiler already vectorises the plain loop.
 //!
 //! The load-bearing invariant — the one the fleet layer's whole
 //! bit-identity matrix rests on — is that **both legs of a lane kernel
