@@ -52,9 +52,8 @@ pub use eval::{CandidateScorer, EvalStats, Evaluator};
 pub use objective::{CandidateMetrics, Objective};
 pub use pareto::{pareto_front, pareto_front_nd};
 pub use search::{
-    Checkpoint, ConfigError, Hgnas, JointGenome, LatencyMode, MeasureBackend, OneStageCheckpoint,
-    PrefixParams, PretrainedPredictor, RunOptions, RunOutput, ScoredCandidate, SearchCheckpoint,
-    SearchConfig, SearchOutcome, SearchedModel, SessionSnapshot, SessionState, Strategy,
-    TaskConfig, TaskError,
+    Checkpoint, ConfigError, Genome, Hgnas, JointGenome, LatencyMode, MeasureBackend, PrefixParams,
+    PretrainedPredictor, RunOptions, RunOutput, ScoredCandidate, SearchCheckpoint, SearchConfig,
+    SearchOutcome, SearchedModel, SessionSnapshot, SessionState, Strategy, TaskConfig, TaskError,
 };
 pub use supernet::Supernet;

@@ -17,6 +17,7 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -622,76 +623,148 @@ pub struct ScoredCandidate {
     pub peak_mem_mb: Option<f64>,
 }
 
-/// A consistent image of an in-flight multi-stage search at a Stage-2
-/// generation boundary: EA state (including its RNG mid-stream), the
+/// Genome of the one-stage joint baseline: both half function sets plus
+/// the op-type sequence evolve together. Public so one-stage checkpoints
+/// can persist — and artifact codecs re-encode — the joint EA state.
+pub type JointGenome = (FunctionSet, FunctionSet, Vec<OpType>);
+
+/// A genome the main search loop evolves: a Stage-2 op sequence, which
+/// runs under the function-set pair Stage 1 fixed for the whole run, or a
+/// one-stage [`JointGenome`], which carries its own pair. The one place
+/// that knows which function sets a genome runs under: the loop, its
+/// checkpoints and the artifact codecs all ask it.
+pub trait Genome: Clone + Eq + Hash + Send + Sync + fmt::Debug {
+    /// What every genome of one run shares: the Stage-1 function-set pair
+    /// for op genomes, nothing for joint genomes.
+    type Functions: Copy + PartialEq + fmt::Debug + Send + Sync;
+    /// The strategy whose main loop evolves this genome.
+    const STRATEGY: Strategy;
+    /// The genome's own function-set pair, if it carries one.
+    fn functions(&self) -> Option<(FunctionSet, FunctionSet)>;
+    /// The pair `shared` holds, if any.
+    fn shared(shared: Self::Functions) -> Option<(FunctionSet, FunctionSet)>;
+    /// The op sequence.
+    fn ops(&self) -> &[OpType];
+    /// `model`'s genome in this form: what a best model is stored as.
+    fn of(model: &SearchedModel) -> Self;
+    /// A checkpoint of this genome's loop, as [`RunOptions`] carries it.
+    fn checkpoint(cp: SearchCheckpoint<Self>) -> Checkpoint;
+    /// `cp`'s payload, if `cp` is a checkpoint of this genome's loop.
+    fn payload(cp: Checkpoint) -> Option<SearchCheckpoint<Self>>;
+
+    /// The function sets this genome runs under in a run sharing `shared`.
+    fn functions_in(&self, shared: Self::Functions) -> (FunctionSet, FunctionSet) {
+        self.functions()
+            .or(Self::shared(shared))
+            .expect("every genome carries its function sets or shares its run's")
+    }
+}
+
+impl Genome for Vec<OpType> {
+    type Functions = (FunctionSet, FunctionSet);
+    const STRATEGY: Strategy = Strategy::MultiStage;
+
+    fn functions(&self) -> Option<(FunctionSet, FunctionSet)> {
+        None
+    }
+
+    fn shared(shared: Self::Functions) -> Option<(FunctionSet, FunctionSet)> {
+        Some(shared)
+    }
+
+    fn ops(&self) -> &[OpType] {
+        self
+    }
+
+    fn of(model: &SearchedModel) -> Self {
+        model.genome.clone()
+    }
+
+    fn checkpoint(cp: SearchCheckpoint<Self>) -> Checkpoint {
+        Checkpoint::MultiStage(cp)
+    }
+
+    fn payload(cp: Checkpoint) -> Option<SearchCheckpoint<Self>> {
+        match cp {
+            Checkpoint::MultiStage(cp) => Some(cp),
+            Checkpoint::OneStage(_) => None,
+        }
+    }
+}
+
+impl Genome for JointGenome {
+    type Functions = ();
+    const STRATEGY: Strategy = Strategy::OneStage;
+
+    fn functions(&self) -> Option<(FunctionSet, FunctionSet)> {
+        Some((self.0, self.1))
+    }
+
+    fn shared((): ()) -> Option<(FunctionSet, FunctionSet)> {
+        None
+    }
+
+    fn ops(&self) -> &[OpType] {
+        &self.2
+    }
+
+    fn of(model: &SearchedModel) -> Self {
+        (model.functions.0, model.functions.1, model.genome.clone())
+    }
+
+    fn checkpoint(cp: SearchCheckpoint<Self>) -> Checkpoint {
+        Checkpoint::OneStage(cp)
+    }
+
+    fn payload(cp: Checkpoint) -> Option<SearchCheckpoint<Self>> {
+        match cp {
+            Checkpoint::MultiStage(_) => None,
+            Checkpoint::OneStage(cp) => Some(cp),
+        }
+    }
+}
+
+/// A consistent image of an in-flight search at a generation boundary of
+/// its main loop: the EA state (including its RNG mid-stream), the
 /// evaluator's memo cache and stream counters, the simulated clock, the
 /// history trace and the best-so-far candidate. Restoring it via
 /// [`RunOptions::resume`] continues the search bit-identically to a run
 /// that was never interrupted.
 #[derive(Debug, Clone)]
-pub struct SearchCheckpoint {
+pub struct SearchCheckpoint<G: Genome> {
     /// The search seed (validated on resume).
     pub seed: u64,
     /// The target device (validated on resume).
     pub device: DeviceKind,
-    /// The Stage-1 function sets the checkpointed Stage 2 runs under
-    /// (validated against the deterministic Stage-1 re-run on resume).
-    pub functions: (FunctionSet, FunctionSet),
-    /// The Stage-2 EA hyperparameters the checkpoint was taken under
+    /// The function sets every genome of the run shares: the Stage-1 pair
+    /// of a multi-stage run (validated against the deterministic Stage-1
+    /// re-run on resume), nothing for the one-stage baseline.
+    pub functions: G::Functions,
+    /// The main-loop EA hyperparameters the checkpoint was taken under
     /// (validated on resume — restoring into a different population or
     /// breeding schedule would silently break bit-identity).
     pub ea_config: EaConfig,
-    /// Completed Stage-2 generations.
+    /// Completed generations.
     pub generation: usize,
-    /// The Stage-2 EA mid-run.
-    pub ea: EaSnapshot<Vec<OpType>>,
+    /// The EA mid-run.
+    pub ea: EaSnapshot<G>,
     /// Evaluator counters (anchor per-candidate RNG stream ids).
     pub eval_stats: EvalStats,
     /// The evaluator's memo cache in first-scoring order.
-    pub cache: Vec<(Vec<OpType>, ScoredCandidate)>,
+    pub cache: Vec<(G, ScoredCandidate)>,
     /// Warm-start imports ([`RunOptions::imported_cache`]) not yet served
     /// at the boundary; resuming re-imports them so a killed warm run
     /// keeps promoting — and counting — the exact entries the
-    /// uninterrupted one would have. Empty for cold runs. (On-disk codecs
-    /// rebuild each entry's architecture from the checkpoint's own
-    /// function sets, which is exact for same-fingerprint imports — the
-    /// bit-identity contract; donors from a different configuration are
-    /// approximate transfer to begin with.)
-    pub warm_cache: Vec<(Vec<OpType>, ScoredCandidate)>,
+    /// uninterrupted one would have. Empty for cold runs, and so always
+    /// for the one-stage baseline. (On-disk codecs rebuild each entry's
+    /// architecture from the checkpoint's own function sets, which is
+    /// exact for same-fingerprint imports — the bit-identity contract;
+    /// donors from a different configuration are approximate transfer to
+    /// begin with.)
+    pub warm_cache: Vec<(G, ScoredCandidate)>,
     /// Simulated elapsed time at the boundary, ms.
     pub clock_ms: f64,
     /// The Fig. 9 history trace so far.
-    pub history: Vec<(f64, f64)>,
-    /// Best candidate so far, with its constraint-validity flag.
-    pub best: Option<(SearchedModel, bool)>,
-}
-
-/// A consistent image of an in-flight one-stage (joint) search at a
-/// generation boundary: the joint EA mid-stream, the evaluator's memo
-/// cache and counters, the simulated clock, the history trace and the
-/// best-so-far candidate. The one-stage counterpart of
-/// [`SearchCheckpoint`]; restoring it via [`RunOptions::resume`] continues
-/// the baseline bit-identically to a run that was never interrupted.
-#[derive(Debug, Clone)]
-pub struct OneStageCheckpoint {
-    /// The search seed (validated on resume).
-    pub seed: u64,
-    /// The target device (validated on resume).
-    pub device: DeviceKind,
-    /// The EA hyperparameters the checkpoint was taken under (validated on
-    /// resume).
-    pub ea_config: EaConfig,
-    /// Completed generations.
-    pub generation: usize,
-    /// The joint EA mid-run.
-    pub ea: EaSnapshot<JointGenome>,
-    /// Evaluator counters (anchor per-candidate RNG stream ids).
-    pub eval_stats: EvalStats,
-    /// The evaluator's memo cache in first-scoring order.
-    pub cache: Vec<(JointGenome, ScoredCandidate)>,
-    /// Simulated elapsed time at the boundary, ms.
-    pub clock_ms: f64,
-    /// The history trace so far.
     pub history: Vec<(f64, f64)>,
     /// Best candidate so far, with its constraint-validity flag.
     pub best: Option<(SearchedModel, bool)>,
@@ -704,9 +777,9 @@ pub struct OneStageCheckpoint {
 #[derive(Debug, Clone)]
 pub enum Checkpoint {
     /// A Stage-2 boundary of the multi-stage hierarchical search.
-    MultiStage(SearchCheckpoint),
+    MultiStage(SearchCheckpoint<Vec<OpType>>),
     /// A generation boundary of the one-stage joint baseline.
-    OneStage(OneStageCheckpoint),
+    OneStage(SearchCheckpoint<JointGenome>),
 }
 
 impl Checkpoint {
@@ -715,22 +788,6 @@ impl Checkpoint {
         match self {
             Checkpoint::MultiStage(cp) => cp.generation,
             Checkpoint::OneStage(cp) => cp.generation,
-        }
-    }
-
-    /// The checkpointed search's target device.
-    pub fn device(&self) -> DeviceKind {
-        match self {
-            Checkpoint::MultiStage(cp) => cp.device,
-            Checkpoint::OneStage(cp) => cp.device,
-        }
-    }
-
-    /// The checkpointed search's seed.
-    pub fn seed(&self) -> u64 {
-        match self {
-            Checkpoint::MultiStage(cp) => cp.seed,
-            Checkpoint::OneStage(cp) => cp.seed,
         }
     }
 
@@ -760,7 +817,7 @@ impl Checkpoint {
     }
 
     /// The multi-stage payload, if that is what this is.
-    pub fn as_multi_stage(&self) -> Option<&SearchCheckpoint> {
+    pub fn as_multi_stage(&self) -> Option<&SearchCheckpoint<Vec<OpType>>> {
         match self {
             Checkpoint::MultiStage(cp) => Some(cp),
             Checkpoint::OneStage(_) => None,
@@ -768,7 +825,7 @@ impl Checkpoint {
     }
 
     /// The one-stage payload, if that is what this is.
-    pub fn as_one_stage(&self) -> Option<&OneStageCheckpoint> {
+    pub fn as_one_stage(&self) -> Option<&SearchCheckpoint<JointGenome>> {
         match self {
             Checkpoint::MultiStage(_) => None,
             Checkpoint::OneStage(cp) => Some(cp),
@@ -1188,41 +1245,81 @@ impl CandidateScorer<(FunctionSet, FunctionSet)> for Stage1Scorer<'_> {
     }
 }
 
-/// The inherently serial Stage-2 bookkeeping the evaluator's reduce step
+/// The inherently serial bookkeeping the main loop's reduce step
 /// maintains and checkpoints capture.
-struct Stage2Book {
+struct Book {
     clock: SearchClock,
     history: Vec<(f64, f64)>,
     best: Option<(SearchedModel, bool)>,
 }
 
-/// What one Stage-2 run (possibly aborted mid-way) produced.
-struct Stage2Run {
-    best: Option<(SearchedModel, bool)>,
+/// What one run of the main loop (possibly aborted mid-way) produced.
+struct SearchRun {
+    book: Book,
     eval_stats: EvalStats,
-    history: Vec<(f64, f64)>,
-    clock: SearchClock,
-    checkpoint: SearchCheckpoint,
+    checkpoint: Checkpoint,
     aborted: bool,
 }
 
-/// What one one-stage run (possibly aborted mid-way) produced.
-struct OneStageRun {
-    best: Option<(SearchedModel, bool)>,
-    eval_stats: EvalStats,
-    history: Vec<(f64, f64)>,
-    clock: SearchClock,
-    checkpoint: OneStageCheckpoint,
-    aborted: bool,
+/// How a constraint-satisfying candidate gets its one-shot accuracy: the
+/// one step in which the two strategies' scorers differ.
+enum Accuracy<'a> {
+    /// Stage 2: the session's pre-trained supernet, eval batches and
+    /// accuracy memo.
+    Session(&'a Stage2Eval),
+    /// One-stage: no shared supernet; every candidate trains its own,
+    /// seeded from the candidate's private stream.
+    Trained {
+        hgnas: &'a Hgnas,
+        ds: &'a SynthNet40,
+        /// Evaluation split, stacked into batches once per run.
+        eval_batches: Vec<Batch>,
+    },
 }
 
-/// Read-only context for scoring one Stage-2 genome, shared across the
-/// parallel evaluator's workers.
-struct Stage2Scorer<'a> {
+impl Accuracy<'_> {
+    /// The accuracy of `ops` under `functions`, and the simulated search
+    /// time it cost given one validation costs `eval_cost_ms`.
+    fn score(
+        &self,
+        ops: &[OpType],
+        functions: (FunctionSet, FunctionSet),
+        eval_cost_ms: f64,
+        rng: &mut StdRng,
+    ) -> (f64, f64) {
+        match self {
+            // A memoised accuracy still costs the simulated validation: the
+            // clock models a search that scores every fresh candidate.
+            Accuracy::Session(eval) => (eval.accuracy(ops), eval_cost_ms),
+            Accuracy::Trained {
+                hgnas,
+                ds,
+                eval_batches,
+            } => {
+                let mut clk = SearchClock::new();
+                let sn = hgnas.train_supernet_with_rng(
+                    functions,
+                    hgnas.config.epochs_stage1,
+                    ds,
+                    rng,
+                    &mut clk,
+                );
+                let acc = sn.eval_genome_batched(ops, eval_batches, 0);
+                clk.add_ms(eval_cost_ms);
+                (acc, clk.elapsed_ms())
+            }
+        }
+    }
+}
+
+/// Read-only context for scoring one main-loop candidate, shared across
+/// the parallel evaluator's workers. `F` is the genome's
+/// [`Genome::Functions`].
+struct Scorer<'a, F> {
     task: &'a TaskConfig,
-    functions: (FunctionSet, FunctionSet),
-    /// The session's supernet, eval batches and accuracy memo.
-    eval: &'a Stage2Eval,
+    /// The function sets every genome of the run shares.
+    functions: F,
+    accuracy: Accuracy<'a>,
     oracle: &'a LatencyOracle,
     objective: &'a Objective,
     /// Target profile for energy/peak-memory costing — `Some` exactly when
@@ -1248,14 +1345,15 @@ fn fill_execution_metrics(
     metrics.peak_mem_mb = Some(report.peak_mem_mb);
 }
 
-impl CandidateScorer<Vec<OpType>> for Stage2Scorer<'_> {
+impl<G: Genome> CandidateScorer<G> for Scorer<'_, G::Functions> {
     type Output = ScoredCandidate;
 
-    fn score(&self, genome: &Vec<OpType>, rng: &mut StdRng) -> ScoredCandidate {
+    fn score(&self, genome: &G, rng: &mut StdRng) -> ScoredCandidate {
+        let functions = genome.functions_in(self.functions);
         let arch = Architecture::from_genome(
-            genome,
-            self.functions.0,
-            self.functions.1,
+            genome.ops(),
+            functions.0,
+            functions.1,
             self.task.k,
             self.task.out_classes(),
         );
@@ -1282,88 +1380,10 @@ impl CandidateScorer<Vec<OpType>> for Stage2Scorer<'_> {
         let (acc, score) = if !valid {
             (0.0, 0.0)
         } else {
-            // A memoised accuracy still costs the simulated validation: the
-            // clock models a search that scores every fresh candidate.
-            let acc = self.eval.accuracy(genome);
-            cost += self.eval_cost_ms;
-            metrics.accuracy = acc;
-            (acc, self.objective.evaluate(&metrics))
-        };
-        ScoredCandidate {
-            architecture: arch,
-            score,
-            accuracy: acc,
-            latency_ms: lat,
-            cost_ms: cost,
-            valid,
-            energy_mj: metrics.energy_mj,
-            peak_mem_mb: metrics.peak_mem_mb,
-        }
-    }
-}
-
-/// Genome of the one-stage joint baseline: both half function sets plus
-/// the op-type sequence evolve together. Public so one-stage checkpoints
-/// can persist — and artifact codecs re-encode — the joint EA state.
-pub type JointGenome = (FunctionSet, FunctionSet, Vec<OpType>);
-
-/// Read-only context for scoring one joint (one-stage) candidate, shared
-/// across the parallel evaluator's workers.
-struct OneStageScorer<'a> {
-    hgnas: &'a Hgnas,
-    ds: &'a SynthNet40,
-    /// Evaluation split, stacked into batches once at construction (each
-    /// candidate trains its own supernet, but the eval batches are shared).
-    eval_batches: Vec<Batch>,
-    oracle: &'a LatencyOracle,
-    objective: &'a Objective,
-    /// Target profile for energy/peak-memory costing — see
-    /// [`Stage2Scorer::exec_profile`].
-    exec_profile: Option<DeviceProfile>,
-    /// Simulated cost of one one-shot accuracy validation, ms.
-    eval_cost_ms: f64,
-}
-
-impl CandidateScorer<JointGenome> for OneStageScorer<'_> {
-    type Output = ScoredCandidate;
-
-    fn score(&self, (up, lo, genome): &JointGenome, rng: &mut StdRng) -> ScoredCandidate {
-        let task = &self.hgnas.task;
-        let arch = Architecture::from_genome(genome, *up, *lo, task.k, task.out_classes());
-        let (lat, mut cost) = self.oracle.query(&arch, rng);
-        let mut metrics = CandidateMetrics {
-            accuracy: 0.0,
-            latency_ms: lat,
-            size_mb: Some(arch.size_mb(3, &task.head_hidden)),
-            energy_mj: None,
-            peak_mem_mb: None,
-        };
-        if let Some(profile) = &self.exec_profile {
-            fill_execution_metrics(
-                &mut metrics,
-                profile,
-                &arch,
-                task.points(),
-                &task.head_hidden,
-            );
-        }
-        let valid = self.objective.admits(&metrics);
-        let (acc, score) = if !valid {
-            (0.0, 0.0)
-        } else {
-            // No shared supernet: train one for this candidate, seeded
-            // from the candidate's private stream.
-            let mut clk = SearchClock::new();
-            let sn = self.hgnas.train_supernet_with_rng(
-                (*up, *lo),
-                self.hgnas.config.epochs_stage1,
-                self.ds,
-                rng,
-                &mut clk,
-            );
-            let acc = sn.eval_genome_batched(genome, &self.eval_batches, 0);
-            clk.add_ms(self.eval_cost_ms);
-            cost += clk.elapsed_ms();
+            let (acc, acc_cost) =
+                self.accuracy
+                    .score(genome.ops(), functions, self.eval_cost_ms, rng);
+            cost += acc_cost;
             metrics.accuracy = acc;
             (acc, self.objective.evaluate(&metrics))
         };
@@ -1588,48 +1608,44 @@ impl Hgnas {
         (result.best, stats)
     }
 
-    /// Stage 2: fix functions, pre-train the supernet, evolve op genomes
-    /// under the hardware-aware objective (Alg. 1 lines 10–15).
+    /// The main search loop (Alg. 1 lines 10–15), shared by Stage 2 of the
+    /// hierarchical search and the one-stage joint baseline of Fig. 9(b):
+    /// evolve `G` genomes under the hardware-aware objective, starting
+    /// from `init` at simulated time `clock`.
     ///
     /// Candidates are scored generation-at-a-time through the parallel
     /// [`Evaluator`]: duplicate genomes are served from the memo cache
     /// (never re-lowered or re-scored), and fresh genomes fan out across
-    /// `SearchConfig::eval_threads` workers with per-candidate RNG streams,
-    /// so the outcome is bit-identical for any thread count.
+    /// `SearchConfig::eval_threads` workers with per-candidate RNG streams
+    /// (latency-measurement noise and one-stage supernet training both
+    /// draw from the candidate's own stream), so the outcome is
+    /// bit-identical for any thread count. `warm` entries are served
+    /// verbatim on first touch (see `Evaluator::import_warm_cache`).
     ///
     /// The loop is checkpointable: at every generation boundary the
     /// complete state (EA + evaluator cache + clock + best-so-far) can be
-    /// handed to [`RunOptions::checkpoint_sink`], and a run restored via
+    /// handed to [`RunOptions::checkpoint_sink`], it honours
+    /// [`RunOptions::abort_after_generation`], and a run restored via
     /// [`RunOptions::resume`] continues the exact RNG streams of the
     /// interrupted one.
     #[allow(clippy::too_many_arguments)]
-    fn stage2(
+    fn search<G: Genome>(
         &self,
-        functions: (FunctionSet, FunctionSet),
-        eval: &Stage2Eval,
-        ds: &SynthNet40,
-        oracle: &LatencyOracle,
-        objective: &Objective,
-        clock_in: SearchClock,
+        scorer: Scorer<'_, G::Functions>,
+        init: Vec<G>,
+        mutate: fn(&G, &mut StdRng) -> G,
+        crossover: fn(&G, &G, &mut StdRng) -> G,
+        clock: SearchClock,
+        warm: Vec<(G, ScoredCandidate)>,
         opts: &mut RunOptions,
-    ) -> Stage2Run {
-        let scorer = Stage2Scorer {
-            task: &self.task,
-            functions,
-            eval,
-            oracle,
-            objective,
-            exec_profile: objective
-                .needs_execution_metrics()
-                .then(|| self.config.device_profile()),
-            eval_cost_ms: self.eval_cost_ms(eval_split(&self.config, ds).len()),
-        };
+    ) -> SearchRun {
+        let functions = scorer.functions;
         // The serial bookkeeping (clock, history, best-so-far) lives in a
         // RefCell so both the evaluator's reduce closure and the
         // checkpoint builder below can reach it; the two never run at the
         // same time.
-        let book = RefCell::new(Stage2Book {
-            clock: clock_in,
+        let book = RefCell::new(Book {
+            clock,
             history: Vec::new(),
             best: None,
         });
@@ -1637,7 +1653,7 @@ impl Hgnas {
             scorer,
             self.config.eval_threads,
             self.config.seed.wrapping_add(77),
-            |genome: &Vec<OpType>, out: &ScoredCandidate, fresh: bool| {
+            |genome: &G, out: &ScoredCandidate, fresh: bool| {
                 let mut b = book.borrow_mut();
                 // Simulated search time is only paid for fresh evaluations:
                 // a memoised candidate costs neither a latency query nor an
@@ -1662,8 +1678,8 @@ impl Hgnas {
                     b.best = Some((
                         SearchedModel {
                             architecture: out.architecture.clone(),
-                            genome: genome.clone(),
-                            functions,
+                            genome: genome.ops().to_vec(),
+                            functions: genome.functions_in(functions),
                             score: out.score,
                             supernet_accuracy: out.accuracy,
                             latency_ms: out.latency_ms,
@@ -1683,14 +1699,17 @@ impl Hgnas {
         // see the imported entries). Imports layer on top of the resume:
         // genomes the checkpoint already carries are skipped, so resuming
         // a warm run and re-supplying the same import is idempotent.
-        let resume_cp = match opts.resume.take() {
-            Some(Checkpoint::MultiStage(cp)) => Some(cp),
-            Some(Checkpoint::OneStage(_)) => {
-                panic!("one-stage checkpoint handed to a multi-stage search")
-            }
-            None => None,
-        };
-        if let Some(cp) = &resume_cp {
+        let resume_cp = opts.resume.take().map(|cp| {
+            let strategy = cp.strategy();
+            G::payload(cp).unwrap_or_else(|| {
+                panic!(
+                    "{strategy:?} checkpoint handed to a {:?} search",
+                    G::STRATEGY
+                )
+            })
+        });
+        let resumed_gen = resume_cp.as_ref().map(|cp| cp.generation);
+        let mut state = if let Some(cp) = resume_cp {
             assert_eq!(cp.seed, self.config.seed, "checkpoint seed mismatch");
             assert_eq!(
                 cp.device, self.config.device,
@@ -1703,20 +1722,15 @@ impl Hgnas {
             );
             assert_eq!(
                 cp.ea_config, self.config.ea_stage2,
-                "checkpoint was taken under different Stage-2 EA hyperparameters"
+                "checkpoint was taken under different EA hyperparameters"
             );
             assert!(
                 cp.generation <= self.config.ea_stage2.iterations,
                 "checkpoint is past this configuration's iteration budget"
             );
-        }
-        let resumed_gen = resume_cp.as_ref().map(|cp| cp.generation);
-        let mut state = if let Some(cp) = resume_cp {
             evaluator.import_state(cp.eval_stats, cp.cache);
             evaluator.import_warm_cache(cp.warm_cache);
-            if let Some(warm) = opts.imported_cache.take() {
-                evaluator.import_warm_cache(warm);
-            }
+            evaluator.import_warm_cache(warm);
             {
                 let mut b = book.borrow_mut();
                 b.clock = SearchClock::from_ms(cp.clock_ms);
@@ -1725,22 +1739,11 @@ impl Hgnas {
             }
             EaState::restore(&self.config.ea_stage2, cp.ea)
         } else {
-            if let Some(warm) = opts.imported_cache.take() {
-                evaluator.import_warm_cache(warm);
-            }
-            let mut init_rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(2));
-            let dgcnn_ish: Vec<OpType> = (0..self.task.positions)
-                .map(|i| match i % 3 {
-                    0 => OpType::Sample,
-                    1 => OpType::Aggregate,
-                    _ => OpType::Combine,
-                })
-                .collect();
-            let init = vec![dgcnn_ish, eval.supernet.random_genome(&mut init_rng)];
-            EaState::init(init, &self.config.ea_stage2, &mut evaluator, mutate_genome)
+            evaluator.import_warm_cache(warm);
+            EaState::init(init, &self.config.ea_stage2, &mut evaluator, mutate)
         };
 
-        let mut last_cp: Option<SearchCheckpoint> = None;
+        let mut last_cp: Option<Checkpoint> = None;
         let mut aborted = false;
         loop {
             let done = state.is_done();
@@ -1760,7 +1763,7 @@ impl Hgnas {
                 let (eval_stats, cache) = evaluator.export_state();
                 let warm_cache = evaluator.export_warm_cache();
                 let b = book.borrow();
-                let cp = Checkpoint::MultiStage(SearchCheckpoint {
+                let cp = G::checkpoint(SearchCheckpoint {
                     seed: self.config.seed,
                     device: self.config.device,
                     functions,
@@ -1778,9 +1781,6 @@ impl Hgnas {
                 if let Some(sink) = opts.checkpoint_sink.as_mut() {
                     sink(&cp);
                 }
-                let Checkpoint::MultiStage(cp) = cp else {
-                    unreachable!()
-                };
                 last_cp = Some(cp);
             }
             if abort {
@@ -1790,207 +1790,20 @@ impl Hgnas {
             if done {
                 break;
             }
-            state.step(&mut evaluator, mutate_genome, crossover_genome);
+            state.step(&mut evaluator, mutate, crossover);
         }
 
-        let stats = evaluator.stats();
+        let eval_stats = evaluator.stats();
         drop(evaluator);
-        let book = book.into_inner();
-        Stage2Run {
-            // `best` is the source of truth, not the EA's raw-fitness
-            // argmax: the valid-over-violator ranking above deliberately
-            // keeps a constraint-satisfying candidate with a negative
-            // Eq.(3) score ahead of a violator's hard 0, so the two can
-            // legitimately name different candidates.
-            best: book.best,
-            eval_stats: stats,
-            history: book.history,
-            clock: book.clock,
-            checkpoint: last_cp.expect("stage-2 loop always builds a final checkpoint"),
-            aborted,
-        }
-    }
-
-    /// One-stage joint search (Fig. 9(b) baseline): functions and
-    /// operations evolve together; every candidate pays its own supernet
-    /// training.
-    ///
-    /// Like the two staged paths, candidates run through the memoising
-    /// parallel [`Evaluator`] with per-candidate RNG streams (supernet
-    /// training and measurement noise both draw from the candidate's own
-    /// stream), so the baseline is bit-identical at any thread count too.
-    ///
-    /// Mirrors [`Hgnas::stage2`]'s checkpoint protocol: the loop delivers
-    /// a [`OneStageCheckpoint`] to [`RunOptions::checkpoint_sink`] at
-    /// generation boundaries, honours
-    /// [`RunOptions::abort_after_generation`], and a run restored via
-    /// [`RunOptions::resume`] continues the exact RNG streams of the
-    /// interrupted one.
-    fn one_stage(
-        &self,
-        ds: &SynthNet40,
-        oracle: &LatencyOracle,
-        objective: &Objective,
-        opts: &mut RunOptions,
-    ) -> OneStageRun {
-        let eval_subset = eval_split(&self.config, ds);
-        let scorer = OneStageScorer {
-            hgnas: self,
-            ds,
-            eval_batches: self.task.task().batches(eval_subset, 16),
-            oracle,
-            objective,
-            exec_profile: objective
-                .needs_execution_metrics()
-                .then(|| self.config.device_profile()),
-            eval_cost_ms: self.eval_cost_ms(eval_subset.len()),
-        };
-        let book = RefCell::new(Stage2Book {
-            clock: SearchClock::new(),
-            history: Vec::new(),
-            best: None,
-        });
-        let mut evaluator = Evaluator::new(
-            scorer,
-            self.config.eval_threads,
-            self.config.seed.wrapping_add(77),
-            |g: &JointGenome, out: &ScoredCandidate, fresh: bool| {
-                let mut b = book.borrow_mut();
-                if fresh {
-                    b.clock.add_ms(out.cost_ms);
-                }
-                // As in stage 2, validity travels with the best candidate
-                // so the size gate participates in the valid-over-violator
-                // ranking.
-                let better = b.best.as_ref().is_none_or(|(best, best_valid)| {
-                    match (out.valid, *best_valid) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        _ => out.score > best.score,
-                    }
-                });
-                if better {
-                    b.best = Some((
-                        SearchedModel {
-                            architecture: out.architecture.clone(),
-                            genome: g.2.clone(),
-                            functions: (g.0, g.1),
-                            score: out.score,
-                            supernet_accuracy: out.accuracy,
-                            latency_ms: out.latency_ms,
-                        },
-                        out.valid,
-                    ));
-                }
-                let t = b.clock.elapsed_min();
-                let best_score = b.best.as_ref().unwrap().0.score;
-                b.history.push((t, best_score));
-                out.score
-            },
-        );
-
-        let resume_cp = match opts.resume.take() {
-            Some(Checkpoint::OneStage(cp)) => Some(cp),
-            Some(Checkpoint::MultiStage(_)) => {
-                panic!("multi-stage checkpoint handed to a one-stage search")
-            }
-            None => None,
-        };
-        let resumed_gen = resume_cp.as_ref().map(|cp| cp.generation);
-        let mut state = if let Some(cp) = resume_cp {
-            assert_eq!(cp.seed, self.config.seed, "checkpoint seed mismatch");
-            assert_eq!(
-                cp.device, self.config.device,
-                "checkpoint targets a different device"
-            );
-            assert_eq!(
-                cp.ea_config, self.config.ea_stage2,
-                "checkpoint was taken under different EA hyperparameters"
-            );
-            assert!(
-                cp.generation <= self.config.ea_stage2.iterations,
-                "checkpoint is past this configuration's iteration budget"
-            );
-            evaluator.import_state(cp.eval_stats, cp.cache);
-            {
-                let mut b = book.borrow_mut();
-                b.clock = SearchClock::from_ms(cp.clock_ms);
-                b.history = cp.history;
-                b.best = cp.best;
-            }
-            EaState::restore(&self.config.ea_stage2, cp.ea)
-        } else {
-            let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(3));
-            let genome0: Vec<OpType> = (0..self.task.positions)
-                .map(|_| OpType::ALL[rng.gen_range(0..4)])
-                .collect();
-            let init: Vec<JointGenome> = vec![(
-                FunctionSet::dgcnn_like(64),
-                FunctionSet::dgcnn_like(128),
-                genome0,
-            )];
-            EaState::init(init, &self.config.ea_stage2, &mut evaluator, mutate_joint)
-        };
-
-        let mut last_cp: Option<OneStageCheckpoint> = None;
-        let mut aborted = false;
-        loop {
-            let done = state.is_done();
-            let abort = opts
-                .abort_after_generation
-                .is_some_and(|g| state.generation() >= g);
-            let stride = opts.checkpoint_every.max(1);
-            // As in stage 2: the resumed entry generation's checkpoint was
-            // already delivered by the run that produced it.
-            let sink_wants = resumed_gen != Some(state.generation())
-                && opts.checkpoint_sink.is_some()
-                && state.generation().is_multiple_of(stride);
-            if sink_wants || done || abort {
-                let (eval_stats, cache) = evaluator.export_state();
-                let b = book.borrow();
-                let cp = Checkpoint::OneStage(OneStageCheckpoint {
-                    seed: self.config.seed,
-                    device: self.config.device,
-                    ea_config: self.config.ea_stage2,
-                    generation: state.generation(),
-                    ea: state.snapshot(),
-                    eval_stats,
-                    cache,
-                    clock_ms: b.clock.elapsed_ms(),
-                    history: b.history.clone(),
-                    best: b.best.clone(),
-                });
-                drop(b);
-                if let Some(sink) = opts.checkpoint_sink.as_mut() {
-                    sink(&cp);
-                }
-                let Checkpoint::OneStage(cp) = cp else {
-                    unreachable!()
-                };
-                last_cp = Some(cp);
-            }
-            if abort {
-                aborted = true;
-                break;
-            }
-            if done {
-                break;
-            }
-            state.step(&mut evaluator, mutate_joint, crossover_joint);
-        }
-
-        let stats = evaluator.stats();
-        drop(evaluator);
-        let book = book.into_inner();
-        OneStageRun {
-            // As in stage 2: the valid-over-violator ranking can
-            // legitimately disagree with the EA's raw-fitness argmax, so
-            // the book's best is the source of truth.
-            best: book.best,
-            eval_stats: stats,
-            history: book.history,
-            clock: book.clock,
-            checkpoint: last_cp.expect("one-stage loop always builds a final checkpoint"),
+        SearchRun {
+            // The book's `best` is the source of truth, not the EA's
+            // raw-fitness argmax: the valid-over-violator ranking above
+            // deliberately keeps a constraint-satisfying candidate with a
+            // negative Eq.(3) score ahead of a violator's hard 0, so the
+            // two can legitimately name different candidates.
+            book: book.into_inner(),
+            eval_stats,
+            checkpoint: last_cp.expect("the main loop always builds a final checkpoint"),
             aborted,
         }
     }
@@ -2111,74 +1924,115 @@ impl Hgnas {
             objective = objective.with_max_peak_mem_mb(mb);
         }
         let (oracle, predictor_stats) = self.make_oracle(&opts);
+        let eval_clouds = eval_split(&self.config, ds);
+        let exec_profile = objective
+            .needs_execution_metrics()
+            .then(|| self.config.device_profile());
+        let eval_cost_ms = self.eval_cost_ms(eval_clouds.len());
 
-        match self.config.strategy {
-            Strategy::MultiStage => {
-                // The prefix came from the session (freshly replayed or
-                // cached); the checkpoint cross-checks the function sets
-                // on resume either way.
-                let SessionPrefix::MultiStage {
-                    functions,
-                    stage1_stats,
-                    stage2,
-                    clock_ms,
-                } = &session.prefix
-                else {
-                    unreachable!("validated session matches the strategy")
+        // The two strategies differ only in what their main loops start
+        // from: the prefix came from the session (freshly replayed or
+        // cached), and the checkpoint cross-checks its function sets on
+        // resume either way.
+        let (run, stage1_stats) = match &session.prefix {
+            SessionPrefix::MultiStage {
+                functions,
+                stage1_stats,
+                stage2,
+                clock_ms,
+            } => {
+                let mut init_rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(2));
+                let dgcnn_ish: Vec<OpType> = (0..self.task.positions)
+                    .map(|i| match i % 3 {
+                        0 => OpType::Sample,
+                        1 => OpType::Aggregate,
+                        _ => OpType::Combine,
+                    })
+                    .collect();
+                let init = vec![dgcnn_ish, stage2.supernet.random_genome(&mut init_rng)];
+                let scorer = Scorer {
+                    task: &self.task,
+                    functions: *functions,
+                    accuracy: Accuracy::Session(stage2),
+                    oracle: &oracle,
+                    objective: &objective,
+                    exec_profile,
+                    eval_cost_ms,
                 };
-                let (functions, stage1_stats) = (*functions, *stage1_stats);
+                let warm = opts.imported_cache.take().unwrap_or_default();
                 let clock = SearchClock::from_ms(*clock_ms);
-                let run = self.stage2(functions, stage2, ds, &oracle, &objective, clock, &mut opts);
-                if run.aborted {
-                    return RunOutput {
-                        outcome: None,
-                        checkpoint: Some(Checkpoint::MultiStage(run.checkpoint)),
-                    };
-                }
-                let (best, _valid) = run.best.expect("stage 2 evaluated at least one candidate");
-                RunOutput {
-                    outcome: Some(SearchOutcome {
-                        best,
-                        history: run.history,
-                        search_hours: run.clock.elapsed_hours(),
-                        predictor_stats,
-                        eval_stats: Some(run.eval_stats),
-                        stage1_stats: Some(stage1_stats),
-                        reference_ms,
-                        constraint_ms,
-                    }),
-                    checkpoint: Some(Checkpoint::MultiStage(run.checkpoint)),
-                }
+                let run = self.search(
+                    scorer,
+                    init,
+                    mutate_genome,
+                    crossover_genome,
+                    clock,
+                    warm,
+                    &mut opts,
+                );
+                (run, Some(*stage1_stats))
             }
-            Strategy::OneStage => {
+            SessionPrefix::OneStage => {
                 assert!(
                     opts.imported_cache.is_none(),
                     "imported score caches apply to the multi-stage Stage-2 loop only"
                 );
-                let run = self.one_stage(ds, &oracle, &objective, &mut opts);
-                if run.aborted {
-                    return RunOutput {
-                        outcome: None,
-                        checkpoint: Some(Checkpoint::OneStage(run.checkpoint)),
-                    };
-                }
-                let (best, _valid) = run
-                    .best
-                    .expect("one-stage evaluated at least one candidate");
-                RunOutput {
-                    outcome: Some(SearchOutcome {
-                        best,
-                        history: run.history,
-                        search_hours: run.clock.elapsed_hours(),
-                        predictor_stats,
-                        eval_stats: Some(run.eval_stats),
-                        stage1_stats: None,
-                        reference_ms,
-                        constraint_ms,
-                    }),
-                    checkpoint: Some(Checkpoint::OneStage(run.checkpoint)),
-                }
+                let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(3));
+                let genome0: Vec<OpType> = (0..self.task.positions)
+                    .map(|_| OpType::ALL[rng.gen_range(0..4)])
+                    .collect();
+                let init: Vec<JointGenome> = vec![(
+                    FunctionSet::dgcnn_like(64),
+                    FunctionSet::dgcnn_like(128),
+                    genome0,
+                )];
+                let scorer = Scorer {
+                    task: &self.task,
+                    functions: (),
+                    accuracy: Accuracy::Trained {
+                        hgnas: self,
+                        ds,
+                        eval_batches: self.task.task().batches(eval_clouds, 16),
+                    },
+                    oracle: &oracle,
+                    objective: &objective,
+                    exec_profile,
+                    eval_cost_ms,
+                };
+                let run = self.search(
+                    scorer,
+                    init,
+                    mutate_joint,
+                    crossover_joint,
+                    SearchClock::new(),
+                    Vec::new(),
+                    &mut opts,
+                );
+                (run, None)
             }
+        };
+        if run.aborted {
+            return RunOutput {
+                outcome: None,
+                checkpoint: Some(run.checkpoint),
+            };
+        }
+        let (best, _valid) = run
+            .book
+            .best
+            .expect("the main loop evaluated at least one candidate");
+        RunOutput {
+            outcome: Some(SearchOutcome {
+                best,
+                history: run.book.history,
+                search_hours: run.book.clock.elapsed_hours(),
+                predictor_stats,
+                eval_stats: Some(run.eval_stats),
+                stage1_stats,
+                reference_ms,
+                constraint_ms,
+            }),
+            checkpoint: Some(run.checkpoint),
         }
     }
 }

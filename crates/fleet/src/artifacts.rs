@@ -68,7 +68,7 @@
 
 use crate::codec::{wire_struct, ArtifactKind, CodecError, Decoder, Encoder, Fnv1a, Sink, Wire};
 use hgnas_core::{
-    EaSnapshot, JointGenome, OneStageCheckpoint, ScoredCandidate, SearchCheckpoint, SearchConfig,
+    EaSnapshot, Genome, JointGenome, ScoredCandidate, SearchCheckpoint, SearchConfig,
     SearchedModel, SessionSnapshot, TaskConfig,
 };
 use hgnas_device::{DeviceKind, DevicePersona, DeviceProfile};
@@ -393,7 +393,7 @@ impl ArtifactStore {
         &self,
         key: &ArtifactKey,
         task: &TaskConfig,
-        cp: &SearchCheckpoint,
+        cp: &SearchCheckpoint<Vec<OpType>>,
     ) -> Result<PathBuf, StoreError> {
         let name = key.file_name("checkpoint");
         self.save(&name, ArtifactKind::Checkpoint, |e| {
@@ -417,7 +417,7 @@ impl ArtifactStore {
     pub fn load_checkpoint(
         &self,
         key: &ArtifactKey,
-    ) -> Result<Option<SearchCheckpoint>, StoreError> {
+    ) -> Result<Option<SearchCheckpoint<Vec<OpType>>>, StoreError> {
         let name = key.file_name("checkpoint");
         self.load(&name, ArtifactKind::Checkpoint, |d| {
             let (seed, device, k, classes) = Wire::take(d)?;
@@ -452,7 +452,7 @@ impl ArtifactStore {
         &self,
         key: &ArtifactKey,
         task: &TaskConfig,
-        cp: &OneStageCheckpoint,
+        cp: &SearchCheckpoint<JointGenome>,
     ) -> Result<PathBuf, StoreError> {
         let name = key.file_name("onestage");
         self.save(&name, ArtifactKind::OneStageCheckpoint, |e| {
@@ -475,20 +475,22 @@ impl ArtifactStore {
     pub fn load_one_stage_checkpoint(
         &self,
         key: &ArtifactKey,
-    ) -> Result<Option<OneStageCheckpoint>, StoreError> {
+    ) -> Result<Option<SearchCheckpoint<JointGenome>>, StoreError> {
         let name = key.file_name("onestage");
         self.load(&name, ArtifactKind::OneStageCheckpoint, |d| {
             let (seed, device, k, classes) = Wire::take(d)?;
             let (ea_config, generation) = Wire::take(d)?;
             let geo = Geometry::new(k, classes, None);
-            Ok(OneStageCheckpoint {
+            Ok(SearchCheckpoint {
                 seed,
                 device,
+                functions: (),
                 ea_config,
                 generation,
                 ea: Stored::<JointGenome>::load(d, &geo)?,
                 eval_stats: Wire::take(d)?,
                 cache: Stored::<JointGenome>::load(d, &geo)?,
+                warm_cache: Vec::new(),
                 clock_ms: Wire::take(d)?,
                 history: Wire::take(d)?,
                 best: Stored::<JointGenome>::load(d, &geo)?,
@@ -737,46 +739,6 @@ impl Wire for StdRng {
     }
 }
 
-/// A genome stored candidates are keyed by: a Stage-2 op sequence, which
-/// shares its artifact's function-set pair, or a one-stage
-/// [`JointGenome`], which carries its own.
-pub(crate) trait Genome: Wire + Sized {
-    /// The genome's own function-set pair, if it carries one.
-    fn functions(&self) -> Option<(FunctionSet, FunctionSet)>;
-    /// The op sequence.
-    fn ops(&self) -> &[OpType];
-    /// `model`'s genome in this form: what a best model is stored as.
-    fn of(model: &SearchedModel) -> Self;
-}
-
-impl Genome for Vec<OpType> {
-    fn functions(&self) -> Option<(FunctionSet, FunctionSet)> {
-        None
-    }
-
-    fn ops(&self) -> &[OpType] {
-        self
-    }
-
-    fn of(model: &SearchedModel) -> Self {
-        model.genome.clone()
-    }
-}
-
-impl Genome for JointGenome {
-    fn functions(&self) -> Option<(FunctionSet, FunctionSet)> {
-        Some((self.0, self.1))
-    }
-
-    fn ops(&self) -> &[OpType] {
-        &self.2
-    }
-
-    fn of(model: &SearchedModel) -> Self {
-        (model.functions.0, model.functions.1, model.genome.clone())
-    }
-}
-
 /// What rebuilds a stored candidate's architecture: the task's `k` and
 /// class count, written ahead of an artifact's candidates, and the
 /// function-set pair its op genomes share.
@@ -877,7 +839,7 @@ impl<G, T: Stored<G>> Stored<G> for (T, bool) {
 }
 
 /// A cache entry: the genome, then the candidate's scores.
-impl<G: Genome> Stored<G> for (G, ScoredCandidate) {
+impl<G: Genome + Wire> Stored<G> for (G, ScoredCandidate) {
     fn store(&self, s: &mut impl Sink) {
         let (genome, c) = self;
         genome.put(s);
@@ -905,7 +867,7 @@ impl<G: Genome> Stored<G> for (G, ScoredCandidate) {
 }
 
 /// A searched model: its genome in `G`'s form, then its scores.
-impl<G: Genome> Stored<G> for SearchedModel {
+impl<G: Genome + Wire> Stored<G> for SearchedModel {
     fn store(&self, s: &mut impl Sink) {
         G::of(self).put(s);
         (self.score, self.supernet_accuracy, self.latency_ms).put(s);
@@ -928,7 +890,7 @@ impl<G: Genome> Stored<G> for SearchedModel {
 
 /// An EA mid-run: its [`Wire`] layout, with every genome checked
 /// non-empty on load.
-impl<G: Genome> Stored<G> for EaSnapshot<G> {
+impl<G: Genome + Wire> Stored<G> for EaSnapshot<G> {
     fn store(&self, s: &mut impl Sink) {
         self.put(s);
     }
@@ -936,7 +898,7 @@ impl<G: Genome> Stored<G> for EaSnapshot<G> {
     fn load(d: &mut Decoder<'_>, _: &Geometry) -> Result<Self, CodecError> {
         let ea = EaSnapshot::<G>::take(d)?;
         let genomes = ea.scored.iter().map(|(g, _)| g).chain([&ea.best.0]);
-        if genomes.map(Genome::ops).any(<[OpType]>::is_empty) {
+        if genomes.map(G::ops).any(<[OpType]>::is_empty) {
             return Err(CodecError::Invalid("empty genome"));
         }
         Ok(ea)
