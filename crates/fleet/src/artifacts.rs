@@ -17,10 +17,13 @@
 //! without their architecture: the genome plus the task geometry and
 //! function sets rebuild it exactly on load (`Architecture::from_genome`
 //! is how the search built it in the first place), which keeps
-//! checkpoints compact. One candidate codec, generic over the genome,
-//! serves Stage-2 op genomes — which share the artifact's function-set
-//! pair — and one-stage joint genomes, which carry their own. To add a
-//! field, append it to its type's list and bump
+//! checkpoints compact. One candidate codec and one checkpoint layout,
+//! generic over [`Genome`], serve both strategies: Stage-2 op genomes
+//! share the artifact's function-set pair, and one-stage joint genomes
+//! carry their own (the genome trait is the one place that knows which).
+//! A checkpoint opens with its [`Strategy`] code, so one slot can hold
+//! either strategy's and the load hands back a [`Checkpoint`] of the
+//! right kind. To add a field, append it to its type's list and bump
 //! [`crate::codec::VERSION`]; if the type feeds a fingerprint, bump
 //! [`FINGERPRINT_SCHEMA`] too.
 //!
@@ -32,9 +35,10 @@
 //!
 //! - [`search_fingerprint`] covers **everything that shapes a search
 //!   outcome**: the task and the whole [`SearchConfig`] except
-//!   `eval_threads`. Checkpoints, score caches and one-stage checkpoints
-//!   are keyed by it, per device: two shards share a checkpoint slot only
-//!   when they would run the byte-identical search. The thread budget is
+//!   `eval_threads`. Checkpoints of either strategy and score caches are
+//!   keyed by it, per device: two shards share a checkpoint slot only
+//!   when they would run the byte-identical search, so a slot never holds
+//!   the other strategy's checkpoint unless a file is planted there. The thread budget is
 //!   bit-transparent, and the engine re-splits it per slice while the
 //!   idle GC keys live requests by each spec's own value, so a
 //!   thread-sensitive key would let the stale sweep delete live
@@ -68,8 +72,8 @@
 
 use crate::codec::{wire_struct, ArtifactKind, CodecError, Decoder, Encoder, Fnv1a, Sink, Wire};
 use hgnas_core::{
-    EaSnapshot, Genome, JointGenome, ScoredCandidate, SearchCheckpoint, SearchConfig,
-    SearchedModel, SessionSnapshot, TaskConfig,
+    Checkpoint, EaSnapshot, Genome, JointGenome, ScoredCandidate, SearchCheckpoint, SearchConfig,
+    SearchedModel, SessionSnapshot, Strategy, TaskConfig,
 };
 use hgnas_device::{DeviceKind, DevicePersona, DeviceProfile};
 use hgnas_ops::{Architecture, FunctionSet, OpType};
@@ -382,120 +386,56 @@ impl ArtifactStore {
         )
     }
 
-    /// Persists a Stage-2 search checkpoint. `task` supplies the
+    /// Persists a search checkpoint of either strategy: its [`Strategy`]
+    /// code, then one layout for both genomes. `task` supplies the
     /// architecture-rebuild parameters (`k`, classes) the compact encoding
-    /// needs at load time, plus a fingerprint cross-check.
+    /// needs at load time.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    pub fn save_checkpoint(
+    pub fn save_checkpoint<G: Genome + Wire>(
         &self,
         key: &ArtifactKey,
         task: &TaskConfig,
-        cp: &SearchCheckpoint<Vec<OpType>>,
-    ) -> Result<PathBuf, StoreError> {
-        let name = key.file_name("checkpoint");
-        self.save(&name, ArtifactKind::Checkpoint, |e| {
-            (cp.seed, cp.device, task.k, task.classes()).put(e);
-            (cp.functions, cp.ea_config, cp.generation).put(e);
-            Stored::<Vec<OpType>>::store(&cp.ea, e);
-            cp.eval_stats.put(e);
-            Stored::<Vec<OpType>>::store(&cp.cache, e);
-            Stored::<Vec<OpType>>::store(&cp.warm_cache, e);
-            cp.clock_ms.put(e);
-            cp.history.put(e);
-            Stored::<Vec<OpType>>::store(&cp.best, e);
-        })
+        cp: &SearchCheckpoint<G>,
+    ) -> Result<PathBuf, StoreError>
+    where
+        G::Functions: Wire,
+    {
+        self.save(
+            &key.file_name("checkpoint"),
+            ArtifactKind::Checkpoint,
+            |e| {
+                G::STRATEGY.put(e);
+                (cp.seed, cp.device, task.k, task.classes()).put(e);
+                (cp.functions, cp.ea_config, cp.generation).put(e);
+                Stored::<G>::store(&cp.ea, e);
+                cp.eval_stats.put(e);
+                Stored::<G>::store(&cp.cache, e);
+                Stored::<G>::store(&cp.warm_cache, e);
+                cp.clock_ms.put(e);
+                cp.history.put(e);
+                Stored::<G>::store(&cp.best, e);
+            },
+        )
     }
 
-    /// Loads a search checkpoint if the slot holds one.
+    /// Loads the search checkpoint the slot holds, of whichever strategy
+    /// wrote it.
     ///
     /// # Errors
     ///
     /// As [`ArtifactStore::load_predictor`].
-    pub fn load_checkpoint(
-        &self,
-        key: &ArtifactKey,
-    ) -> Result<Option<SearchCheckpoint<Vec<OpType>>>, StoreError> {
-        let name = key.file_name("checkpoint");
-        self.load(&name, ArtifactKind::Checkpoint, |d| {
-            let (seed, device, k, classes) = Wire::take(d)?;
-            let (functions, ea_config, generation) = Wire::take(d)?;
-            let geo = Geometry::new(k, classes, Some(functions));
-            Ok(SearchCheckpoint {
-                seed,
-                device,
-                functions,
-                ea_config,
-                generation,
-                ea: Stored::<Vec<OpType>>::load(d, &geo)?,
-                eval_stats: Wire::take(d)?,
-                cache: Stored::<Vec<OpType>>::load(d, &geo)?,
-                warm_cache: Stored::<Vec<OpType>>::load(d, &geo)?,
-                clock_ms: Wire::take(d)?,
-                history: Wire::take(d)?,
-                best: Stored::<Vec<OpType>>::load(d, &geo)?,
-            })
-        })
-    }
-
-    /// Persists a one-stage (joint baseline) checkpoint. The counterpart
-    /// of [`ArtifactStore::save_checkpoint`] for `Strategy::OneStage`
-    /// runs; the two kinds live in separate slots and can never be
-    /// mistaken for each other (distinct [`ArtifactKind`]s).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn save_one_stage_checkpoint(
-        &self,
-        key: &ArtifactKey,
-        task: &TaskConfig,
-        cp: &SearchCheckpoint<JointGenome>,
-    ) -> Result<PathBuf, StoreError> {
-        let name = key.file_name("onestage");
-        self.save(&name, ArtifactKind::OneStageCheckpoint, |e| {
-            (cp.seed, cp.device, task.k, task.classes()).put(e);
-            (cp.ea_config, cp.generation).put(e);
-            Stored::<JointGenome>::store(&cp.ea, e);
-            cp.eval_stats.put(e);
-            Stored::<JointGenome>::store(&cp.cache, e);
-            cp.clock_ms.put(e);
-            cp.history.put(e);
-            Stored::<JointGenome>::store(&cp.best, e);
-        })
-    }
-
-    /// Loads a one-stage checkpoint if the slot holds one.
-    ///
-    /// # Errors
-    ///
-    /// As [`ArtifactStore::load_predictor`].
-    pub fn load_one_stage_checkpoint(
-        &self,
-        key: &ArtifactKey,
-    ) -> Result<Option<SearchCheckpoint<JointGenome>>, StoreError> {
-        let name = key.file_name("onestage");
-        self.load(&name, ArtifactKind::OneStageCheckpoint, |d| {
-            let (seed, device, k, classes) = Wire::take(d)?;
-            let (ea_config, generation) = Wire::take(d)?;
-            let geo = Geometry::new(k, classes, None);
-            Ok(SearchCheckpoint {
-                seed,
-                device,
-                functions: (),
-                ea_config,
-                generation,
-                ea: Stored::<JointGenome>::load(d, &geo)?,
-                eval_stats: Wire::take(d)?,
-                cache: Stored::<JointGenome>::load(d, &geo)?,
-                warm_cache: Vec::new(),
-                clock_ms: Wire::take(d)?,
-                history: Wire::take(d)?,
-                best: Stored::<JointGenome>::load(d, &geo)?,
-            })
-        })
+    pub fn load_checkpoint(&self, key: &ArtifactKey) -> Result<Option<Checkpoint>, StoreError> {
+        self.load(
+            &key.file_name("checkpoint"),
+            ArtifactKind::Checkpoint,
+            |d| match Strategy::take(d)? {
+                Strategy::MultiStage => take_checkpoint::<Vec<OpType>>(d),
+                Strategy::OneStage => take_checkpoint::<JointGenome>(d),
+            },
+        )
     }
 
     /// Persists a finished run's evaluator score cache as a standalone
@@ -737,6 +677,31 @@ impl Wire for StdRng {
         }
         Ok(StdRng::from_state(state))
     }
+}
+
+/// The rest of a checkpoint [`ArtifactStore::save_checkpoint`] wrote for
+/// `G` genomes.
+fn take_checkpoint<G: Genome + Wire>(d: &mut Decoder<'_>) -> Result<Checkpoint, CodecError>
+where
+    G::Functions: Wire,
+{
+    let (seed, device, k, classes) = Wire::take(d)?;
+    let (functions, ea_config, generation) = Wire::take(d)?;
+    let geo = Geometry::new(k, classes, G::shared(functions));
+    Ok(G::checkpoint(SearchCheckpoint {
+        seed,
+        device,
+        functions,
+        ea_config,
+        generation,
+        ea: Stored::<G>::load(d, &geo)?,
+        eval_stats: Wire::take(d)?,
+        cache: Stored::<G>::load(d, &geo)?,
+        warm_cache: Stored::<G>::load(d, &geo)?,
+        clock_ms: Wire::take(d)?,
+        history: Wire::take(d)?,
+        best: Stored::<G>::load(d, &geo)?,
+    }))
 }
 
 /// What rebuilds a stored candidate's architecture: the task's `k` and

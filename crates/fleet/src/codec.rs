@@ -70,10 +70,14 @@ pub const MAGIC: [u8; 4] = *b"HGNA";
 /// added the multi-metric axes — cached candidates carry optional
 /// energy/peak-memory metrics, tasks carry a task-kind code, and search
 /// configs carry the energy/memory objective weights plus an optional
-/// device persona. Old artifacts are rejected as
+/// device persona; v6 gave both search strategies one checkpoint layout
+/// that opens with its [`Strategy`] code: one-stage checkpoints now carry
+/// the (always empty) warm-start remainder and use the
+/// [`ArtifactKind::Checkpoint`] kind and slot, and kind code 4 (the v2–v5
+/// one-stage checkpoint) is retired. Old artifacts are rejected as
 /// [`CodecError::UnsupportedVersion`] — a safe cold start, never a wrong
 /// decode.
-pub const VERSION: u16 = 5;
+pub const VERSION: u16 = 6;
 
 /// What an artifact contains (stored in the header so a predictor file can
 /// never be mistaken for a checkpoint).
@@ -81,25 +85,24 @@ pub const VERSION: u16 = 5;
 pub enum ArtifactKind {
     /// Trained latency-predictor weights.
     Predictor,
-    /// A mid-search Stage-2 checkpoint.
+    /// A mid-search checkpoint of either strategy's main loop.
     Checkpoint,
     /// A standalone evaluator score cache.
     ScoreCache,
-    /// A one-stage (joint baseline) checkpoint.
-    OneStageCheckpoint,
     /// A spilled search session: the Stage-1 outcome plus pre-trained
     /// supernet weights, so an evicted session resumes without replaying
     /// the deterministic prefix.
     Session,
 }
 
+/// Codes are part of the format: never reuse a retired number (4 held
+/// one-stage checkpoints up to v5).
 impl ArtifactKind {
     fn code(self) -> u16 {
         match self {
             ArtifactKind::Predictor => 1,
             ArtifactKind::Checkpoint => 2,
             ArtifactKind::ScoreCache => 3,
-            ArtifactKind::OneStageCheckpoint => 4,
             ArtifactKind::Session => 5,
         }
     }
@@ -109,7 +112,6 @@ impl ArtifactKind {
             1 => Some(ArtifactKind::Predictor),
             2 => Some(ArtifactKind::Checkpoint),
             3 => Some(ArtifactKind::ScoreCache),
-            4 => Some(ArtifactKind::OneStageCheckpoint),
             5 => Some(ArtifactKind::Session),
             _ => None,
         }
@@ -522,6 +524,15 @@ impl Wire for f64 {
 
     fn take(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(f64::from_bits(u64::take(d)?))
+    }
+}
+
+/// Nothing: the function sets a one-stage run's genomes share.
+impl Wire for () {
+    fn put(&self, _: &mut impl Sink) {}
+
+    fn take(_: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(())
     }
 }
 

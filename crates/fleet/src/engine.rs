@@ -44,6 +44,7 @@ use crate::artifacts::{
     persona_predictor_fingerprint, prefix_fingerprint, search_fingerprint, ArtifactKey,
     ArtifactStore, PrefixKey, StoreError,
 };
+use crate::codec::CodecError;
 use crate::driver::{FleetConfig, ParetoPoint};
 use crate::events::{FleetEvent, SessionAction, ShardId};
 use crate::oracle::{MeasurementOracle, OracleConfig, OracleStats};
@@ -1002,14 +1003,16 @@ impl Engine {
                 st.store_probed = true;
                 match store {
                     Some(store) => {
-                        let cp = match cfg.strategy {
-                            Strategy::MultiStage => store
-                                .load_checkpoint(&search_key)?
-                                .map(Checkpoint::MultiStage),
-                            Strategy::OneStage => store
-                                .load_one_stage_checkpoint(&search_key)?
-                                .map(Checkpoint::OneStage),
-                        };
+                        let cp = store.load_checkpoint(&search_key)?;
+                        // The search fingerprint covers the strategy, so
+                        // only a planted file or a hash collision puts the
+                        // other strategy's checkpoint in this slot; resuming
+                        // it would panic the search.
+                        if cp.as_ref().is_some_and(|cp| cp.strategy() != cfg.strategy) {
+                            return Err(StoreError::Codec(CodecError::Invalid(
+                                "checkpoint of another search strategy",
+                            )));
+                        }
                         st.resumed_from_generation = cp.as_ref().map(Checkpoint::generation);
                         cp
                     }
@@ -1145,12 +1148,12 @@ impl Engine {
                 if let Some(store) = store {
                     let t = std::time::Instant::now();
                     let r = match cp {
-                        Checkpoint::MultiStage(cp) => store
-                            .save_checkpoint(&search_key, &spec.task, cp)
-                            .map(|_| ()),
-                        Checkpoint::OneStage(cp) => store
-                            .save_one_stage_checkpoint(&search_key, &spec.task, cp)
-                            .map(|_| ()),
+                        Checkpoint::MultiStage(cp) => {
+                            store.save_checkpoint(&search_key, &spec.task, cp)
+                        }
+                        Checkpoint::OneStage(cp) => {
+                            store.save_checkpoint(&search_key, &spec.task, cp)
+                        }
                     };
                     let ns = t.elapsed().as_nanos() as u64;
                     sink_persist_ns += ns;

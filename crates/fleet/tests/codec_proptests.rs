@@ -52,12 +52,11 @@ fn payload() -> impl Strategy<Value = Vec<u8>> {
 
 /// Strategy for an artifact kind.
 fn kind() -> impl Strategy<Value = ArtifactKind> {
-    (0usize..5).prop_map(|i| {
+    (0usize..4).prop_map(|i| {
         [
             ArtifactKind::Predictor,
             ArtifactKind::Checkpoint,
             ArtifactKind::ScoreCache,
-            ArtifactKind::OneStageCheckpoint,
             ArtifactKind::Session,
         ][i]
     })
@@ -166,8 +165,7 @@ proptest! {
         let other = match kind {
             ArtifactKind::Predictor => ArtifactKind::Checkpoint,
             ArtifactKind::Checkpoint => ArtifactKind::ScoreCache,
-            ArtifactKind::ScoreCache => ArtifactKind::OneStageCheckpoint,
-            ArtifactKind::OneStageCheckpoint => ArtifactKind::Session,
+            ArtifactKind::ScoreCache => ArtifactKind::Session,
             ArtifactKind::Session => ArtifactKind::Predictor,
         };
         prop_assert!(Decoder::open(&bytes, other).is_err());

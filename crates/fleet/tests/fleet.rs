@@ -3,13 +3,13 @@
 //! and artifact corruption rejection.
 
 use hgnas_core::{
-    Checkpoint, ConfigError, Hgnas, LatencyMode, RunOptions, SearchConfig, SearchOutcome,
+    Checkpoint, ConfigError, Hgnas, LatencyMode, RunOptions, SearchConfig, SearchOutcome, Strategy,
     TaskConfig, TaskError,
 };
 use hgnas_device::DeviceKind;
 use hgnas_fleet::{
-    predictor_fingerprint, run_fleet, ArtifactKey, ArtifactStore, FleetConfig, FleetError,
-    OracleConfig, StoreError,
+    predictor_fingerprint, run_fleet, search_fingerprint, ArtifactKey, ArtifactStore, CodecError,
+    FleetConfig, FleetError, OracleConfig, StoreError,
 };
 use hgnas_predictor::PredictorConfig;
 use std::path::PathBuf;
@@ -170,10 +170,10 @@ fn kill_and_resume_is_bit_identical() {
         .load_checkpoint(&key)
         .expect("load")
         .expect("checkpoint exists");
-    assert_eq!(loaded.generation, 1);
+    assert_eq!(loaded.generation(), 1);
     let resumed = Hgnas::new(task.clone(), cfg)
         .run_with(RunOptions {
-            resume: Some(Checkpoint::MultiStage(loaded)),
+            resume: Some(loaded),
             ..RunOptions::default()
         })
         .outcome
@@ -201,9 +201,7 @@ fn one_stage_kill_and_resume_is_bit_identical() {
     let mut persisted = 0usize;
     let mut sink = |cp: &Checkpoint| {
         let cp = cp.as_one_stage().expect("one-stage run, one-stage cp");
-        store
-            .save_one_stage_checkpoint(&key, &task, cp)
-            .expect("persist");
+        store.save_checkpoint(&key, &task, cp).expect("persist");
         persisted += 1;
     };
     let killed = Hgnas::new(task.clone(), cfg.clone()).run_with(RunOptions {
@@ -217,18 +215,54 @@ fn one_stage_kill_and_resume_is_bit_identical() {
     assert!(persisted >= 2, "gen 0 and gen 1 were checkpointed");
 
     let loaded = store
-        .load_one_stage_checkpoint(&key)
+        .load_checkpoint(&key)
         .expect("load")
         .expect("checkpoint exists");
-    assert_eq!(loaded.generation, 1);
+    assert_eq!(loaded.generation(), 1);
     let resumed = Hgnas::new(task.clone(), cfg)
         .run_with(RunOptions {
-            resume: Some(Checkpoint::OneStage(loaded)),
+            resume: Some(loaded),
             ..RunOptions::default()
         })
         .outcome
         .expect("resumed run completes");
     assert_outcomes_bit_identical(&resumed, &full);
+}
+
+/// One checkpoint slot holds either strategy's checkpoint, and the search
+/// fingerprint (which covers the strategy) keeps each in its own slot. A
+/// checkpoint of the other strategy found there anyway — planted, or a
+/// fingerprint collision — fails the request with a typed store error
+/// instead of reaching the search, which would panic on it.
+#[test]
+fn checkpoint_of_the_other_strategy_is_a_store_error() {
+    let task = TaskConfig::tiny(5);
+    let cfg = tiny_config(DeviceKind::JetsonTx2, LatencyMode::Predictor);
+    let mut one = cfg.clone();
+    one.strategy = Strategy::OneStage;
+    let out = Hgnas::new(task.clone(), one).run_with(RunOptions {
+        abort_after_generation: Some(0),
+        ..RunOptions::default()
+    });
+    let cp = out.checkpoint.expect("aborted run yields a checkpoint");
+    let cp = cp.as_one_stage().expect("one-stage checkpoint");
+
+    let temp = TempStore::new("other-strategy");
+    let store = temp.open();
+    let key = ArtifactKey {
+        device: cfg.device,
+        fingerprint: search_fingerprint(&task, &cfg),
+    };
+    store.save_checkpoint(&key, &task, cp).expect("plant");
+    let fleet = FleetConfig::new(vec![cfg.device]);
+    let err = run_fleet(&task, &cfg, &fleet, Some(&store)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FleetError::Store(StoreError::Codec(CodecError::Invalid(_)))
+        ),
+        "{err:?}"
+    );
 }
 
 /// Acceptance: importing a prior run's score cache (same seeds) leaves
@@ -332,7 +366,7 @@ fn warm_started_score_cache_is_bit_identical_to_cold() {
         .expect("checkpoint exists");
     let resumed = Hgnas::new(task.clone(), cfg)
         .run_with(RunOptions {
-            resume: Some(Checkpoint::MultiStage(loaded)),
+            resume: Some(loaded),
             ..RunOptions::default()
         })
         .outcome

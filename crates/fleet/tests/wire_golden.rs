@@ -506,7 +506,7 @@ fn every_artifact_kind_keeps_its_bytes() {
         panic!("one-stage run yields a one-stage checkpoint");
     };
     let path = store
-        .save_one_stage_checkpoint(&key, &task, &cp)
+        .save_checkpoint(&key, &task, &cp)
         .expect("save one-stage checkpoint");
     actual.push(pin("artifact/one-stage-checkpoint", &read(path)));
 
@@ -514,11 +514,11 @@ fn every_artifact_kind_keeps_its_bytes() {
     assert_pins(
         &actual,
         &[
-            ("artifact/predictor", 2186, 0xfd4b967034135322),
-            ("artifact/checkpoint", 1108, 0x9ee9fb8c1003f100),
-            ("artifact/score-cache", 403, 0x8e8e1846b70dbbb1),
-            ("artifact/session", 25860, 0x7094116dc990b2a1),
-            ("artifact/one-stage-checkpoint", 1290, 0x2890e2091b66f3b5),
+            ("artifact/predictor", 2186, 0xc983ef5474fd098d),
+            ("artifact/checkpoint", 1109, 0x3abcecc51829c1a5),
+            ("artifact/score-cache", 403, 0x80cb09905caa870f),
+            ("artifact/session", 25860, 0x11cb7b427935c14a),
+            ("artifact/one-stage-checkpoint", 1299, 0xc06a388cd8543ba1),
         ],
     );
 }
