@@ -395,9 +395,11 @@ impl SearchConfig {
         }
     }
 
-    /// Checks the settings a search would otherwise panic on: an empty EA
-    /// population, a mutation probability outside `[0, 1]` (or NaN), and
-    /// a persona based on another device kind than `device`.
+    /// Checks the settings a search would otherwise panic on (or score
+    /// nonsense with): an empty EA population, a mutation probability
+    /// outside `[0, 1]` (or NaN), an objective weight that is not finite,
+    /// a latency constraint or resource cap that is not finite and
+    /// positive, and a persona based on another device kind than `device`.
     ///
     /// # Errors
     ///
@@ -412,6 +414,26 @@ impl SearchConfig {
                     stage,
                     p: ea.mutation_prob,
                 });
+            }
+        }
+        let weights = [
+            ("alpha", self.alpha),
+            ("beta", self.beta),
+            ("gamma", self.gamma),
+            ("delta", self.delta),
+        ];
+        if let Some((name, value)) = weights.into_iter().find(|(_, w)| !w.is_finite()) {
+            return Err(ConfigError::Weight { name, value });
+        }
+        let bounds = [
+            ("constraint_ms", self.constraint_ms),
+            ("max_size_mb", self.max_size_mb),
+            ("max_energy_mj", self.max_energy_mj),
+            ("max_peak_mem_mb", self.max_peak_mem_mb),
+        ];
+        for (name, bound) in bounds {
+            if let Some(value) = bound.filter(|b| !(b.is_finite() && *b > 0.0)) {
+                return Err(ConfigError::Bound { name, value });
             }
         }
         match &self.persona {
@@ -442,6 +464,21 @@ pub enum ConfigError {
         /// The configured probability.
         p: f64,
     },
+    /// An objective weight (α, β, γ or δ) must be finite.
+    Weight {
+        /// The weight's field name.
+        name: &'static str,
+        /// The configured weight.
+        value: f64,
+    },
+    /// A latency constraint or resource cap, when set, must be finite and
+    /// positive.
+    Bound {
+        /// The bound's field name.
+        name: &'static str,
+        /// The configured bound.
+        value: f64,
+    },
     /// A persona must be based on the configured device kind
     /// ([`SearchConfig::with_persona`] keeps them aligned).
     PersonaDevice {
@@ -465,6 +502,12 @@ impl fmt::Display for ConfigError {
                     f,
                     "stage-{stage} mutation probability {p} must be in [0, 1]"
                 )
+            }
+            ConfigError::Weight { name, value } => {
+                write!(f, "objective weight {name} = {value} must be finite")
+            }
+            ConfigError::Bound { name, value } => {
+                write!(f, "{name} = {value} must be finite and positive")
             }
             ConfigError::PersonaDevice {
                 persona,

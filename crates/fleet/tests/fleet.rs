@@ -838,6 +838,23 @@ fn invalid_shards_are_rejected_before_any_shard_runs() {
         "{err:?}"
     );
     assert!(std::error::Error::source(&err).is_some());
+
+    let mut bad_cfg = cfg.clone();
+    bad_cfg.constraint_ms = Some(0.0);
+    let err = run_fleet(&TaskConfig::tiny(1), &bad_cfg, &fleet, Some(&store)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FleetError::Config {
+                shard: 0,
+                error: ConfigError::Bound {
+                    name: "constraint_ms",
+                    ..
+                }
+            }
+        ),
+        "{err:?}"
+    );
     assert_eq!(
         std::fs::read_dir(&tmp.path).expect("store dir").count(),
         0,

@@ -154,7 +154,7 @@ fn invalid_search_config_is_rejected_and_the_daemon_keeps_serving() {
     client.hello("grace", 1, TICK).unwrap();
     let cfg = tiny_config(DeviceKind::JetsonTx2);
     type Edit = fn(&mut SearchConfig);
-    let edits: [(&str, Edit); 5] = [
+    let edits: [(&str, Edit); 8] = [
         ("population", |c| c.ea_stage1.population = 0),
         ("population", |c| c.ea_stage2.population = 0),
         ("mutation probability", |c| c.ea_stage2.mutation_prob = 1.5),
@@ -167,6 +167,9 @@ fn invalid_search_config_is_rejected_and_the_daemon_keeps_serving() {
                 profile: DeviceProfile::builtin(DeviceKind::RaspberryPi3B),
             })
         }),
+        ("constraint_ms", |c| c.constraint_ms = Some(0.0)),
+        ("max_energy_mj", |c| c.max_energy_mj = Some(f64::NAN)),
+        ("weight beta", |c| c.beta = f64::INFINITY),
     ];
     for (what, edit) in edits {
         let mut bad = cfg.clone();
