@@ -9,27 +9,36 @@
 
 use hgnas_tensor::simd::{self, LanePath};
 
-/// Times `f` and returns the best-of-`reps` wall-clock in milliseconds.
-/// Best-of (not mean) because the record is meant for a noisy CI runner:
-/// the minimum is the least contaminated estimate of the kernel's cost.
-pub fn time_best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: page in buffers, settle the lane-path OnceLock
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 /// One kernel × shape, timed on the scalar path and on the detected lane
-/// path. When the host has no AVX2 (or `HGNAS_SIMD=scalar`) both legs run
-/// scalar and the speedup hovers around 1.0 — `lane_path` in the header
-/// records which case the file describes.
+/// path, best-of-`reps` per leg: best-of (not mean) because the record is
+/// meant for a noisy CI runner, and the minimum is the least contaminated
+/// estimate of the kernel's cost. The legs run rep by rep, each going first
+/// every other rep, so host-load drift during the record reaches both
+/// columns alike instead of landing in their ratio. When the host has no
+/// AVX2 (or `HGNAS_SIMD=scalar`) both legs run scalar and the speedup
+/// hovers around 1.0 — `lane_path` in the header records which case the
+/// file describes.
 pub fn time_both(name: &str, shape: &str, reps: usize, mut f: impl FnMut()) -> String {
-    let scalar_ms = simd::with_path(LanePath::Scalar, || time_best_ms(reps, &mut f));
-    let lane_ms = simd::with_path(LanePath::Avx2, || time_best_ms(reps, &mut f));
+    let mut run = |path| {
+        simd::with_path(path, || {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+    };
+    // Warm-up: page in buffers, settle the lane-path OnceLock.
+    run(LanePath::Scalar);
+    run(LanePath::Avx2);
+    let (mut scalar_ms, mut lane_ms) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            scalar_ms = scalar_ms.min(run(LanePath::Scalar));
+            lane_ms = lane_ms.min(run(LanePath::Avx2));
+        } else {
+            lane_ms = lane_ms.min(run(LanePath::Avx2));
+            scalar_ms = scalar_ms.min(run(LanePath::Scalar));
+        }
+    }
     format!(
         "{{\"kernel\": \"{name}\", \"shape\": \"{shape}\", \
          \"scalar_ms\": {scalar_ms:.4}, \"lane_ms\": {lane_ms:.4}, \
