@@ -4,8 +4,7 @@
 //! minutes* on the V100 host. Our host hardware differs, so the harnesses
 //! meter search cost on the same simulated clock used for device latency:
 //! every supernet training step, every accuracy validation, every predictor
-//! query and every on-device measurement deposits its modelled cost here
-//! (deviation #4 in `DESIGN.md`).
+//! query and every on-device measurement deposits its modelled cost here.
 
 /// Accumulates simulated wall-clock milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

@@ -2,12 +2,11 @@
 //!
 //! The paper measures GNN inference on four physical platforms (Nvidia
 //! RTX3080, Intel i7-8700K, Jetson TX2, Raspberry Pi 3B+). Those devices are
-//! replaced here by a roofline-style analytical model (substitution S1 in
-//! `DESIGN.md`): a lowered architecture becomes a sequence of
-//! [`WorkloadOp`]s, each carrying FLOPs, memory traffic and buffer sizes,
-//! and a [`DeviceProfile`] turns that into latency, an execution-time
-//! breakdown by operation class, and peak memory (with out-of-memory
-//! detection).
+//! replaced here by a roofline-style analytical model: a lowered
+//! architecture becomes a sequence of [`WorkloadOp`]s, each carrying
+//! FLOPs, memory traffic and buffer sizes, and a [`DeviceProfile`] turns
+//! that into latency, an execution-time breakdown by operation class, and
+//! peak memory (with out-of-memory detection).
 //!
 //! Profiles are *calibrated*, not derived: per-class effective rates are
 //! fitted so DGCNN at 1024 points reproduces the paper's Table II latencies,

@@ -1,10 +1,10 @@
 //! SynthNet40 — a procedurally generated point-cloud classification dataset.
 //!
 //! The paper evaluates on ModelNet40 (12k CAD meshes, 40 classes), which is
-//! not redistributable here; SynthNet40 stands in for it (substitution S2 in
-//! `DESIGN.md`). Forty parametric 3-D shape families — quadrics, polyhedra,
-//! surfaces of revolution, and multi-part composites — are sampled on their
-//! surfaces, normalised to the unit sphere, and augmented exactly the way
+//! not redistributable here; SynthNet40 stands in for it. Forty parametric
+//! 3-D shape families — quadrics, polyhedra, surfaces of revolution, and
+//! multi-part composites — are sampled on their surfaces, normalised to
+//! the unit sphere, and augmented exactly the way
 //! point-cloud pipelines augment ModelNet40 (gravity-axis rotation, jitter,
 //! anisotropic scale).
 //!

@@ -9,8 +9,8 @@
 //! | 23–38 | graph/data properties (16), non-zero only on the global node |
 //!
 //! The paper uses a 9-dim function one-hot, which cannot distinguish the
-//! 28 aggregate combinations; we widen to a 16-dim multi-hot (deviation #1
-//! in `DESIGN.md`). The global-property vector is 16-dim as in the paper.
+//! 28 aggregate combinations; we widen to a 16-dim multi-hot. The
+//! global-property vector is 16-dim as in the paper.
 
 use hgnas_graph::{AdjNorm, DiGraph};
 use hgnas_ops::{Architecture, ConnectFn, Operation};

@@ -8,7 +8,7 @@
 //! to everything that carries the input-data properties), node features
 //! encode each operation's type and function, and a 3-layer GCN + MLP
 //! regresses the latency on the target device. Training labels come from
-//! the device simulator's noisy `measure` (substitution S4 in `DESIGN.md`).
+//! the device simulator's noisy `measure`.
 //!
 //! The paper reports (Fig. 8) ≈6 % MAPE on RTX3080 / i7 / TX2 and ≈19 % on
 //! the Raspberry Pi (noisy measurements), with >80 % of predictions inside
