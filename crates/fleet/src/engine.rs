@@ -50,7 +50,7 @@ use crate::events::{FleetEvent, SessionAction, ShardId};
 use crate::oracle::{MeasurementOracle, OracleConfig, OracleStats};
 use crossbeam::channel::Sender;
 use hgnas_core::{
-    pareto_front_nd, Checkpoint, Hgnas, LatencyMode, MeasureBackend, PretrainedPredictor,
+    pareto_front_nd, Checkpoint, Genome, Hgnas, LatencyMode, MeasureBackend, PretrainedPredictor,
     RunOptions, ScoredCandidate, SearchConfig, SearchOutcome, SessionState, Strategy, TaskConfig,
 };
 use hgnas_device::{DeviceKind, DeviceProfile};
@@ -659,8 +659,8 @@ pub struct Engine {
 /// bit-identical.
 fn checkpoint_pareto(cp: &Checkpoint) -> Vec<ParetoPoint> {
     let entries: Vec<(&[OpType], &ScoredCandidate)> = match cp {
-        Checkpoint::MultiStage(cp) => cp.cache.iter().map(|(g, c)| (g.as_slice(), c)).collect(),
-        Checkpoint::OneStage(cp) => cp.cache.iter().map(|(g, c)| (g.2.as_slice(), c)).collect(),
+        Checkpoint::MultiStage(cp) => cp.cache.iter().map(|(g, c)| (g.ops(), c)).collect(),
+        Checkpoint::OneStage(cp) => cp.cache.iter().map(|(g, c)| (g.ops(), c)).collect(),
     };
     let valid: Vec<_> = entries.into_iter().filter(|(_, c)| c.valid).collect();
     let has_energy = valid.iter().any(|(_, c)| c.energy_mj.is_some());
