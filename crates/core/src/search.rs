@@ -1731,7 +1731,7 @@ impl Hgnas {
                     ));
                 }
                 let t = b.clock.elapsed_min();
-                let best_score = b.best.as_ref().unwrap().0.score;
+                let best_score = b.best.as_ref().expect("the best is set above").0.score;
                 b.history.push((t, best_score));
                 out.score
             },
