@@ -676,10 +676,10 @@ pub type JointGenome = (FunctionSet, FunctionSet, Vec<OpType>);
 /// one-stage [`JointGenome`], which carries its own pair. The one place
 /// that knows which function sets a genome runs under: the loop, its
 /// checkpoints and the artifact codecs all ask it.
-pub trait Genome: Clone + Eq + Hash + Send + Sync + fmt::Debug {
+pub trait Genome: Clone + Eq + Hash + Sync {
     /// What every genome of one run shares: the Stage-1 function-set pair
     /// for op genomes, nothing for joint genomes.
-    type Functions: Copy + PartialEq + fmt::Debug + Send + Sync;
+    type Functions: Copy + PartialEq + fmt::Debug + Sync;
     /// The strategy whose main loop evolves this genome.
     const STRATEGY: Strategy;
     /// The genome's own function-set pair, if it carries one.
@@ -1373,21 +1373,6 @@ struct Scorer<'a, F> {
     eval_cost_ms: f64,
 }
 
-/// Lowers `arch` on the target profile and fills the energy/peak-memory
-/// metrics. Deterministic (the roofline simulator draws no RNG), so adding
-/// these axes never perturbs candidate RNG streams.
-fn fill_execution_metrics(
-    metrics: &mut CandidateMetrics,
-    profile: &DeviceProfile,
-    arch: &Architecture,
-    points: usize,
-    head_hidden: &[usize],
-) {
-    let report = profile.execute(&arch.lower(points, head_hidden));
-    metrics.energy_mj = Some(report.energy_mj(profile.power_w));
-    metrics.peak_mem_mb = Some(report.peak_mem_mb);
-}
-
 impl<G: Genome> CandidateScorer<G> for Scorer<'_, G::Functions> {
     type Output = ScoredCandidate;
 
@@ -1408,14 +1393,12 @@ impl<G: Genome> CandidateScorer<G> for Scorer<'_, G::Functions> {
             energy_mj: None,
             peak_mem_mb: None,
         };
+        // Deterministic (the roofline simulator draws no RNG), so pricing
+        // energy or memory never perturbs candidate RNG streams.
         if let Some(profile) = &self.exec_profile {
-            fill_execution_metrics(
-                &mut metrics,
-                profile,
-                &arch,
-                self.task.points(),
-                &self.task.head_hidden,
-            );
+            let report = profile.execute(&arch.lower(self.task.points(), &self.task.head_hidden));
+            metrics.energy_mj = Some(report.energy_mj(profile.power_w));
+            metrics.peak_mem_mb = Some(report.peak_mem_mb);
         }
         // Constraint gates first: failing candidates skip the (expensive)
         // accuracy validation, as in the paper.

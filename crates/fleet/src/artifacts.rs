@@ -38,10 +38,10 @@
 //!   `eval_threads`. Checkpoints of either strategy and score caches are
 //!   keyed by it, per device: two shards share a checkpoint slot only
 //!   when they would run the byte-identical search, so a slot never holds
-//!   the other strategy's checkpoint unless a file is planted there. The thread budget is
-//!   bit-transparent, and the engine re-splits it per slice while the
-//!   idle GC keys live requests by each spec's own value, so a
-//!   thread-sensitive key would let the stale sweep delete live
+//!   the other strategy's checkpoint unless a file is planted there. The
+//!   thread budget is bit-transparent, and the engine re-splits it per
+//!   slice while the idle GC keys live requests by each spec's own value,
+//!   so a thread-sensitive key would let the stale sweep delete live
 //!   checkpoints.
 //! - [`prefix_fingerprint`] covers the task plus
 //!   [`SearchConfig::prefix_params`]: **exactly the inputs
