@@ -71,7 +71,7 @@ pub const MAGIC: [u8; 4] = *b"HGNA";
 /// energy/peak-memory metrics, tasks carry a task-kind code, and search
 /// configs carry the energy/memory objective weights plus an optional
 /// device persona; v6 gave both search strategies one checkpoint layout
-/// that opens with its [`Strategy`] code: one-stage checkpoints now carry
+/// that opens with its [`Strategy`] code: one-stage checkpoints carry
 /// the (always empty) warm-start remainder and use the
 /// [`ArtifactKind::Checkpoint`] kind and slot, and kind code 4 (the v2–v5
 /// one-stage checkpoint) is retired. Old artifacts are rejected as
