@@ -179,19 +179,56 @@ fn emit_kernels_json() {
     // KNN graph construction. The pipeline builds every graph with
     // `knn_brute`: feature-space graphs on one cloud's hidden features
     // (`small`: 128 points x 24 dims, k = 10; `tiny`: 48 x 16, k = 8) and
-    // raw-point graphs in 3-D (paper scale: 1024 points, k = 20).
+    // raw-point graphs in 3-D (paper scale: 1024 points, k = 20). Each
+    // timed call builds the graphs of `KNN_CLOUDS` distinct clouds in turn:
+    // one cloud rebuilt on every rep lets the branch predictor learn its
+    // selection, which a training run never repeats. The clouds draw from
+    // their own generator, so the rows above keep their inputs.
+    let mut krng = StdRng::seed_from_u64(13);
     for &(n, dim, k) in &[(128usize, 24usize, 10usize), (48, 16, 8), (1024, 3, 20)] {
-        let pts: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let clouds: Vec<Vec<f32>> = (0..KNN_CLOUDS)
+            .map(|_| {
+                if dim == 3 {
+                    (0..n * dim).map(|_| krng.gen_range(-1.0f32..1.0)).collect()
+                } else {
+                    hidden_features(&mut krng, n, dim)
+                }
+            })
+            .collect();
         entries.push(time_both(
             "knn_brute",
-            &format!("{n}x{dim} k={k}"),
+            &format!("{KNN_CLOUDS}x{n}x{dim} k={k}"),
             7,
             || {
-                black_box(knn_brute(black_box(&pts), dim, k));
+                for pts in &clouds {
+                    black_box(knn_brute(black_box(pts), dim, k));
+                }
             },
         ));
     }
     emit_bench_json("kernels/scalar-vs-lane", "BENCH_kernels.json", &entries);
+}
+
+/// Distinct clouds each `knn_brute` record row cycles through per timed
+/// call.
+const KNN_CLOUDS: usize = 32;
+
+/// A cloud shaped like a searched layer's hidden features: ReLU'd, so about
+/// half the coordinates are exactly zero, with one row in 16 a copy of an
+/// earlier row, as identical input points stay identical through a layer.
+/// The copies give exact distance ties, which the selection must return in
+/// index order.
+fn hidden_features(rng: &mut StdRng, n: usize, dim: usize) -> Vec<f32> {
+    let mut pts: Vec<f32> = Vec::with_capacity(n * dim);
+    for j in 0..n {
+        if j > 0 && rng.gen_range(0..16) == 0 {
+            let src = rng.gen_range(0..j) * dim;
+            pts.extend_from_within(src..src + dim);
+        } else {
+            pts.extend((0..dim).map(|_| rng.gen_range(-1.0f32..1.0).max(0.0)));
+        }
+    }
+    pts
 }
 
 criterion_group!(benches, bench_matmul, bench_knn);
