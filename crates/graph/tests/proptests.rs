@@ -162,9 +162,14 @@ fn oracle_knn(points: &[f32], dim: usize, k: usize) -> Vec<usize> {
 }
 
 /// A feature cloud with the cases that decide neighbour order: duplicated
-/// points, all-zero rows, NaN features and coarse coordinates whose
-/// distances tie exactly, among ordinary random points.
-fn awkward_cloud(seed: u64, n: usize, dim: usize) -> Vec<f32> {
+/// points, all-zero rows, non-finite features and coarse coordinates whose
+/// distances tie exactly, among ordinary random points. A non-finite
+/// feature is a NaN, or with `nan == false` an infinity of either sign: a
+/// NaN feature makes every distance of its point NaN, which sends the
+/// selection of every row of the cloud down its insertion loop, while an
+/// infinite one leaves the other rows to the screen, with a NaN only in
+/// its own row's self slot and where two infinities of one sign meet.
+fn awkward_cloud(seed: u64, n: usize, dim: usize, nan: bool) -> Vec<f32> {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pts: Vec<f32> = Vec::with_capacity(n * dim);
@@ -180,7 +185,13 @@ fn awkward_cloud(seed: u64, n: usize, dim: usize) -> Vec<f32> {
                 let nan_at = rng.gen_range(0..dim);
                 pts.extend((0..dim).map(|d| {
                     if d == nan_at {
-                        f32::NAN
+                        if nan {
+                            f32::NAN
+                        } else if rng.gen() {
+                            f32::INFINITY
+                        } else {
+                            f32::NEG_INFINITY
+                        }
                     } else {
                         rng.gen_range(-1.0f32..1.0)
                     }
@@ -200,12 +211,14 @@ proptest! {
 
     #[test]
     fn knn_brute_matches_the_old_build_on_both_lane_paths(
-        seed in 0u64..10_000, pick in 0usize..4, n in 2usize..40, k_pick in 0usize..1000
+        seed in 0u64..10_000, pick in 0usize..4, n in 2usize..160, k_pick in 0usize..1000,
+        nan_pick in 0usize..2
     ) {
         use hgnas_tensor::simd::{with_path, LanePath};
         let dim = KNN_DIMS[pick];
-        let k = 1 + k_pick % (n - 1);
-        let pts = awkward_cloud(seed, n, dim);
+        // Past the screen's 16 lanes too.
+        let k = 1 + k_pick % (n - 1).min(24);
+        let pts = awkward_cloud(seed, n, dim, nan_pick == 0);
         let want = oracle_knn(&pts, dim, k);
         for path in [LanePath::Scalar, LanePath::Avx2] {
             let got = with_path(path, || knn_brute(&pts, dim, k));
