@@ -2,10 +2,10 @@
 //!
 //! This crate is the numerical substrate underneath `hgnas-autograd` and the
 //! rest of the stack: a row-major, heap-allocated tensor with the kernels the
-//! GNN workloads actually need — blocked and multi-threaded matrix multiply,
-//! axis reductions with arg tracking (so max/min pooling is differentiable
-//! one level up), row gather/scatter for message passing, and broadcast
-//! elementwise arithmetic.
+//! GNN workloads actually need — register-tiled and multi-threaded matrix
+//! multiply, axis reductions with arg tracking (so max/min pooling is
+//! differentiable one level up), row gather/scatter for message passing,
+//! and broadcast elementwise arithmetic.
 //!
 //! The design goal is *predictable* performance without external BLAS:
 //! everything the paper's models require (EdgeConv-style message passing,
@@ -14,8 +14,9 @@
 //! the arg-tracked max/min and the Adam step — also have an AVX2 leg behind
 //! runtime feature detection (cargo feature `simd`, on by default),
 //! bit-identical to their scalar leg; the others are plain scalar loops.
-//! The only `unsafe` in the crate is the feature-gated intrinsics leg of
-//! that module.
+//! The matmuls' tiled bodies are compiled a second time for AVX2 behind the
+//! same detection. The only `unsafe` in the crate is the feature-gated
+//! intrinsics legs and that dispatch, in the [`simd`] module.
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
-//! Matrix-multiplication kernels: naive, cache-blocked and multi-threaded.
+//! Matrix-multiplication kernels: naive, register-tiled and multi-threaded.
 //!
 //! All variants compute `C = A · B` (or a transposed flavour) and are
-//! exact-equivalent; the blocked/threaded versions exist purely for
+//! exact-equivalent; the tiled/threaded versions exist purely for
 //! throughput. The kernels bench (`hgnas-bench`, `BENCH_kernels.json`)
 //! tracks their wall clock per shape, including the supernet's combine
 //! shapes; the elementwise and activation kernels that surround these
@@ -20,14 +20,27 @@
 //!    least [`PARALLEL_MIN_WORK`]; otherwise run single-threaded. Scoped
 //!    threads cost ~100 µs to spawn+join, so row count alone is the wrong
 //!    gate for skinny shapes.
-//! 2. **Blocking**: each thread (or the single-threaded fall-through) runs
-//!    the cache-blocked kernel ([`BLOCK`]-edge tiles).
-//! 3. **Inner loop**: the innermost contiguous loop is a plain scalar
-//!    loop — [`crate::simd::axpy`] for [`matmul_blocked`] and
-//!    [`matmul_at`], [`crate::simd::dot`] for [`matmul_bt`] — with no lane
-//!    dispatch: at the supernet's combine shapes (16 or 24 output
-//!    columns) an AVX2 leg ran at 0.66–0.85× of these loops, which the
-//!    compiler vectorises.
+//! 2. **Register tiles**: each thread (or the single-threaded fall-through)
+//!    runs a tiled body over its rows. [`matmul_blocked`] (so
+//!    [`matmul_parallel`]'s row chunks too) and [`matmul_at`] share one
+//!    body: a 4×8 tile of `C` stays in accumulators for the whole `p` loop,
+//!    each element adding `a·b` for `p` ascending from `0.0`, a multiply
+//!    then an add — the per-element order of [`matmul_naive`]. Each band of
+//!    four output rows first packs its `A` values `p`-major, which is all
+//!    that differs between `A` and `Aᵀ`. [`matmul_bt`] runs one row of `A`
+//!    against four rows of `B`, each output keeping the 8 lane sums,
+//!    tail and combining tree of [`crate::simd::dot`]. There is no cache
+//!    blocking: at every workload shape `k, n ≤ 24`, and at 256³ and
+//!    192×100×232 the tiles alone run well ahead of the 64-edge panel
+//!    loops they replaced.
+//! 3. **Compile**: each tiled body is one source compiled twice, as plain
+//!    code and under `#[target_feature(enable = "avx2")]`, and the lane
+//!    path picks one once per call ([`crate::simd::active`]). The AVX2
+//!    compile holds a tile row's 8 sums in one register. Both compiles run
+//!    the same IEEE operations per element in the same order: only `avx2`
+//!    is enabled, not `fma`, and Rust never contracts a multiply and an add
+//!    on its own. So they return the same bits, and the choice is a pure
+//!    speed choice.
 //!
 //! Every gate is value-neutral: threading partitions output rows without
 //! reordering any row's accumulation. The only numeric decision is baked
@@ -46,12 +59,8 @@
 use crate::simd;
 use crate::Tensor;
 
-/// Cache-block edge length used by [`matmul_blocked`]. 64 f32 = 256 B per
-/// panel row, sized so three panels fit comfortably in L1.
-pub const BLOCK: usize = 64;
-
 /// Rows-per-thread threshold below which the threaded kernels fall back to
-/// the single-threaded blocked kernel.
+/// the single-threaded kernel.
 pub const PARALLEL_MIN_ROWS: usize = 128;
 
 /// Minimum total work (`m·k·n` multiply-adds) for the threaded kernels to
@@ -94,7 +103,7 @@ fn check_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
 
 /// Reference triple-loop matmul (ikj order, so the inner loop streams both
 /// `B` and `C`). Kept deliberately scalar and branch-free: it is the
-/// independent reference the blocked and threaded kernels are asserted
+/// independent reference the tiled and threaded kernels are asserted
 /// bit-identical against (per-element accumulation order over `p` is the
 /// same).
 ///
@@ -118,9 +127,9 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(c, &[m, n])
 }
 
-/// Cache-blocked matmul; bit-identical to [`matmul_naive`] (blocking only
-/// regroups the `p` loop in increasing order, and the axpy inner loop
-/// keeps the per-element operation order).
+/// Single-threaded register-tiled matmul; bit-identical to
+/// [`matmul_naive`] (each element of a tile adds its products for `p`
+/// ascending, as the naive loop does).
 ///
 /// # Panics
 ///
@@ -128,30 +137,105 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = check_dims(a, b);
     let mut c = vec![0.0f32; m * n];
-    matmul_blocked_into(a.data(), b.data(), &mut c, m, k, n);
+    tiled_dispatch(a.data(), Lhs::Rows, b.data(), &mut c, k, n);
     Tensor::from_vec(c, &[m, n])
 }
 
-fn matmul_blocked_into(ad: &[f32], bd: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for p0 in (0..k).step_by(BLOCK) {
-            let p1 = (p0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    let arow = &ad[i * k..(i + 1) * k];
-                    let crow = &mut c[i * n + j0..i * n + j1];
-                    for p in p0..p1 {
-                        simd::axpy(crow, arow[p], &bd[p * n + j0..p * n + j1]);
+/// Rows of `C` one tile keeps in accumulators.
+const TILE_ROWS: usize = 4;
+/// Columns of `C` one tile keeps in accumulators: one 8-lane register per
+/// tile row when compiled for AVX2.
+const TILE_COLS: usize = 8;
+
+/// How [`tiled`] reads `A`'s element `(r, p)` for output row `r`.
+#[derive(Clone, Copy)]
+enum Lhs {
+    /// Row-major `[rows, k]`, at `r·k + p` ([`matmul_blocked`]).
+    Rows,
+    /// The transpose of a row-major `[k, ld]`, at `p·ld + r` ([`matmul_at`]).
+    Cols(usize),
+}
+
+/// The one matmul body of [`matmul_blocked`], [`matmul_parallel`] and
+/// [`matmul_at`]: `c = A·B` over the rows of `c` (`b: [k, n]`). It runs
+/// [`tiled`] under an AVX2 compile when the lane path is AVX2 (chosen once
+/// per call) and as plain code otherwise: one source, so both compiles
+/// return the same bits.
+fn tiled_dispatch(ad: &[f32], lhs: Lhs, bd: &[f32], c: &mut [f32], k: usize, n: usize) {
+    simd::lane_dispatch!(
+        n,
+        tiled_avx2(ad, lhs, bd, c, k, n),
+        tiled(ad, lhs, bd, c, k, n)
+    )
+}
+
+/// [`tiled`] compiled for AVX2: each tile row's 8 accumulators sit in one
+/// register.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn tiled_avx2(ad: &[f32], lhs: Lhs, bd: &[f32], c: &mut [f32], k: usize, n: usize) {
+    tiled(ad, lhs, bd, c, k, n);
+}
+
+/// `c = A·B` a [`TILE_ROWS`]×[`TILE_COLS`] tile of `C` at a time (the
+/// ragged edges in smaller tiles). Each band of tile rows first packs its
+/// `A` values `p`-major, so both layouts of `A` feed one loop. A tile stays
+/// in accumulators for the whole `p` loop; each element starts at `0.0`
+/// and adds `a·b` for `p` ascending, a multiply then an add with no FMA:
+/// the order of [`matmul_naive`], so every element keeps its bits.
+#[inline(always)]
+fn tiled(ad: &[f32], lhs: Lhs, bd: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let rows = c.len() / n; // dims are positive: Shape forbids zero dims
+    let mut panel = vec![0.0f32; k * TILE_ROWS];
+    for r0 in (0..rows).step_by(TILE_ROWS) {
+        let tr = TILE_ROWS.min(rows - r0);
+        match lhs {
+            Lhs::Rows => {
+                for t in 0..tr {
+                    let arow = &ad[(r0 + t) * k..][..k];
+                    for (ap, &a) in panel.chunks_exact_mut(TILE_ROWS).zip(arow) {
+                        ap[t] = a;
                     }
                 }
+            }
+            Lhs::Cols(ld) => {
+                for (p, ap) in panel.chunks_exact_mut(TILE_ROWS).enumerate() {
+                    ap[..tr].copy_from_slice(&ad[p * ld + r0..][..tr]);
+                }
+            }
+        }
+        let band = &mut c[r0 * n..(r0 + tr) * n];
+        for j0 in (0..n).step_by(TILE_COLS) {
+            let tc = TILE_COLS.min(n - j0);
+            // Full tiles get constant bounds, so their loops unroll.
+            if tr == TILE_ROWS && tc == TILE_COLS {
+                tile(&panel, bd, band, n, j0, TILE_ROWS, TILE_COLS);
+            } else {
+                tile(&panel, bd, band, n, j0, tr, tc);
             }
         }
     }
 }
 
-/// Multi-threaded blocked matmul. Splits rows of `A` across `threads` OS
+/// One `tr × tc` tile of [`tiled`]: columns `j0..j0 + tc` of the `tr` rows
+/// in `band`, from the packed `A` values in `panel`.
+#[inline(always)]
+fn tile(panel: &[f32], bd: &[f32], band: &mut [f32], n: usize, j0: usize, tr: usize, tc: usize) {
+    let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+    for (ap, brow) in panel.chunks_exact(TILE_ROWS).zip(bd.chunks_exact(n)) {
+        let b = &brow[j0..j0 + tc];
+        for (row, &a) in acc[..tr].iter_mut().zip(ap) {
+            for (s, &bv) in row[..tc].iter_mut().zip(b) {
+                *s += a * bv;
+            }
+        }
+    }
+    for (crow, row) in band.chunks_exact_mut(n).zip(&acc[..tr]) {
+        crow[j0..j0 + tc].copy_from_slice(&row[..tc]);
+    }
+}
+
+/// Multi-threaded tiled matmul. Splits rows of `A` across `threads` OS
 /// threads via crossbeam's scoped threads; falls back to the single-threaded
 /// kernel below the work-size gates (see the module docs).
 ///
@@ -174,7 +258,7 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
             let rows = chunk.len() / n;
             let a_slice = &ad[i0 * k..(i0 + rows) * k];
             s.spawn(move |_| {
-                matmul_blocked_into(a_slice, bd, chunk, rows, k, n);
+                tiled_dispatch(a_slice, Lhs::Rows, bd, chunk, k, n);
             });
         }
     })
@@ -184,15 +268,15 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
 
 /// Computes `A · Bᵀ` without materialising the transpose. Useful for
 /// gradient kernels (`dX = dY · Wᵀ`) — it sits on the autograd hot path, so
-/// it gets the full blocked + threaded treatment: tiles of `C` are
-/// filled with [`crate::simd::dot`] contractions (both operands stream
-/// contiguously along `k`), and output rows split across the caller's
-/// kernel budget behind the standard work-size gates.
+/// it gets the tiled + threaded treatment: one row of `A` against four
+/// rows of `B` at a time (both operands stream contiguously along `k`),
+/// and output rows split across the caller's kernel budget behind the
+/// standard work-size gates.
 ///
-/// Each element is one `simd::dot`, i.e. the fixed multi-accumulator
-/// schedule on every path — *not* the sequential fold earlier revisions
-/// used. Threading never reorders it, so results are bit-identical at any
-/// budget.
+/// Each element is the value of one `simd::dot`, i.e. its fixed
+/// multi-accumulator schedule on every path — *not* the sequential fold
+/// earlier revisions used. Threading never reorders it, so results are
+/// bit-identical at any budget.
 ///
 /// # Panics
 ///
@@ -226,29 +310,71 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(c, &[m, n])
 }
 
-/// `c[i,j] = dot(a[i], b[j])` over `c`'s rows, tiled so a [`BLOCK`]-wide
-/// panel of `B` rows stays cache-hot while `A` streams past it.
+/// `c[i,j] = dot(a[i], b[j])` over `c`'s rows, under the AVX2 compile when
+/// the lane path is AVX2 (chosen once per call).
 fn matmul_bt_into(ad: &[f32], bd: &[f32], c: &mut [f32], k: usize, n: usize) {
-    let m = ad.len() / k; // dims are positive: Shape forbids zero dims
+    simd::lane_dispatch!(k, bt_tiled_avx2(ad, bd, c, k, n), bt_tiled(ad, bd, c, k, n))
+}
 
-    for j0 in (0..n).step_by(BLOCK) {
-        let j1 = (j0 + BLOCK).min(n);
-        for i in 0..m {
-            let arow = &ad[i * k..(i + 1) * k];
-            for j in j0..j1 {
-                c[i * n + j] = simd::dot(arow, &bd[j * k..(j + 1) * k]);
+/// [`bt_tiled`] compiled for AVX2: each output's 8 lane sums sit in one
+/// register.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn bt_tiled_avx2(ad: &[f32], bd: &[f32], c: &mut [f32], k: usize, n: usize) {
+    bt_tiled(ad, bd, c, k, n);
+}
+
+/// Outputs of one [`bt_tiled`] tile: one row of `A` against this many rows
+/// of `B`.
+const BT_TILE: usize = 4;
+
+/// `c[i,j] = dot(a[i], b[j])`, one row of `A` against [`BT_TILE`] rows of
+/// `B` at a time: each output keeps [`crate::simd::dot`]'s schedule — 8
+/// lane sums over the full chunks in order, the tail into the leading
+/// lanes, then its combining tree — so it keeps `dot`'s bits, and the tile
+/// only shares each chunk of `A` among its outputs.
+#[inline(always)]
+fn bt_tiled(ad: &[f32], bd: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let full = k / simd::LANES * simd::LANES;
+    for (arow, crow) in ad.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        let (head, tail) = arow.split_at(full);
+        let mut brows = bd.chunks_exact(BT_TILE * k);
+        let mut outs = crow.chunks_exact_mut(BT_TILE);
+        for (bs, out) in (&mut brows).zip(&mut outs) {
+            let mut lanes = [[0.0f32; simd::LANES]; BT_TILE];
+            for (ch, a) in head.chunks_exact(simd::LANES).enumerate() {
+                for (l, b) in lanes.iter_mut().zip(bs.chunks_exact(k)) {
+                    let b = &b[ch * simd::LANES..][..simd::LANES];
+                    for ((s, &x), &y) in l.iter_mut().zip(a).zip(b) {
+                        *s += x * y;
+                    }
+                }
             }
+            for ((l, b), o) in lanes.iter_mut().zip(bs.chunks_exact(k)).zip(out) {
+                for ((s, &x), &y) in l.iter_mut().zip(tail).zip(&b[full..]) {
+                    *s += x * y;
+                }
+                *o = simd::hsum_tree(l);
+            }
+        }
+        for (o, b) in outs
+            .into_remainder()
+            .iter_mut()
+            .zip(brows.remainder().chunks_exact(k))
+        {
+            *o = simd::dot(arow, b);
         }
     }
 }
 
 /// Computes `Aᵀ · B` without materialising the transpose. Useful for weight
 /// gradients (`dW = Xᵀ · dY`) — like [`matmul_bt`] it is an autograd hot
-/// path and gets the blocked + threaded treatment: the inner loop is the
-/// same axpy as [`matmul_blocked`] (elementwise over `j`, so per-element
-/// accumulation order over `p` is preserved exactly), output rows tile by
-/// [`BLOCK`] for cache reuse and split across the caller's kernel budget
-/// behind the standard work-size gates. Bit-identical at any budget.
+/// path and gets the tiled + threaded treatment: it runs the tiled body of
+/// [`matmul_blocked`] with `A` read down its columns (so each element adds
+/// its products for `p` ascending, bit-identical to
+/// `matmul_naive(&a.transpose2(), b)`), and output rows split across the
+/// caller's kernel budget behind the standard work-size gates.
+/// Bit-identical at any budget.
 ///
 /// # Panics
 ///
@@ -264,38 +390,20 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     let mut c = vec![0.0f32; m * n];
     let threads = crate::threads::kernel_threads();
     if !threads_pay_off(threads, m, m * k * n) {
-        matmul_at_into(ad, bd, &mut c, k, m, n, 0);
+        tiled_dispatch(ad, Lhs::Cols(m), bd, &mut c, k, n);
     } else {
         let rows_per = m.div_ceil(threads);
         crossbeam::scope(|s| {
             for (t, chunk) in c.chunks_mut(rows_per * n).enumerate() {
                 let i0 = t * rows_per;
                 s.spawn(move |_| {
-                    matmul_at_into(ad, bd, chunk, k, m, n, i0);
+                    tiled_dispatch(&ad[i0..], Lhs::Cols(m), bd, chunk, k, n);
                 });
             }
         })
         .expect("matmul_at worker thread panicked");
     }
     Tensor::from_vec(c, &[m, n])
-}
-
-/// Accumulates output rows `i0 .. i0 + c.len()/n` of `Aᵀ·B` into `c`
-/// (`a: [k,m]` column-major for the output, `b: [k,n]`), tiling the rows by
-/// [`BLOCK`] so the active slab of `c` stays cache-resident while `B`
-/// streams past it once per tile.
-fn matmul_at_into(ad: &[f32], bd: &[f32], c: &mut [f32], k: usize, m: usize, n: usize, i0: usize) {
-    let rows = c.len() / n; // dims are positive: Shape forbids zero dims
-    for r0 in (0..rows).step_by(BLOCK) {
-        let r1 = (r0 + BLOCK).min(rows);
-        for p in 0..k {
-            let arow = &ad[p * m..(p + 1) * m];
-            let brow = &bd[p * n..(p + 1) * n];
-            for r in r0..r1 {
-                simd::axpy(&mut c[r * n..(r + 1) * n], arow[i0 + r], brow);
-            }
-        }
-    }
 }
 
 impl Tensor {
@@ -343,9 +451,9 @@ mod tests {
             let a = rand_mat(&mut rng, m, k);
             let b = rand_mat(&mut rng, k, n);
             let naive = matmul_naive(&a, &b);
-            // Blocked (and therefore parallel) is bit-identical to naive,
-            // not merely close: blocking regroups the p loop in increasing
-            // order and the axpy preserves per-element op order.
+            // Tiled (and therefore parallel) is bit-identical to naive, not
+            // merely close: each tile element adds its products for p
+            // ascending, as the naive loop does.
             assert_eq!(matmul_blocked(&a, &b).data(), naive.data());
             assert_eq!(matmul_parallel(&a, &b, 4).data(), naive.data());
         }
@@ -358,7 +466,48 @@ mod tests {
         let b = rand_mat(&mut rng, 6, 11);
         let c = a.matmul(&b);
         assert!(matmul_bt(&a, &b.transpose2()).allclose(&c, 1e-4));
-        assert!(matmul_at(&a.transpose2(), &b).allclose(&c, 1e-4));
+        // matmul_at runs the same tiled body with A read down its columns:
+        // the naive loop's bits, not merely close.
+        assert_eq!(
+            matmul_at(&a.transpose2(), &b).data(),
+            matmul_naive(&a, &b).data()
+        );
+    }
+
+    #[test]
+    fn tiles_match_naive_at_the_combine_shapes() {
+        // The supernet's combine shapes (full 4x8 tiles only) and two that
+        // leave ragged tile edges, on both compiles of the tiled bodies:
+        // matmul and matmul_at give the naive loop's bits, matmul_bt gives
+        // simd::dot's bits per element.
+        let mut rng = StdRng::seed_from_u64(11);
+        for &(m, k, n) in &[(1024, 24, 24), (384, 16, 16), (37, 13, 21), (6, 9, 3)] {
+            let a = rand_mat(&mut rng, m, k);
+            let b = rand_mat(&mut rng, k, n);
+            let bt = b.transpose2();
+            let want = matmul_naive(&a, &b);
+            let dots: Vec<f32> = a
+                .data()
+                .chunks_exact(k)
+                .flat_map(|row| {
+                    bt.data()
+                        .chunks_exact(k)
+                        .map(move |col| simd::dot(row, col))
+                })
+                .collect();
+            for path in [LanePath::Scalar, LanePath::Avx2] {
+                let (ab, at_b, a_bt) = crate::simd::with_path(path, || {
+                    (
+                        matmul_blocked(&a, &b),
+                        matmul_at(&a.transpose2(), &b),
+                        matmul_bt(&a, &bt),
+                    )
+                });
+                assert_eq!(ab.data(), want.data(), "matmul {m}x{k}x{n} {path}");
+                assert_eq!(at_b.data(), want.data(), "matmul_at {m}x{k}x{n} {path}");
+                assert_eq!(a_bt.data(), &dots[..], "matmul_bt {m}x{k}x{n} {path}");
+            }
+        }
     }
 
     #[test]

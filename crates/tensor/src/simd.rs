@@ -12,6 +12,13 @@
 //! 176-float blocks), where a row is too short to pay for the dispatch and
 //! the compiler already vectorises the plain loop.
 //!
+//! The matmuls' register-tiled bodies ([`crate::matmul`]) use the same
+//! dispatch a different way: no intrinsics, but one source compiled twice,
+//! as plain code and under `#[target_feature(enable = "avx2")]`, chosen once
+//! per matmul. The AVX2 compile is a safe function; its one `unsafe` sits at
+//! the dispatch (the `lane_dispatch!` call behind the runtime probe), as for
+//! the three intrinsics legs.
+//!
 //! The load-bearing invariant — the one the fleet layer's whole
 //! bit-identity matrix rests on — is that **both legs of a lane kernel
 //! produce bit-identical results for every input**:
@@ -130,7 +137,7 @@ macro_rules! lane_dispatch {
     ($len:expr, $avx2:expr, $scalar:expr) => {
         // Gate: below one lane there is nothing to vectorise; skip even the
         // path lookup. Value-neutral either way.
-        if $len >= LANES && active() == LanePath::Avx2 {
+        if $len >= $crate::simd::LANES && $crate::simd::active() == $crate::simd::LanePath::Avx2 {
             // SAFETY: `active()` only returns Avx2 when `detected()` probed
             // AVX2 support at runtime.
             unsafe { $avx2 }
@@ -147,18 +154,7 @@ macro_rules! lane_dispatch {
     };
 }
 
-/// `acc[i] += a * x[i]` — the matmul axpy inner loop; per element `mul`
-/// then `add`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-    assert_eq!(acc.len(), x.len(), "axpy length mismatch");
-    for (c, &v) in acc.iter_mut().zip(x) {
-        *c += a * v;
-    }
-}
+pub(crate) use lane_dispatch;
 
 /// `acc[i] += x[i]` — the reduction/scatter accumulate loop.
 ///
@@ -255,7 +251,7 @@ pub fn leaky_relu_grad(g: &mut [f32], x: &[f32], slope: f32) {
 /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — the reduction tree of
 /// [`dot`], part of the kernel's contract.
 #[inline]
-fn hsum_tree(l: &[f32; LANES]) -> f32 {
+pub(crate) fn hsum_tree(l: &[f32; LANES]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
@@ -626,23 +622,6 @@ mod tests {
         assert_eq!(active(), outer);
     }
 
-    #[test]
-    fn axpy_matches_across_paths_and_raw_loop() {
-        for len in RAGGED {
-            let x = seq(len, 0.1);
-            let mut expect = seq(len, 0.7);
-            let mut scalar = expect.clone();
-            let mut lane = expect.clone();
-            for (c, &v) in expect.iter_mut().zip(&x) {
-                *c += 1.25 * v;
-            }
-            with_path(LanePath::Scalar, || axpy(&mut scalar, 1.25, &x));
-            with_path(LanePath::Avx2, || axpy(&mut lane, 1.25, &x));
-            assert_eq!(scalar, expect, "len {len}");
-            assert_eq!(lane, expect, "len {len}");
-        }
-    }
-
     /// The paths [`with_path`] can force.
     const PATHS: [LanePath; 2] = [LanePath::Scalar, LanePath::Avx2];
 
@@ -943,11 +922,5 @@ mod tests {
         arg_extremum_rows(&rows, Extremum::Min, &mut out, &mut args);
         assert_eq!((out[2], args[2]), (0.5, 2));
         assert_eq!(args[0], 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn axpy_length_mismatch_panics() {
-        axpy(&mut [0.0; 3], 1.0, &[0.0; 4]);
     }
 }

@@ -52,16 +52,36 @@ proptest! {
 
     #[test]
     fn matmul_kernels_agree(
-        m in 1usize..20, k in 1usize..20, n in 1usize..20, seed in 0u64..1000
+        m in 1usize..40, k in 1usize..20, n in 1usize..40,
+        data in prop::collection::vec(special_f32(), 2 * 40 * 20),
     ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = Tensor::rand_uniform(&mut rng, &[m, k], -2.0, 2.0);
-        let b = Tensor::rand_uniform(&mut rng, &[k, n], -2.0, 2.0);
+        // Rows and columns run past several 4x8 tiles and their ragged
+        // edges, over NaN, ±∞ and ±0.0 entries. Every kernel that shares
+        // the naive loop's per-element order returns its bits on both lane
+        // paths, and matmul_bt returns simd::dot's bits per element (up to
+        // the payload of a NaN; see `same_value`).
+        let a = Tensor::from_vec(data[..m * k].to_vec(), &[m, k]);
+        let b = Tensor::from_vec(data[40 * 20..40 * 20 + k * n].to_vec(), &[k, n]);
+        let (at, bt) = (a.transpose2(), b.transpose2());
         let reference = matmul_naive(&a, &b);
-        prop_assert!(matmul_blocked(&a, &b).allclose(&reference, 1e-3));
-        prop_assert!(matmul_parallel(&a, &b, 3).allclose(&reference, 1e-3));
-        prop_assert!(matmul_bt(&a, &b.transpose2()).allclose(&reference, 1e-3));
+        let dots: Vec<f32> = a
+            .data()
+            .chunks_exact(k)
+            .flat_map(|row| bt.data().chunks_exact(k).map(move |col| simd::dot(row, col)))
+            .collect();
+        for path in [LanePath::Scalar, LanePath::Avx2] {
+            let (blocked, parallel, at_b, a_bt) = simd::with_path(path, || (
+                matmul_blocked(&a, &b),
+                matmul_parallel(&a, &b, 3),
+                matmul_at(&at, &b),
+                matmul_bt(&a, &bt),
+            ));
+            let want = reference.data();
+            prop_assert!(same_values(blocked.data(), want), "blocked {} {}x{}x{}", path, m, k, n);
+            prop_assert!(same_values(parallel.data(), want), "parallel {} {}x{}x{}", path, m, k, n);
+            prop_assert!(same_values(at_b.data(), want), "at {} {}x{}x{}", path, m, k, n);
+            prop_assert!(same_values(a_bt.data(), &dots), "bt {} {}x{}x{}", path, m, k, n);
+        }
     }
 
     #[test]
@@ -164,7 +184,6 @@ proptest! {
 
         let (s, l) = on_both_paths(|| {
             let mut acc = acc0.data().to_vec();
-            simd::axpy(&mut acc, 1.7, x.data());
             simd::add_assign(&mut acc, y.data());
             simd::scale(&mut acc, 0.3);
             (acc, simd::dot(x.data(), y.data()))
@@ -173,8 +192,8 @@ proptest! {
         let want: Vec<f32> = acc0
             .data()
             .iter()
-            .zip(x.data().iter().zip(y.data()))
-            .map(|(&c, (&xv, &yv))| ((c + 1.7 * xv) + yv) * 0.3)
+            .zip(y.data())
+            .map(|(&c, &yv)| (c + yv) * 0.3)
             .collect();
         prop_assert!(slice_bits_eq(&s.0, &want) && slice_bits_eq(&l.0, &want));
         prop_assert_eq!(s.1.to_bits(), l.1.to_bits());
@@ -402,11 +421,16 @@ fn slice_bits_eq(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// Equality up to NaN payload: identical bits, or NaN on both sides. A
-/// distance sums several terms, and which of two different NaN payloads an
-/// IEEE add returns is up to the compiler's operand order; no caller reads
-/// the payload of a NaN distance.
+/// distance or a matmul element sums several terms, and which of two
+/// different NaN payloads an IEEE add returns is up to the compiler's
+/// operand order; no caller reads the payload of a NaN.
 fn same_value(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// [`same_value`] over two whole buffers.
+fn same_values(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| same_value(x, y))
 }
 
 /// Dimensions the column sweep is pinned at: 1 and 3 (raw points), ragged
