@@ -1,4 +1,4 @@
-//! Criterion micro-benches for the numerical substrate: naive vs blocked
+//! Criterion micro-benches for the numerical substrate: naive vs tiled
 //! vs threaded matmul, and the brute-force KNN build.
 //!
 //! Besides the criterion sweep, the bench always writes a machine-readable
@@ -7,9 +7,12 @@
 //! one record per kernel × shape. The two paths are bit-identical by
 //! construction, so the record is purely a perf trajectory for CI
 //! (`bench_diff` compares it against the committed baseline); a kernel
-//! without an AVX2 leg reads about 1.0. `HGNAS_BENCH_JSON=only` skips the
-//! criterion sweep and emits just the record; `HGNAS_BENCH_OUT` overrides
-//! the output path.
+//! without an AVX2 leg reads about 1.0, and a matmul row compares the
+//! plain and the AVX2 compile of its tiled body. Each `knn_brute` row
+//! times 32 distinct clouds per call, so the branch predictor cannot learn
+//! one cloud's selection. `HGNAS_BENCH_JSON=only` skips the criterion
+//! sweep and emits just the record; `HGNAS_BENCH_OUT` overrides the output
+//! path.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use hgnas_bench::record::{emit_bench_json, json_only, time_both};
