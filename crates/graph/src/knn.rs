@@ -47,8 +47,8 @@ const SCREEN_LANES: usize = 16;
 
 /// Keeps the `k = out.len()` nearest of the points scored by `dists`
 /// (point `i` itself excluded): indices in `out`, nearest first, exact
-/// ties in index order. `dists[i]` is overwritten; `best` and `keys` (one
-/// entry per point) are scratch.
+/// ties in index order. `dists[i]` is overwritten; `best` (`k` entries) and
+/// `keys` (one per point) are scratch.
 ///
 /// **The screen.** Read the query's own slot as +∞ and take the minimum of
 /// each of the [`SCREEN_LANES`] strided lanes. Each lane's minimum is

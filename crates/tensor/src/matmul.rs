@@ -183,6 +183,8 @@ fn tiled_avx2(ad: &[f32], lhs: Lhs, bd: &[f32], c: &mut [f32], k: usize, n: usiz
 /// in accumulators for the whole `p` loop; each element starts at `0.0`
 /// and adds `a·b` for `p` ascending, a multiply then an add with no FMA:
 /// the order of [`matmul_naive`], so every element keeps its bits.
+///
+/// Always inlined, so [`tiled_avx2`] compiles its own copy for AVX2.
 #[inline(always)]
 fn tiled(ad: &[f32], lhs: Lhs, bd: &[f32], c: &mut [f32], k: usize, n: usize) {
     let rows = c.len() / n; // dims are positive: Shape forbids zero dims
@@ -332,7 +334,8 @@ const BT_TILE: usize = 4;
 /// `B` at a time: each output keeps [`crate::simd::dot`]'s schedule — 8
 /// lane sums over the full chunks in order, the tail into the leading
 /// lanes, then its combining tree — so it keeps `dot`'s bits, and the tile
-/// only shares each chunk of `A` among its outputs.
+/// only shares each chunk of `A` among its outputs. Always inlined, so
+/// [`bt_tiled_avx2`] compiles its own copy for AVX2.
 #[inline(always)]
 fn bt_tiled(ad: &[f32], bd: &[f32], c: &mut [f32], k: usize, n: usize) {
     let full = k / simd::LANES * simd::LANES;
