@@ -11,12 +11,13 @@
 //! everything the paper's models require (EdgeConv-style message passing,
 //! GCN propagation, MLP heads) reduces to the kernels here. The hot inner
 //! loops are the [`simd`] kernels. Three of them — the KNN distance sweep,
-//! the arg-tracked max/min and the Adam step — also have an AVX2 leg behind
-//! runtime feature detection (cargo feature `simd`, on by default),
-//! bit-identical to their scalar leg; the others are plain scalar loops.
-//! The matmuls' tiled bodies are compiled a second time for AVX2 behind the
-//! same detection. The only `unsafe` in the crate is the feature-gated
-//! intrinsics legs and that dispatch, in the [`simd`] module.
+//! the arg-tracked max/min and the Adam step — and the matmuls' tiled
+//! bodies are each one safe source compiled twice, as plain code and for
+//! AVX2, with the AVX2 compile picked per call behind runtime feature
+//! detection (cargo feature `simd`, on by default); both compiles return
+//! the same bits. The other kernels are plain loops. The only `unsafe` in
+//! the crate is the feature-gated call into an AVX2 compile, inside the
+//! [`simd`] module's dispatch macro.
 //!
 //! # Example
 //!

@@ -1,38 +1,37 @@
-//! Portable `f32` kernels: plain scalar loops, plus three kernels with an
-//! 8-lane AVX2 leg whose results are **bit-identical** to their scalar leg.
+//! Portable `f32` kernels: plain loops, three of which are also compiled
+//! for AVX2 and picked per call, with **bit-identical** results either way.
 //!
-//! Only [`adam_step`], [`squared_distances_cols`] and [`arg_extremum_rows`]
-//! carry an AVX2 leg (`core::arch::x86_64` intrinsics behind runtime
-//! feature detection). Each is kept because the kernels and ops records
-//! show it at least 1.15× faster than its scalar leg at every shape the
-//! `solo-small` and `tenants` workloads call it with. Every other kernel
-//! here is one scalar loop with no dispatch: an AVX2 leg fell below that
-//! bar at some shape a workload calls it with (rows of 12 to 24 floats,
-//! matmuls over 16 or 24 columns, the latency predictor's 144- and
-//! 176-float blocks), where a row is too short to pay for the dispatch and
-//! the compiler already vectorises the plain loop.
-//!
-//! The matmuls' register-tiled bodies ([`crate::matmul`]) use the same
-//! dispatch a different way: no intrinsics, but one source compiled twice,
-//! as plain code and under `#[target_feature(enable = "avx2")]`, chosen once
-//! per matmul. The AVX2 compile is a safe function; its one `unsafe` sits at
-//! the dispatch (the `lane_dispatch!` call behind the runtime probe), as for
-//! the three intrinsics legs.
+//! [`adam_step`], [`squared_distances_cols`] and [`arg_extremum_rows`] each
+//! have one `#[inline(always)]` body, compiled once as plain code (the
+//! scalar path) and once inside a safe `#[target_feature(enable = "avx2")]`
+//! wrapper, one of the two picked per call; [`crate::matmul`]'s tiled
+//! bodies are built the same way. The sweep and the arg scan are written
+//! over [`LANES`]-wide arrays, so the AVX2 compile keeps each block's sums,
+//! winners and row indices in registers; Adam is one loop over independent
+//! elements. Each wrapper stays because the kernels and ops records show
+//! its compile faster than the plain one at the shapes the `solo-small` and
+//! `tenants` workloads call it with. Every other kernel here is one plain
+//! loop with no dispatch: an AVX2 compile fell below that bar at some shape
+//! a workload calls it with (rows of 12 to 24 floats, the latency
+//! predictor's 144- and 176-float blocks), where a row is too short to pay
+//! for the dispatch and the compiler already vectorises the plain loop.
 //!
 //! The load-bearing invariant — the one the fleet layer's whole
-//! bit-identity matrix rests on — is that **both legs of a lane kernel
-//! produce bit-identical results for every input**:
+//! bit-identity matrix rests on — is that **both compiles of a lane kernel
+//! produce bit-identical results for every input**. It holds by
+//! construction: one source; only `avx2` enabled, not `fma` (and Rust never
+//! contracts a multiply and an add on its own); vectorised only across
+//! independent elements:
 //!
 //! - Elementwise kernels ([`adam_step`], [`squared_distances_cols`])
-//!   compute each output element with exactly the same sequence of
-//!   IEEE-754 operations on either leg; vectorising over independent
-//!   elements never reorders any element's own computation, and
-//!   `_mm256_mul_ps`/`_mm256_add_ps` round identically to scalar `*`/`+`.
-//!   No FMA is used anywhere — fused rounding would break the equality.
+//!   compute each output element with the same sequence of IEEE-754
+//!   operations in either compile; vectorising across elements never
+//!   reorders an element's own computation, and a vector `*`, `+`, `/` or
+//!   `sqrt` rounds each lane as the scalar one does.
 //! - The selection kernel ([`arg_extremum_rows`]) computes nothing: it
 //!   compares (ordered `>`/`<`, false on NaN) and moves whole values, so
-//!   its outputs are bit copies of its inputs on either leg.
-//! - The reduction kernel [`dot`] has one leg but keeps a *fixed
+//!   its outputs are bit copies of its inputs in either compile.
+//! - The reduction kernel [`dot`] is one plain loop but keeps a *fixed
 //!   multi-accumulator schedule*: [`LANES`] parallel partial sums filled
 //!   chunk-by-chunk, the remainder folded into the leading accumulators,
 //!   then a fixed binary tree (`hsum_tree` order). The schedule is part of
@@ -40,29 +39,33 @@
 //!
 //! Path selection: [`detected`] probes AVX2 once (the `HGNAS_SIMD=scalar`
 //! environment variable, or building without the `simd` cargo feature,
-//! forces the scalar leg — the latter keeps the offline-shim builds free
-//! of any `core::arch` surface). [`with_path`] is a process-global
-//! test/bench hook for comparing the two legs in one process; because
-//! results are path-independent, a concurrent override can never change
-//! what another thread computes, only how fast.
+//! forces the plain compile — the latter leaves no AVX2 compile and no
+//! `unsafe` in the build). [`with_path`] is a process-global test/bench
+//! hook for comparing the two compiles in one process; because results are
+//! path-independent, a concurrent override can never change what another
+//! thread computes, only how fast. The one `unsafe` is the call into an
+//! AVX2 compile inside `lane_dispatch!`, behind the runtime probe.
 //!
-//! Work-size gates: a lane kernel falls through to its scalar leg when the
+//! Work-size gates: a lane kernel runs its plain compile when the
 //! contiguous run is shorter than [`LANES`], so tiny inputs never pay lane
 //! dispatch overhead. The gate is value-neutral by the invariant above.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Lane width of the portable `f32` vector: 8 lanes (one AVX2 `__m256`).
-/// The scalar fallback mirrors this width in its accumulator schedule.
+/// Lane width of the portable `f32` vector: 8 lanes (one AVX2 register).
+/// The lane kernels' bodies work in blocks of this width, and [`dot`]'s
+/// accumulator schedule mirrors it.
 pub const LANES: usize = 8;
 
-/// Which leg the lane kernels run.
+/// Which compile the lane kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LanePath {
-    /// 8-lane `core::arch::x86_64` AVX2 intrinsics.
+    /// Each kernel's body compiled under `#[target_feature(enable =
+    /// "avx2")]`, so its 8-lane blocks map onto AVX2 registers.
     Avx2,
-    /// Pure-scalar loops computing the same IEEE operations per element.
+    /// The same bodies compiled as plain code, computing the same IEEE
+    /// operations per element.
     Scalar,
 }
 
@@ -132,6 +135,9 @@ pub fn with_path<R>(path: LanePath, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// `lane_dispatch!(len, avx2_call, plain_call)`: the call into a kernel's
+/// AVX2 compile when the lane path is AVX2 and `len` fills a lane, the call
+/// into its plain compile otherwise.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 macro_rules! lane_dispatch {
     ($len:expr, $avx2:expr, $scalar:expr) => {
@@ -316,7 +322,7 @@ pub struct AdamParams {
 /// w -= lr · (m̂ / (√v̂ + ε))
 /// ```
 ///
-/// Elementwise over `i` with no FMA on either path, hence bit-identical
+/// Elementwise over `i` with no FMA in either compile, hence bit-identical
 /// between [`LanePath::Avx2`] and [`LanePath::Scalar`].
 ///
 /// # Panics
@@ -326,25 +332,28 @@ pub fn adam_step(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], p: Adam
     assert_eq!(w.len(), g.len(), "adam_step length mismatch");
     assert_eq!(m.len(), g.len(), "adam_step length mismatch");
     assert_eq!(v.len(), g.len(), "adam_step length mismatch");
-    lane_dispatch!(
-        w.len(),
-        avx2::adam_step(w, m, v, g, p),
-        adam_step_scalar(w, m, v, g, p)
-    )
+    lane_dispatch!(w.len(), adam_avx2(w, m, v, g, p), adam(w, m, v, g, p))
 }
 
-fn adam_step_scalar(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], p: AdamParams) {
+/// [`adam`] compiled for AVX2.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn adam_avx2(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], p: AdamParams) {
+    adam(w, m, v, g, p);
+}
+
+/// The body of [`adam_step`]: the documented sequence, element by element.
+/// Always inlined, so [`adam_avx2`] compiles its own copy.
+#[inline(always)]
+fn adam(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], p: AdamParams) {
     let omb1 = 1.0 - p.beta1;
     let omb2 = 1.0 - p.beta2;
-    for i in 0..w.len() {
-        let gi = g[i];
-        let mi = p.beta1 * m[i] + omb1 * gi;
-        let vi = p.beta2 * v[i] + omb2 * gi * gi;
-        m[i] = mi;
-        v[i] = vi;
-        let mhat = mi * p.inv_bc1;
-        let vhat = vi * p.inv_bc2;
-        w[i] -= p.lr * (mhat / (vhat.sqrt() + p.eps));
+    for (((w, m), v), &g) in w.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
+        *m = p.beta1 * *m + omb1 * g;
+        *v = p.beta2 * *v + omb2 * g * g;
+        let mhat = *m * p.inv_bc1;
+        let vhat = *v * p.inv_bc2;
+        *w -= p.lr * (mhat / (vhat.sqrt() + p.eps));
     }
 }
 
@@ -371,24 +380,46 @@ pub fn squared_distances_cols(q: &[f32], cols: &[f32], out: &mut [f32]) {
         q.len() * out.len(),
         "cols must be [dim, n] for q [dim] and out [n]"
     );
-    lane_dispatch!(
-        out.len(),
-        avx2::sqdist_cols(q, cols, out),
-        sqdist_cols_scalar(q, cols, out.len(), out, 0)
-    )
+    lane_dispatch!(out.len(), sweep_avx2(q, cols, out), sweep(q, cols, out))
 }
 
-/// Scalar leg of [`squared_distances_cols`] over points `j0..j0 + out.len()`
-/// of an `n`-point column layout. Dimension-outer, so each point's sum
-/// still folds over `d` in order.
-fn sqdist_cols_scalar(q: &[f32], cols: &[f32], n: usize, out: &mut [f32], j0: usize) {
-    out.fill(0.0);
-    for (d, &qd) in q.iter().enumerate() {
-        let col = &cols[d * n + j0..d * n + j0 + out.len()];
-        for (o, &p) in out.iter_mut().zip(col) {
-            let t = qd - p;
-            *o += t * t;
+/// [`sweep`] compiled for AVX2.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(q: &[f32], cols: &[f32], out: &mut [f32]) {
+    sweep(q, cols, out);
+}
+
+/// The body of [`squared_distances_cols`]: [`LANES`] points at a time, one
+/// running sum per point carried across the dimensions in order, then the
+/// ragged tail one point at a time. Always inlined, so [`sweep_avx2`]
+/// compiles its own copy, with the sums in one register.
+#[inline(always)]
+fn sweep(q: &[f32], cols: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    if n == 0 {
+        return; // no points, and `chunks_exact` takes no zero width
+    }
+    let dims = cols.chunks_exact(n);
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for (b, o) in (&mut blocks).enumerate() {
+        let j = b * LANES;
+        let mut acc = [0.0f32; LANES];
+        for (&qd, col) in q.iter().zip(dims.clone()) {
+            let p: [f32; LANES] = col[j..j + LANES].try_into().expect("LANES floats");
+            for (a, p) in acc.iter_mut().zip(p) {
+                let t = qd - p;
+                *a += t * t;
+            }
         }
+        o.copy_from_slice(&acc);
+    }
+    let tail = blocks.into_remainder();
+    for (j, o) in (n - tail.len()..).zip(tail) {
+        *o = q.iter().zip(dims.clone()).fold(0.0, |a, (&qd, col)| {
+            let t = qd - col[j];
+            a + t * t
+        });
     }
 }
 
@@ -406,9 +437,9 @@ pub enum Extremum {
 /// `args[j] = 0`, and row `r` replaces it only where it is *strictly*
 /// better. So the first of several equal winners keeps its index, a NaN
 /// never wins (it compares false), and a NaN in row 0 is never replaced;
-/// `-0.0` and `+0.0` tie. The lane leg compares with `_CMP_GT_OQ` /
-/// `_CMP_LT_OQ` (ordered, false on NaN — the scalar `>`/`<`) and blends
-/// values and indices on the mask, so both paths return the same bits.
+/// `-0.0` and `+0.0` tie. Both paths run one body of ordered compares
+/// (`>`/`<`, false on NaN) and whole-value moves, so they return the same
+/// bits.
 ///
 /// # Panics
 ///
@@ -423,174 +454,75 @@ pub fn arg_extremum_rows(rows: &[f32], which: Extremum, out: &mut [f32], args: &
         "rows must be [k, {c}] with k >= 1, got {} floats",
         rows.len()
     );
-    // The lane leg carries row indices in i32 lanes.
+    // The body carries row indices in i32 lanes.
     assert!(rows.len() / c <= i32::MAX as usize, "too many rows");
     lane_dispatch!(
         c,
-        avx2::arg_extremum(rows, which, out, args),
-        arg_extremum_scalar(rows, c, which, out, args, 0)
+        arg_extremum_avx2(rows, which, out, args),
+        arg_extremum(rows, which, out, args)
     )
 }
 
-/// Scalar leg of [`arg_extremum_rows`] over columns `j0..j0 + out.len()`
-/// of a `[k, c]` block. Row-outer (row 0, then each later row across the
-/// column range), so every pass reads one row contiguously.
-fn arg_extremum_scalar(
-    rows: &[f32],
-    c: usize,
-    which: Extremum,
-    out: &mut [f32],
-    args: &mut [usize],
-    j0: usize,
-) {
-    match which {
-        Extremum::Max => arg_scan(rows, c, out, args, j0, |v, best| v > best),
-        Extremum::Min => arg_scan(rows, c, out, args, j0, |v, best| v < best),
-    }
-}
-
-/// The row-outer scan for one comparison; monomorphised per [`Extremum`] so
-/// the inner loop carries no `which` branch.
-#[inline(always)]
-fn arg_scan(
-    rows: &[f32],
-    c: usize,
-    out: &mut [f32],
-    args: &mut [usize],
-    j0: usize,
-    wins: impl Fn(f32, f32) -> bool,
-) {
-    let w = out.len();
-    out.copy_from_slice(&rows[j0..j0 + w]);
-    args.fill(0);
-    for (r, row) in rows.chunks_exact(c).enumerate().skip(1) {
-        for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(&row[j0..j0 + w]) {
-            if wins(v, *o) {
-                *o = v;
-                *a = r;
-            }
-        }
-    }
-}
-
+/// [`arg_extremum`] compiled for AVX2.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    //! The AVX2 legs. Every function requires the `avx2` target feature
-    //! (guaranteed by the runtime dispatch in the parent module) and mirrors
-    //! its scalar sibling's schedule exactly: `_mm256_mul_ps`,
-    //! `_mm256_add_ps`, `_mm256_div_ps` and `_mm256_sqrt_ps` are all
-    //! correctly rounded per lane exactly like scalar `*`/`+`/`/`/`sqrt`,
-    //! and no FMA contraction is ever emitted from explicit intrinsics.
+#[target_feature(enable = "avx2")]
+fn arg_extremum_avx2(rows: &[f32], which: Extremum, out: &mut [f32], args: &mut [usize]) {
+    arg_extremum(rows, which, out, args);
+}
 
-    use super::LANES;
-    use core::arch::x86_64::*;
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn adam_step(
-        w: &mut [f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        g: &[f32],
-        p: super::AdamParams,
-    ) {
-        let n = w.len();
-        let vb1 = _mm256_set1_ps(p.beta1);
-        let vb2 = _mm256_set1_ps(p.beta2);
-        let vomb1 = _mm256_set1_ps(1.0 - p.beta1);
-        let vomb2 = _mm256_set1_ps(1.0 - p.beta2);
-        let vib1 = _mm256_set1_ps(p.inv_bc1);
-        let vib2 = _mm256_set1_ps(p.inv_bc2);
-        let vlr = _mm256_set1_ps(p.lr);
-        let veps = _mm256_set1_ps(p.eps);
-        let mut i = 0;
-        while i + LANES <= n {
-            let vg = _mm256_loadu_ps(g.as_ptr().add(i));
-            let vm = _mm256_add_ps(
-                _mm256_mul_ps(vb1, _mm256_loadu_ps(m.as_ptr().add(i))),
-                _mm256_mul_ps(vomb1, vg),
-            );
-            let vv = _mm256_add_ps(
-                _mm256_mul_ps(vb2, _mm256_loadu_ps(v.as_ptr().add(i))),
-                _mm256_mul_ps(_mm256_mul_ps(vomb2, vg), vg),
-            );
-            _mm256_storeu_ps(m.as_mut_ptr().add(i), vm);
-            _mm256_storeu_ps(v.as_mut_ptr().add(i), vv);
-            let mhat = _mm256_mul_ps(vm, vib1);
-            let vhat = _mm256_mul_ps(vv, vib2);
-            let u = _mm256_div_ps(mhat, _mm256_add_ps(_mm256_sqrt_ps(vhat), veps));
-            let vw = _mm256_sub_ps(_mm256_loadu_ps(w.as_ptr().add(i)), _mm256_mul_ps(vlr, u));
-            _mm256_storeu_ps(w.as_mut_ptr().add(i), vw);
-            i += LANES;
-        }
-        super::adam_step_scalar(&mut w[i..], &mut m[i..], &mut v[i..], &g[i..], p);
+/// The body of [`arg_extremum_rows`], monomorphised per [`Extremum`] so
+/// the inner loops carry no `which` branch. Always inlined, so
+/// [`arg_extremum_avx2`] compiles its own copy.
+#[inline(always)]
+fn arg_extremum(rows: &[f32], which: Extremum, out: &mut [f32], args: &mut [usize]) {
+    match which {
+        Extremum::Max => arg_scan(rows, out, args, |v, best| v > best),
+        Extremum::Min => arg_scan(rows, out, args, |v, best| v < best),
     }
+}
 
-    /// Distances to 8 column-layout points at a time: one running sum per
-    /// lane, folded over the dimensions in order.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available, and `cols` must hold `q.len() * out.len()`
-    /// floats (checked by `squared_distances_cols`), so every load at
-    /// `d·n + j` with `j + 8 <= n` stays in bounds.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sqdist_cols(q: &[f32], cols: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut j = 0;
-        while j + LANES <= n {
-            let mut acc = _mm256_setzero_ps();
-            for (d, &qd) in q.iter().enumerate() {
-                let p = _mm256_loadu_ps(cols.as_ptr().add(d * n + j));
-                let t = _mm256_sub_ps(_mm256_set1_ps(qd), p);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(t, t));
+/// [`LANES`] columns at a time: the running best and its row index (an
+/// `i32`, as wide as an `f32` lane) replaced row by row where the row
+/// wins, then the ragged column tail the same way.
+#[inline(always)]
+fn arg_scan(rows: &[f32], out: &mut [f32], args: &mut [usize], wins: impl Fn(f32, f32) -> bool) {
+    let c = out.len();
+    // Row 0 seeds every column; the later rows compete with it.
+    let later = rows[c..].chunks_exact(c);
+    let blocks = out
+        .chunks_exact_mut(LANES)
+        .zip(args.chunks_exact_mut(LANES));
+    for (b, (o, a)) in blocks.enumerate() {
+        let j = b * LANES;
+        let mut best: [f32; LANES] = rows[j..j + LANES].try_into().expect("LANES floats");
+        let mut arg = [0i32; LANES];
+        for (row, r) in later.clone().zip(1..) {
+            let v: [f32; LANES] = row[j..j + LANES].try_into().expect("LANES floats");
+            for ((best, arg), v) in best.iter_mut().zip(&mut arg).zip(v) {
+                if wins(v, *best) {
+                    *best = v;
+                    *arg = r;
+                }
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-            j += LANES;
         }
-        super::sqdist_cols_scalar(q, cols, n, &mut out[j..], j);
+        o.copy_from_slice(&best);
+        for (a, &r) in a.iter_mut().zip(&arg) {
+            *a = r as usize;
+        }
     }
-
-    /// 8 columns at a time: the running best and its row index stay in
-    /// registers across all `k` rows; the ragged column tail runs scalar.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available, `out` must be non-empty, `args` as long as
-    /// `out`, and `rows` a whole number `k >= 1` of `out.len()`-float rows
-    /// (checked by `arg_extremum_rows`), so every load at `r·c + j` with
-    /// `r < k` and `j + 8 <= c` stays in bounds.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn arg_extremum(
-        rows: &[f32],
-        which: super::Extremum,
-        out: &mut [f32],
-        args: &mut [usize],
-    ) {
-        let c = out.len();
-        let k = rows.len() / c;
-        let mut lane_args = [0i32; LANES];
-        let mut j = 0;
-        while j + LANES <= c {
-            let mut best = _mm256_loadu_ps(rows.as_ptr().add(j));
-            let mut arg = _mm256_setzero_ps();
-            for r in 1..k {
-                let v = _mm256_loadu_ps(rows.as_ptr().add(r * c + j));
-                let wins = match which {
-                    super::Extremum::Max => _mm256_cmp_ps::<_CMP_GT_OQ>(v, best),
-                    super::Extremum::Min => _mm256_cmp_ps::<_CMP_LT_OQ>(v, best),
-                };
-                best = _mm256_blendv_ps(best, v, wins);
-                let ri = _mm256_castsi256_ps(_mm256_set1_epi32(r as i32));
-                arg = _mm256_blendv_ps(arg, ri, wins);
+    let j0 = c / LANES * LANES;
+    if j0 < c {
+        let (out, args) = (&mut out[j0..], &mut args[j0..]);
+        out.copy_from_slice(&rows[j0..c]);
+        args.fill(0);
+        for (row, r) in later.zip(1..) {
+            for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(&row[j0..]) {
+                if wins(v, *o) {
+                    *o = v;
+                    *a = r;
+                }
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), best);
-            _mm256_storeu_si256(lane_args.as_mut_ptr().cast(), _mm256_castps_si256(arg));
-            for (a, &l) in args[j..j + LANES].iter_mut().zip(&lane_args) {
-                *a = l as usize;
-            }
-            j += LANES;
         }
-        super::arg_extremum_scalar(rows, c, which, &mut out[j..], &mut args[j..], j);
     }
 }
 

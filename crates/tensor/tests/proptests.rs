@@ -252,7 +252,8 @@ proptest! {
 
     #[test]
     fn adam_step_bit_identical(
-        len in 1usize..70, t in 1u32..50, seed in 0u64..1000
+        len in 1usize..70, t in 1u32..50, seed in 0u64..1000,
+        planted in prop::collection::vec((0usize..70, special_f32()), 0..8),
     ) {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -261,6 +262,12 @@ proptest! {
         // Second moments are sums of squares: non-negative by construction.
         let v0 = Tensor::rand_uniform(&mut rng, &[1, len], 0.0, 2.0);
         let g = Tensor::rand_uniform(&mut rng, &[1, len], -5.0, 5.0);
+        // Some gradients are NaN, ±∞ or ±0.0.
+        let mut planted_g = g.data().to_vec();
+        for (i, x) in planted {
+            planted_g[i % len] = x;
+        }
+        let g = Tensor::from_vec(planted_g, &[1, len]);
         let p = simd::AdamParams {
             lr: 3e-3,
             beta1: 0.9,
@@ -279,6 +286,22 @@ proptest! {
         prop_assert!(s.0.iter().zip(&l.0).all(|(a, b)| a.to_bits() == b.to_bits()), "w diverged");
         prop_assert!(s.1.iter().zip(&l.1).all(|(a, b)| a.to_bits() == b.to_bits()), "m diverged");
         prop_assert!(s.2.iter().zip(&l.2).all(|(a, b)| a.to_bits() == b.to_bits()), "v diverged");
+
+        // Both paths compile one body, so check that body against the
+        // documented per-element sequence, written straight.
+        let (mut w, mut m, mut v) = (w0.data().to_vec(), m0.data().to_vec(), v0.data().to_vec());
+        for (i, &gi) in g.data().iter().enumerate() {
+            m[i] = p.beta1 * m[i] + (1.0 - p.beta1) * gi;
+            v[i] = p.beta2 * v[i] + (1.0 - p.beta2) * gi * gi;
+            let mhat = m[i] * p.inv_bc1;
+            let vhat = v[i] * p.inv_bc2;
+            w[i] -= p.lr * (mhat / (vhat.sqrt() + p.eps));
+        }
+        for (path, got) in [("scalar", &s), ("lane", &l)] {
+            prop_assert!(same_values(&got.0, &w), "{} w against the sequence", path);
+            prop_assert!(same_values(&got.1, &m), "{} m against the sequence", path);
+            prop_assert!(same_values(&got.2, &v), "{} v against the sequence", path);
+        }
     }
 
     #[test]
