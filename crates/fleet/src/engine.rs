@@ -27,9 +27,10 @@
 //! prefix-relevant inputs match — whatever its device, objective weights or
 //! Stage-2 seed, and whichever call runs it — shares one resident (or
 //! spilled) session. Builds are **single-flight**: while one worker builds
-//! a prefix, any other slice wanting it defers — it re-queues (its budget
-//! unit refunded) and its worker takes other work, so a prefix build
-//! overlaps other shards' search slices instead of serialising the fleet.
+//! a prefix, any other slice wanting it defers — it parks on the build (its
+//! budget unit refunded) until the build lands and re-queues it, and its
+//! worker takes other work, so a prefix build overlaps other shards' search
+//! slices instead of serialising the fleet.
 //! At the end of every call the engine drops the sessions and oracle pools
 //! no parked shard still needs. Checkpoints still reach the artifact store
 //! at every slice boundary, so a fresh engine over the same store resumes a
@@ -59,7 +60,7 @@ use hgnas_predictor::LatencyPredictor;
 use hgnas_tensor::threads::with_kernel_threads;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One unit of schedulable work: a full HGNAS search of `task` under
 /// `config` (the device and seed live inside the config, so a fleet can
@@ -119,9 +120,10 @@ pub struct SessionCacheStats {
     /// Evictions that wrote a spill artifact (the remainder were dropped:
     /// one-stage sessions, or no store attached).
     pub spills: u64,
-    /// Slices re-queued because their prefix was already being built by
-    /// another worker (single-flight): no duplicate work, no budget
-    /// consumed — the worker went on to other shards.
+    /// Slices deferred because their prefix was already being built (or
+    /// spilled) by another worker (single-flight): no duplicate work, no
+    /// budget consumed — each waited, parked, until the build landed, while
+    /// its worker went on to other shards.
     pub deferrals: u64,
     /// One-shot accuracies scored, summed over every session the engine
     /// held ([`SessionState::accuracy_scored`]): one per distinct valid
@@ -244,16 +246,16 @@ struct SessionEntry {
 /// objective weights) shares one resident session.
 ///
 /// Builds are **single-flight**: [`SessionCache::claim`] hands exactly
-/// one caller a [`BuildGuard`] per missing key; every other worker
-/// wanting that key while the build is in flight gets
-/// [`SessionClaim::Deferred`] and re-queues its slice instead of building
-/// a duplicate — which is also what lets a prefix build overlap other
-/// shards' search slices on the worker budget.
+/// one caller a [`BuildGuard`] per missing key; every other slice wanting
+/// that key while the build is in flight gets [`SessionClaim::Deferred`]
+/// and parks on the key instead of building a duplicate — which is also
+/// what lets a prefix build overlap other shards' search slices on the
+/// worker budget. The key re-queues its parked slices when it lands: when
+/// the build publishes or aborts, or when an evicted session's spill is
+/// written.
 struct SessionCache {
     budget: Option<u64>,
     inner: Mutex<SessionCacheState>,
-    /// Signalled whenever an in-flight build publishes or aborts.
-    build_done: Condvar,
     released: Arc<AccuracyTotals>,
 }
 
@@ -269,9 +271,31 @@ struct SessionCacheState {
     /// Total resident bytes (maintained incrementally).
     resident_bytes: u64,
     /// Prefix fingerprints some worker is currently building, or spilling
-    /// after an eviction.
-    in_flight: HashSet<u64>,
+    /// after an eviction, each with the deferred slices parked on it.
+    in_flight: HashMap<u64, Vec<Waiter>>,
     stats: SessionCacheStats,
+}
+
+impl SessionCacheState {
+    /// Ends `fp`'s build or spill, handing back the slices parked on it.
+    fn land(&mut self, fp: u64) -> Vec<Waiter> {
+        self.in_flight.remove(&fp).unwrap_or_default()
+    }
+}
+
+/// A deferred slice parked on an in-flight prefix: the ready queue of the
+/// call it belongs to, and its index there.
+struct Waiter {
+    queue: Sender<Job>,
+    job: usize,
+}
+
+/// Re-queues parked slices behind the call's other ready slices.
+fn wake(waiters: Vec<Waiter>) {
+    for w in waiters {
+        // A queue whose workers are gone has nothing left to run.
+        let _ = w.queue.send(Job::Slice(w.job));
+    }
 }
 
 /// What [`SessionCache::claim`] resolved to.
@@ -284,8 +308,9 @@ enum SessionClaim<'a> {
     /// guard un-fulfilled (store error, panic) releases the key so
     /// another worker can claim it.
     Build(BuildGuard<'a>),
-    /// Another worker is building the key right now; the caller should
-    /// re-queue the slice (budget-neutral) and take other work.
+    /// Another worker is building (or spilling) the key right now; the
+    /// slice is parked on it and re-queued when it lands, and the caller
+    /// should refund the slice's budget unit and take other work.
     Deferred,
 }
 
@@ -299,9 +324,10 @@ struct BuildGuard<'a> {
 
 impl BuildGuard<'_> {
     /// Publishes the built/restored session, releases the in-flight
-    /// claim, wakes deferred waiters, and applies the byte budget
-    /// (spilling evicted sessions to `store` when possible). Returns
-    /// `(owner, spilled)` per eviction for event emission.
+    /// claim, re-queues the slices parked on it, and applies the byte
+    /// budget (spilling evicted sessions to `store` when possible, and
+    /// re-queueing the slices parked on a victim once its spill lands).
+    /// Returns `(owner, spilled)` per eviction for event emission.
     fn fulfil(
         mut self,
         owner: Owner,
@@ -316,11 +342,11 @@ impl BuildGuard<'_> {
         // serializing supernet weights to disk under the only cache mutex
         // would stall every other worker's slice boundary. Until its spill
         // lands, a victim stays marked in flight, so a racing claimant
-        // defers and then restores it instead of building it again.
+        // parks and then restores it instead of building it again.
         let mut to_spill = Vec::new();
-        {
+        let parked = {
             let mut st = self.cache.inner.lock().unwrap();
-            st.in_flight.remove(&fp);
+            let parked = st.land(fp);
             if let std::collections::hash_map::Entry::Vacant(slot) = st.entries.entry(fp) {
                 slot.insert(SessionEntry {
                     owner,
@@ -339,13 +365,14 @@ impl BuildGuard<'_> {
                     st.stats.evictions += 1;
                     let spill = store.is_some() && !e.on_disk;
                     if spill {
-                        st.in_flight.insert(victim);
+                        st.in_flight.insert(victim, Vec::new());
                     }
                     to_spill.push((victim, e, spill));
                 }
             }
-        }
-        self.cache.build_done.notify_all();
+            parked
+        };
+        wake(parked);
         let mut evicted = Vec::new();
         let mut spills = 0;
         let mut result = Ok(());
@@ -364,13 +391,14 @@ impl BuildGuard<'_> {
         }
         let mut st = self.cache.inner.lock().unwrap();
         st.stats.spills += spills;
+        let mut parked = Vec::new();
         for (victim, _, spill) in &to_spill {
             if *spill {
-                st.in_flight.remove(victim);
+                parked.extend(st.land(*victim));
             }
         }
         drop(st);
-        self.cache.build_done.notify_all();
+        wake(parked);
         result?;
         Ok(evicted)
     }
@@ -379,28 +407,25 @@ impl BuildGuard<'_> {
 impl Drop for BuildGuard<'_> {
     fn drop(&mut self) {
         if !self.fulfilled {
-            self.cache
+            // No panic in a drop: a worker that panicked under the lock
+            // left every entry whole, and the parked slices must still run.
+            let mut st = self
+                .cache
                 .inner
                 .lock()
-                .unwrap()
-                .in_flight
-                .remove(&self.key.fingerprint);
-            self.cache.build_done.notify_all();
+                .unwrap_or_else(PoisonError::into_inner);
+            let parked = st.land(self.key.fingerprint);
+            drop(st);
+            wake(parked);
         }
     }
 }
 
 impl SessionCache {
-    /// Grace window a claimant waits for an in-flight build before
-    /// deferring its slice — long enough to absorb a build that is just
-    /// publishing, short enough that the worker gets back to useful work.
-    const IN_FLIGHT_GRACE: std::time::Duration = std::time::Duration::from_millis(2);
-
     fn new(budget: Option<u64>) -> Self {
         SessionCache {
             budget,
             inner: Mutex::default(),
-            build_done: Condvar::new(),
             released: Arc::default(),
         }
     }
@@ -414,41 +439,41 @@ impl SessionCache {
     }
 
     /// Resolves `key` to a resident session, a build permission, or a
-    /// deferral (see [`SessionClaim`]).
-    fn claim(&self, key: PrefixKey) -> SessionClaim<'_> {
+    /// deferral (see [`SessionClaim`]); a deferred slice, job `job` of the
+    /// call whose ready queue is `queue`, is parked on the key.
+    fn claim(&self, key: PrefixKey, queue: &Sender<Job>, job: usize) -> SessionClaim<'_> {
         let fp = key.fingerprint;
-        let mut st = self.inner.lock().unwrap();
-        loop {
-            if let Some(entry) = st.entries.get(&fp) {
-                let session = Arc::clone(&entry.session);
-                // Refresh the LRU position (same order discipline as the
-                // pre-map Vec cache: move-to-back on hit).
-                let pos = st.order.iter().position(|&f| f == fp).expect("order");
-                st.order.remove(pos);
-                st.order.push(fp);
-                st.stats.hits += 1;
-                return SessionClaim::Ready(session);
-            }
-            if !st.in_flight.contains(&fp) {
-                st.in_flight.insert(fp);
-                return SessionClaim::Build(BuildGuard {
+        let mut guard = self.inner.lock().unwrap();
+        let st = &mut *guard;
+        if let Some(entry) = st.entries.get(&fp) {
+            let session = Arc::clone(&entry.session);
+            // Refresh the LRU position (same order discipline as the
+            // pre-map Vec cache: move-to-back on hit).
+            let pos = st.order.iter().position(|&f| f == fp).expect("order");
+            st.order.remove(pos);
+            st.order.push(fp);
+            st.stats.hits += 1;
+            return SessionClaim::Ready(session);
+        }
+        match st.in_flight.entry(fp) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(Vec::new());
+                SessionClaim::Build(BuildGuard {
                     cache: self,
                     key,
                     fulfilled: false,
-                });
+                })
             }
-            // Someone else is building this prefix. Wait out one short
-            // grace window in case it is about to publish; if it is still
-            // in flight after that, defer the slice instead of blocking a
-            // worker on another worker's build.
-            let (guard, timeout) = self
-                .build_done
-                .wait_timeout(st, Self::IN_FLIGHT_GRACE)
-                .unwrap();
-            st = guard;
-            if timeout.timed_out() && !st.entries.contains_key(&fp) && st.in_flight.contains(&fp) {
+            // Someone else is building this prefix: rather than block a
+            // worker on another worker's build, park the slice until the
+            // build lands.
+            std::collections::hash_map::Entry::Occupied(mut parked) => {
+                parked.get_mut().push(Waiter {
+                    queue: queue.clone(),
+                    job,
+                });
                 st.stats.deferrals += 1;
-                return SessionClaim::Deferred;
+                SessionClaim::Deferred
             }
         }
     }
@@ -533,7 +558,7 @@ pub struct ShardResult {
     /// (weights decoded, nothing retrained). Counted separately from
     /// `session_hits` so hit-rates reflect true cache residency.
     pub session_restores: u64,
-    /// Slices re-queued because another worker was already building this
+    /// Slices deferred because another worker was already building this
     /// shard's prefix (single-flight). Not part of the `slices` sum.
     pub session_deferrals: u64,
 }
@@ -625,8 +650,8 @@ enum SliceOutcome {
     /// checkpoint retained.
     Preempted,
     /// Another worker was building this shard's prefix (single-flight):
-    /// nothing ran, the shard re-queues, and the consumed budget unit is
-    /// refunded.
+    /// nothing ran, the shard is parked on the build, which re-queues it
+    /// when it lands, and the consumed budget unit is refunded.
     Deferred,
 }
 
@@ -813,6 +838,11 @@ impl Engine {
                     };
                     // Exit on a Stop pill or channel teardown alike.
                     while let Ok(Job::Slice(j)) = rx.recv() {
+                        // Locked before the budget is charged: a deferred
+                        // slice can be re-queued before its worker has
+                        // refunded its unit, and that worker holds this
+                        // lock until it has.
+                        let mut st = states[j].lock().unwrap();
                         // The drain flag is checked *before* the budget
                         // decrement so a drained call leaves the remaining
                         // grant intact (nothing is charged for slices that
@@ -833,9 +863,9 @@ impl Engine {
                             continue;
                         }
                         let i = pending[j];
-                        let mut st = states[j].lock().unwrap();
                         let ran = this.run_slice(
                             (request, i),
+                            (&tx, j),
                             &specs[i],
                             &mut st,
                             kernel_budget,
@@ -853,15 +883,15 @@ impl Engine {
                                 let _ = tx.send(Job::Slice(j));
                             }
                             Ok(SliceOutcome::Deferred) => {
-                                drop(st);
-                                // The slice did no work: hand its budget
-                                // unit back before re-queueing, so a
-                                // deferral can never starve a budgeted
-                                // call of real slices.
+                                // The slice did no work and waits, parked,
+                                // for its prefix: hand its budget unit back
+                                // before releasing its state, so a deferral
+                                // can never starve a budgeted call of real
+                                // slices.
                                 if let Some(b) = budget.as_ref() {
                                     b.fetch_add(1, Ordering::SeqCst);
                                 }
-                                let _ = tx.send(Job::Slice(j));
+                                drop(st);
                             }
                             Err(e) => {
                                 emit(
@@ -924,11 +954,13 @@ impl Engine {
         })
     }
 
-    /// Runs one time slice of shard `key`. See [`SliceOutcome`] for the
-    /// three ways it can return.
+    /// Runs one time slice of shard `key`, job `job.1` on the call's ready
+    /// queue `job.0` (where a deferral parks it). See [`SliceOutcome`] for
+    /// the three ways it can return.
     fn run_slice(
         &self,
         key: ShardKey,
+        job: (&Sender<Job>, usize),
         spec: &ShardSpec,
         st: &mut ShardState,
         kernel_budget: usize,
@@ -1042,13 +1074,13 @@ impl Engine {
         // Cache → store spill → fresh build, in that order; every path is
         // bit-identical, later ones just pay more. Builds are
         // single-flight: a second shard wanting an in-flight prefix
-        // defers its slice instead of duplicating the work.
+        // parks its slice on the build instead of duplicating the work.
         let prefix_key = PrefixKey {
             fingerprint: prefix_fingerprint(&spec.task, &cfg),
         };
         st.prefix = Some(prefix_key.fingerprint);
         let hgnas = Hgnas::new(spec.task.clone(), cfg);
-        let session = match self.sessions.claim(prefix_key) {
+        let session = match self.sessions.claim(prefix_key, job.0, job.1) {
             SessionClaim::Ready(session) => {
                 st.session_hits += 1;
                 emit(

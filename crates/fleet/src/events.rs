@@ -41,9 +41,10 @@ pub enum SessionAction {
     /// decoded, nothing retrained).
     Restored,
     /// Another shard was already building the same prefix, so this slice
-    /// stepped aside: it re-queued (budget refunded) and its worker moved
-    /// on to other ready shards while the build finished — the overlap
-    /// that keeps single-flight dedup from serialising the fleet.
+    /// stepped aside: it parked on the build (budget refunded) until the
+    /// build landed and re-queued it, and its worker moved on to other
+    /// ready shards meanwhile — the overlap that keeps single-flight dedup
+    /// from serialising the fleet.
     Deferred,
     /// The session memory budget pushed this shard's session out of the
     /// cache; `spilled` says whether it went to the artifact store (a

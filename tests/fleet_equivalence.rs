@@ -414,6 +414,11 @@ fn shared_prefix_fleet_builds_the_prefix_exactly_once() {
         );
         assert_eq!(report.session_stats.builds, 1);
         assert_eq!(report.session_stats.evictions, 0);
+        assert!(
+            report.session_stats.deferrals < specs.len() as u64,
+            "cell ({threads},{stride}): each other shard defers at most once, got {}",
+            report.session_stats.deferrals
+        );
         for (result, reference) in report.shards.iter().zip(&refs) {
             assert_eq!(
                 result.prefix_builds + result.session_hits + result.session_restores,
