@@ -3,12 +3,14 @@
 //!
 //! Besides the criterion sweep, the bench always writes a machine-readable
 //! `BENCH_kernels.json` timing the matmul, reduction and KNN kernels with
-//! every kernel forced onto its scalar leg and on the host's lane path,
+//! every kernel forced onto its plain compile and on the host's lane path,
 //! one record per kernel × shape. The two paths are bit-identical by
 //! construction, so the record is purely a perf trajectory for CI
 //! (`bench_diff` compares it against the committed baseline); a kernel
-//! without an AVX2 leg reads about 1.0, and a matmul row compares the
-//! plain and the AVX2 compile of its tiled body. Each `knn_brute` row
+//! without an AVX2 compile reads about 1.0, and the other rows compare the
+//! plain and the AVX2 compile of one body: the matmuls' tiled bodies, the
+//! arg-tracked max/min under the max reductions, and the distance sweep
+//! inside `knn_brute`. Each `knn_brute` row
 //! times 32 distinct clouds per call, so the branch predictor cannot learn
 //! one cloud's selection. `HGNAS_BENCH_JSON=only` skips the criterion
 //! sweep and emits just the record; `HGNAS_BENCH_OUT` overrides the output
