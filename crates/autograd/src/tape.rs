@@ -133,8 +133,8 @@ impl EdgeMessage {
     /// `scratch` (`4·c` floats; `src` is stale for `Target`, `tgt` for
     /// `Source`). Replays the unfused chain's per-element operations: the
     /// concat split, `g·rel / max(‖rel‖, ε)` for the distance, the sub's
-    /// `scale(−1.0)` on the `rel` gradient, and each concat part first
-    /// with the `rel` term added to it.
+    /// negation of the `rel` gradient, and each concat part first with the
+    /// `rel` term added to it.
     fn backward<'s>(
         self,
         g: &[f32],
@@ -164,8 +164,9 @@ impl EdgeMessage {
         }
         if self != EdgeMessage::Source {
             let gneg = grel.map(|d| {
-                neg.copy_from_slice(d);
-                simd::scale(neg, -1.0);
+                for (n, &v) in neg.iter_mut().zip(d) {
+                    *n = -v;
+                }
                 &*neg
             });
             sum_into(tgt, parts.ctr.map(part), gneg);
@@ -795,7 +796,9 @@ impl Tape {
                 Op::Sub(a, b) => {
                     let (a, b) = (*a, *b);
                     self.accumulate(a, gout.clone());
-                    self.accumulate(b, gout.scale(-1.0));
+                    // A negation, not `scale(-1.0)`: a NaN's sign after a
+                    // multiply is up to the compiler, after `-` it is not.
+                    self.accumulate(b, gout.map(|v| -v));
                 }
                 Op::Mul(a, b) => {
                     let (a, b) = (*a, *b);
