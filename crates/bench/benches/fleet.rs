@@ -1,79 +1,26 @@
-//! Fleet-layer benchmarks: oracle throughput and engine shapes.
+//! Fleet-layer benchmarks: engine shapes and the session cache.
 //!
-//! - `fleet/oracle64`: inline measurement vs. asynchronous pipelined
-//!   submission through the per-device worker pool. The oracle's win is
-//!   overlap: with W workers per device, a shard can keep W measurements
-//!   in flight while it scores other candidates.
 //! - `fleet/scheduler`: one tiny 3-shard fleet searched under different
 //!   engine shapes — thread budgets of 1 and 2, unpreempted vs.
 //!   generation-granular slicing. Results are bit-identical across
-//!   shapes; this measures the scheduling overhead. With the session cache (PR 5) fine strides no longer
-//!   replay Stage 1 + supernet pre-training per slice.
+//!   shapes; this measures the scheduling overhead. With the session
+//!   cache, fine strides no longer replay Stage 1 + supernet pre-training
+//!   per slice.
 //!
-//! Besides the criterion sweep, the bench always writes two
-//! machine-readable records so CI can track the perf trajectory:
-//! `BENCH_fleet.json` (slice-replay vs. session-cache wall-clock on a
-//! stride-1 fleet whose same-seed shards share prefix-keyed sessions
-//! across devices, plus per-scenario phase rows for the
-//! {task × objective} cross on the builtin Jetson TX2 persona) and
-//! `BENCH_oracle.json` (inline vs. pipelined measurement throughput). `HGNAS_BENCH_JSON=only` skips the sweep and
-//! emits just the records, `HGNAS_BENCH_OUT` overrides the fleet record's
-//! output path.
+//! Besides the criterion sweep, the bench always writes a machine-readable
+//! record so CI can track the perf trajectory: `BENCH_fleet.json`
+//! (slice-replay vs. session-cache wall-clock on a stride-1 fleet whose
+//! same-seed shards share prefix-keyed sessions across devices, plus
+//! per-scenario phase rows for the {task × objective} cross on the builtin
+//! Jetson TX2 persona). `HGNAS_BENCH_JSON=only` skips the sweep and emits
+//! just the record, `HGNAS_BENCH_OUT` overrides its output path.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hgnas_core::{LatencyMode, SearchConfig, TaskConfig};
-use hgnas_device::{builtin_slug, DeviceKind, PersonaRegistry, Workload, WorkloadOp};
-use hgnas_fleet::{
-    cross_scenarios, Engine, EngineReport, FleetConfig, MeasurementOracle, ObjectiveSpec,
-    OracleConfig, ShardSpec, Ticket,
-};
+use hgnas_device::{builtin_slug, DeviceKind, PersonaRegistry};
+use hgnas_fleet::{cross_scenarios, Engine, EngineReport, FleetConfig, ObjectiveSpec, ShardSpec};
 use hgnas_pointcloud::TaskKind;
 use hgnas_predictor::PredictorConfig;
-
-fn probe_workload() -> Workload {
-    let mut w = Workload::new();
-    w.push(WorkloadOp::knn("knn", 1024, 20, 3));
-    w.push(WorkloadOp::gather("gather", 1024, 20, 64));
-    w.push(WorkloadOp::linear("mlp", 1024 * 20, 64, 64));
-    w.push(WorkloadOp::reduce("max", 1024, 20, 64));
-    w
-}
-
-fn bench_oracle(c: &mut Criterion) {
-    const REQUESTS: u64 = 64;
-    let w = probe_workload();
-    let device = DeviceKind::JetsonTx2;
-
-    let mut group = c.benchmark_group("fleet/oracle64");
-    group.bench_function("inline", |b| {
-        let profile = device.profile();
-        b.iter(|| {
-            for i in 0..REQUESTS {
-                black_box(profile.measure_seeded(&w, i).unwrap());
-            }
-        })
-    });
-    for workers in [1usize, 2, 4] {
-        let cfg = OracleConfig {
-            workers_per_device: workers,
-            ..OracleConfig::default()
-        };
-        let oracle = MeasurementOracle::start(&[device], &cfg);
-        let client = oracle.client(device);
-        group.bench_with_input(BenchmarkId::new("pipelined", workers), &workers, |b, _| {
-            b.iter(|| {
-                let tickets: Vec<Ticket> =
-                    (0..REQUESTS).map(|i| client.submit(w.clone(), i)).collect();
-                for t in tickets {
-                    black_box(t.wait().unwrap());
-                }
-            })
-        });
-        drop(client);
-        oracle.shutdown();
-    }
-    group.finish();
-}
 
 /// The tiny predictor-mode search configuration every fleet bench shard
 /// uses: one Stage-1 iteration, a 40-sample predictor, 15 eval clouds.
@@ -156,63 +103,6 @@ fn time_fleet(specs: &[ShardSpec], session_memory_budget: Option<u64>) -> (f64, 
     let ms = t.elapsed().as_secs_f64() * 1e3;
     let builds = report.shards.iter().map(|s| s.prefix_builds).sum();
     (ms, builds, report)
-}
-
-/// Best-of-3 wall-clock of `f`, in milliseconds.
-fn time_best_ms(mut f: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Writes the oracle throughput record: 64 inline measurements vs. the
-/// same batch pipelined through 1/2/4-worker per-device pools.
-fn emit_oracle_json() {
-    const REQUESTS: u64 = 64;
-    let w = probe_workload();
-    let device = DeviceKind::JetsonTx2;
-    let profile = device.profile();
-    let inline_ms = time_best_ms(|| {
-        for i in 0..REQUESTS {
-            black_box(profile.measure_seeded(&w, i).unwrap());
-        }
-    });
-    let pipelined: Vec<(usize, f64)> = [1usize, 2, 4]
-        .iter()
-        .map(|&workers| {
-            let cfg = OracleConfig {
-                workers_per_device: workers,
-                ..OracleConfig::default()
-            };
-            let oracle = MeasurementOracle::start(&[device], &cfg);
-            let client = oracle.client(device);
-            let ms = time_best_ms(|| {
-                let tickets: Vec<Ticket> =
-                    (0..REQUESTS).map(|i| client.submit(w.clone(), i)).collect();
-                for t in tickets {
-                    black_box(t.wait().unwrap());
-                }
-            });
-            drop(client);
-            oracle.shutdown();
-            (workers, ms)
-        })
-        .collect();
-    let mut json = format!(
-        "{{\n  \"bench\": \"fleet/oracle64\",\n  \"requests\": {REQUESTS},\n  \
-         \"inline_ms\": {inline_ms:.3}"
-    );
-    for &(workers, ms) in &pipelined {
-        json.push_str(&format!(",\n  \"pipelined{workers}_ms\": {ms:.3}"));
-    }
-    json.push_str("\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oracle.json");
-    std::fs::write(path, json).expect("write bench json");
-    println!("{path}: inline {inline_ms:.1} ms, pipelined {pipelined:?}");
 }
 
 /// Per-scenario phase rows for the {task × objective} cross on the
@@ -317,7 +207,7 @@ fn emit_bench_json() {
     );
 }
 
-criterion_group!(benches, bench_oracle, bench_scheduler);
+criterion_group!(benches, bench_scheduler);
 
 fn main() {
     // HGNAS_BENCH_JSON=only skips the criterion sweep (CI's quick path);
@@ -327,5 +217,4 @@ fn main() {
         benches();
     }
     emit_bench_json();
-    emit_oracle_json();
 }

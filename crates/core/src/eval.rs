@@ -7,13 +7,14 @@
 //!    duplicate candidate (common under mutation) is never re-lowered or
 //!    re-scored, within a generation or across generations.
 //! 2. **Parallel scoring** — cache misses are fanned out across scoped
-//!    worker threads. Each candidate gets its own RNG stream derived from
-//!    the evaluator seed and the candidate's *submission index*, so scores
-//!    are bit-identical no matter how many workers run (including one).
+//!    threads ([`hgnas_tensor::threads::fan_out`]). Each candidate gets its
+//!    own RNG stream derived from the evaluator seed and the candidate's
+//!    *submission index*, so scores are bit-identical no matter how many
+//!    threads run (including one).
 //! 3. **Thread-budget handoff** — the evaluator owns a total thread budget
-//!    and splits it between EA-level workers and kernel-level matmul
-//!    threads (`hgnas_tensor::threads`), so the two levels of parallelism
-//!    never oversubscribe the machine.
+//!    and splits it between EA-level runs and kernel-level matmul threads
+//!    (`hgnas_tensor::threads`), so the two levels of parallelism never
+//!    oversubscribe the machine.
 //! 4. **Sequential reduction** — per-candidate outputs are folded in
 //!    submission order through a caller-supplied `reduce` closure, which is
 //!    where inherently serial bookkeeping (search clock, best-so-far
@@ -46,7 +47,7 @@
 //!    stream-independent donors (the documented warm-start contract)
 //!    always pass.
 
-use hgnas_tensor::threads::with_kernel_threads;
+use hgnas_tensor::threads::{fan_out, with_kernel_threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -357,52 +358,20 @@ where
             resolutions.push(r);
         }
 
-        // Fan the jobs out. With one worker the whole budget goes to the
-        // kernels; with W workers the budget is split W ways, the first
-        // `threads % W` workers taking the remainder so the full budget
-        // stays in use (kernel thread count never affects values). W is
-        // derived from the chunk count actually produced, since rounding
-        // the chunk size up can leave fewer chunks than `threads` workers.
+        // Fan the jobs out: one job's output per item, each run under its
+        // share of the budget (one run keeps it all for the kernels).
         let mut outputs: Vec<Option<S::Output>> = (0..jobs.len()).map(|_| None).collect();
-        let chunk = jobs.len().div_ceil(self.threads).max(1);
-        let workers = jobs.len().div_ceil(chunk).max(1);
         let scorer = &self.scorer;
-        if workers == 1 {
-            with_kernel_threads(self.threads, || {
-                for ((i, stream), out) in jobs.iter().zip(outputs.iter_mut()) {
-                    let mut rng = StdRng::seed_from_u64(*stream);
-                    *out = Some(scorer.score(&batch[*i], &mut rng));
-                }
-            });
-        } else {
-            let base_budget = self.threads / workers;
-            let spare = self.threads % workers;
-            crossbeam::scope(|s| {
-                for (w, (job_chunk, out_chunk)) in jobs
-                    .chunks(chunk)
-                    .zip(outputs.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let kernel_budget = (base_budget + usize::from(w < spare)).max(1);
-                    s.spawn(move |_| {
-                        // The budget is thread-local: set it inside the
-                        // worker, not the coordinator.
-                        with_kernel_threads(kernel_budget, || {
-                            for ((i, stream), out) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                                let mut rng = StdRng::seed_from_u64(*stream);
-                                *out = Some(scorer.score(&batch[*i], &mut rng));
-                            }
-                        });
-                    });
-                }
-            })
-            .expect("evaluator worker thread panicked");
-        }
+        fan_out(&mut outputs, 1, self.threads, |first, run| {
+            for ((i, stream), out) in jobs[first..].iter().zip(run) {
+                let mut rng = StdRng::seed_from_u64(*stream);
+                *out = Some(scorer.score(&batch[*i], &mut rng));
+            }
+        });
 
         // Commit new entries (scored jobs and warm promotions alike) to
         // the memo cache in first-touch submission order.
         let arena_base = self.arena.len();
-        let mut outputs = outputs;
         for entry in new_entries {
             let (g, out) = match entry {
                 NewEntry::Promoted(g, out) => (g, out),
@@ -410,7 +379,7 @@ where
                     batch[jobs[j].0].clone(),
                     outputs[j]
                         .take()
-                        .expect("every job slot is filled by its worker"),
+                        .expect("every job slot is filled by its run"),
                 ),
             };
             self.cache.insert(g, self.arena.len());

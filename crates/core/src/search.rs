@@ -603,8 +603,9 @@ pub struct SearchOutcome {
 }
 
 /// An external measurement service the search can route latency queries
-/// through instead of invoking the device simulator inline — the hook an
-/// asynchronous measurement oracle (e.g. `hgnas-fleet`'s) plugs into.
+/// through instead of invoking the device simulator directly — the hook
+/// `hgnas-fleet`'s measurement oracle plugs into. The search calls it from
+/// its scoring threads and blocks on each reply.
 ///
 /// Implementations must be *transparent*: given the same workload and RNG
 /// state, `measure` must return exactly what

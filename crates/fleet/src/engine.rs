@@ -10,8 +10,8 @@
 //! checkpoint/resume is bit-identical (the core contract every prior PR
 //! locked in), preemption is transparent: any (shard count × thread budget
 //! × stride) cell produces per-shard results bit-identical to a serial
-//! [`Hgnas::run_with`] of the same options. Each worker hands its slice a
-//! proportional share of the kernel thread budget
+//! [`Hgnas::run_with`] of the same options. Each worker hands its slice its
+//! [`share`] of the kernel thread budget
 //! ([`FleetConfig::threads`]), so shards across workers and matmuls inside
 //! a shard never oversubscribe the machine; `eval_threads` is
 //! bit-transparent, so the split never changes results either.
@@ -21,7 +21,7 @@
 //! finish **park inside the engine** — in-memory checkpoint, latency
 //! predictor and counters, keyed by (request, shard index) — and the next
 //! call resumes them without a store round-trip. The engine also owns the
-//! measurement-oracle pools (one per device profile) and the **session
+//! measurement oracles (one per device profile) and the **session
 //! cache**: each deterministic prefix (dataset + Stage 1 + supernet
 //! pre-training), keyed by [`prefix_fingerprint`], so every shard whose
 //! prefix-relevant inputs match — whatever its device, objective weights or
@@ -31,8 +31,8 @@
 //! budget unit refunded) until the build lands and re-queues it, and its
 //! worker takes other work, so a prefix build overlaps other shards' search
 //! slices instead of serialising the fleet.
-//! At the end of every call the engine drops the sessions and oracle pools
-//! no parked shard still needs. Checkpoints still reach the artifact store
+//! At the end of every call the engine drops the sessions and oracles no
+//! parked shard still needs. Checkpoints still reach the artifact store
 //! at every slice boundary, so a fresh engine over the same store resumes a
 //! parked shard bit-identically (daemon drain, mid-run kill).
 //!
@@ -57,7 +57,7 @@ use hgnas_core::{
 use hgnas_device::{DeviceKind, DeviceProfile};
 use hgnas_ops::OpType;
 use hgnas_predictor::LatencyPredictor;
-use hgnas_tensor::threads::with_kernel_threads;
+use hgnas_tensor::threads::{share, with_kernel_threads};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -570,7 +570,7 @@ pub struct EngineReport {
     pub shards: Vec<ShardResult>,
     /// Slices executed by this call — what a budgeted host charges.
     pub slices: u64,
-    /// Counters of the engine's oracle pools, summed since each pool
+    /// Counters of the engine's oracles, summed since each oracle
     /// started (`None` when no parked or running shard measured).
     pub oracle_stats: Option<OracleStats>,
     /// Session-cache counters since the engine started.
@@ -668,7 +668,7 @@ pub struct Engine {
     store: Option<ArtifactStore>,
     stop: Option<Arc<AtomicBool>>,
     sessions: SessionCache,
-    /// Oracle pools by device profile, started on first use.
+    /// Oracles by device profile, started on first use.
     oracles: Vec<(DeviceProfile, MeasurementOracle)>,
     /// Unfinished shards between calls.
     parked: HashMap<ShardKey, ShardState>,
@@ -795,9 +795,9 @@ impl Engine {
             let cfg = &specs[i].config;
             let p = cfg.device_profile();
             if cfg.latency_mode == LatencyMode::Measured && !self.oracles.iter().any(|o| o.0 == p) {
-                let pool =
+                let oracle =
                     MeasurementOracle::start_profiles(std::slice::from_ref(&p), &self.oracle);
-                self.oracles.push((p, pool));
+                self.oracles.push((p, oracle));
             }
         }
         let n = pending.len();
@@ -818,17 +818,16 @@ impl Engine {
         let abort = AtomicBool::new(false);
 
         let this = &*self;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..workers {
                 let rx = rx.clone();
                 let tx = tx.clone();
                 let events = events.clone();
                 let (states, remaining, executed, budget, failure, abort) =
                     (&states, &remaining, &executed, &budget, &failure, &abort);
-                // Split the budget, spreading the remainder over the first
-                // workers; workers <= threads, so every share is >= 1.
-                let kernel_budget = threads / workers + usize::from(w < threads % workers);
-                s.spawn(move |_| {
+                // workers <= threads, so every share is >= 1.
+                let kernel_budget = share(threads, workers, w);
+                s.spawn(move || {
                     let finish_one = || {
                         if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
                             for _ in 0..workers {
@@ -911,8 +910,7 @@ impl Engine {
                     }
                 });
             }
-        })
-        .expect("engine worker panicked");
+        });
 
         let oracle_stats = self
             .oracles
@@ -920,8 +918,6 @@ impl Engine {
             .map(|(_, o)| o.stats())
             .reduce(|a, b| OracleStats {
                 requests: a.requests + b.requests,
-                batches: a.batches + b.batches,
-                max_batch: a.max_batch.max(b.max_batch),
                 retries: a.retries + b.retries,
                 injected_faults: a.injected_faults + b.injected_faults,
             });
@@ -1216,17 +1212,17 @@ impl Engine {
             (Some(c), Strategy::MultiStage, 0) => Some(c.clone()),
             _ => None,
         };
-        // Measured shards go through their profile's oracle pool, which
-        // `run` started for them.
+        // Measured shards go through their profile's oracle, which `run`
+        // started for them.
         let mut backend: Option<Arc<dyn MeasureBackend>> = None;
         if hgnas.config().latency_mode == LatencyMode::Measured {
             let profile = hgnas.config().device_profile();
-            let (_, pool) = self
+            let (_, oracle) = self
                 .oracles
                 .iter()
                 .find(|(p, _)| *p == profile)
-                .expect("run starts a pool per measured profile");
-            backend = Some(Arc::new(pool.client_for(&profile)));
+                .expect("run starts an oracle per measured profile");
+            backend = Some(Arc::new(oracle.client_for(&profile)));
             st.measured = Some(profile);
         }
         // Search time is run_with's wall-clock minus whatever the sink

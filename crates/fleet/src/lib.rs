@@ -4,12 +4,12 @@
 //! this crate turns the single-device library into a service that searches
 //! a whole device fleet at once:
 //!
-//! - [`oracle`]: an **asynchronous measurement oracle** — per-device worker
-//!   pools behind request/response channels, with in-flight request
-//!   batching, deterministic per-request RNG streams, and
-//!   retry-with-backoff on transient [`hgnas_device::MeasureError`]s.
-//!   Because generator state round-trips with each request, routing a
-//!   search through the oracle is bit-transparent.
+//! - [`oracle`]: the **measurement oracle** — measured-mode latency
+//!   queries answered on the calling thread for each device profile, with
+//!   deterministic per-request RNG streams, a fault-injection hook, and
+//!   retries of transient [`hgnas_device::MeasureError`]s. Noise comes
+//!   from the caller's generator state, advanced only when an attempt
+//!   resolves, so routing a search through the oracle is bit-transparent.
 //! - [`engine`]: the **fleet engine** — a long-lived [`Engine`] that
 //!   multiplexes search shards (possibly many per device: seeds, tasks,
 //!   constraint sets) over a bounded kernel-thread budget with

@@ -99,7 +99,6 @@ fn measured_fleet_matches_serial_per_device() {
     let mut fleet = FleetConfig::new(devices.to_vec());
     fleet.oracle = OracleConfig {
         inject_busy_every: Some(3),
-        ..OracleConfig::default()
     };
     let report = run_fleet(&task, &base, &fleet, None).expect("fleet run");
     assert_eq!(report.reports.len(), devices.len());

@@ -8,7 +8,7 @@ use hgnas_device::{DeviceKind, DeviceProfile};
 use hgnas_nn::metrics::{error_bound_accuracy, mape};
 use hgnas_nn::{Module, Optimizer};
 use hgnas_ops::Architecture;
-use hgnas_tensor::threads::with_kernel_threads;
+use hgnas_tensor::threads::fan_out;
 use hgnas_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -205,12 +205,11 @@ fn sample_grads(
 }
 
 /// Computes `sample_grads` for every sample of one mini-batch, fanning the
-/// samples across up to `threads` workers (each worker takes a private
-/// clone of the model, so tape bindings never race). Results come back in
-/// submission order regardless of scheduling, and the thread budget is
-/// split between workers and their matmul kernels exactly like the
-/// candidate evaluator does — so the returned values are bit-identical for
-/// any `threads`.
+/// samples across up to `threads` threads ([`fan_out`]) whose budget is
+/// split between the runs and their matmul kernels exactly as the candidate
+/// evaluator splits it. Results come back in submission order regardless
+/// of scheduling, so the returned values are bit-identical for any
+/// `threads`.
 fn batch_grads(
     model: &PredictorModel,
     train: &[LabelledArch],
@@ -220,40 +219,29 @@ fn batch_grads(
     scale_ms: f64,
     threads: usize,
 ) -> Vec<SampleGrads> {
-    let workers = threads.clamp(1, chunk.len());
-    if workers == 1 {
-        return chunk
-            .iter()
-            .map(|&i| sample_grads(model, &train[i], points, global_node, scale_ms))
-            .collect();
-    }
-    let per = chunk.len().div_ceil(workers);
-    let workers = chunk.len().div_ceil(per);
-    let base_budget = threads / workers;
-    let spare = threads % workers;
     let mut out: Vec<Option<SampleGrads>> = (0..chunk.len()).map(|_| None).collect();
-    crossbeam::scope(|s| {
-        for (w, (idx_chunk, out_chunk)) in chunk.chunks(per).zip(out.chunks_mut(per)).enumerate() {
-            let kernel_budget = (base_budget + usize::from(w < spare)).max(1);
-            s.spawn(move |_| {
-                let local = model.clone();
-                with_kernel_threads(kernel_budget, || {
-                    for (&i, slot) in idx_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = Some(sample_grads(
-                            &local,
-                            &train[i],
-                            points,
-                            global_node,
-                            scale_ms,
-                        ));
-                    }
-                });
-            });
+    fan_out(&mut out, 1, threads, |first, run| {
+        // Runs must not share tape bindings: the run at sample 0 binds
+        // `model` itself, every other run a private clone.
+        let clone;
+        let local = if first == 0 {
+            model
+        } else {
+            clone = model.clone();
+            &clone
+        };
+        for (&i, slot) in chunk[first..].iter().zip(run) {
+            *slot = Some(sample_grads(
+                local,
+                &train[i],
+                points,
+                global_node,
+                scale_ms,
+            ));
         }
-    })
-    .expect("predictor training worker panicked");
+    });
     out.into_iter()
-        .map(|s| s.expect("every sample slot is filled by its worker"))
+        .map(|s| s.expect("every sample slot is filled by its run"))
         .collect()
 }
 
@@ -466,6 +454,7 @@ impl LatencyPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hgnas_tensor::threads::with_kernel_threads;
 
     fn tiny_cfg() -> PredictorConfig {
         PredictorConfig {

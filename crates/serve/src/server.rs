@@ -20,7 +20,8 @@
 //! Every slice boundary still persists a checkpoint, so a drained daemon's
 //! successor resumes from the store. Every
 //! [`FleetEvent`](hgnas_fleet::FleetEvent) is encoded once, buffered (for
-//! re-attach after a disconnect) and streamed to the attached connection.
+//! re-attach after a disconnect) and streamed to the attached connection;
+//! the buffer goes once the request's final frame reaches a connection.
 //! The report a request eventually gets is bit-identical to `run_fleet` of
 //! the same configs — however many rounds contention sliced it into.
 //!
@@ -163,9 +164,12 @@ struct RequestState {
     classes: usize,
     /// The connection currently streaming this request's events, if any.
     conn: Option<u64>,
-    /// Next event sequence number (== `events.len()`).
+    /// Next event sequence number. Equals `events.len()` until the final
+    /// frame reaches an attached connection, which empties `events`.
     seq: u64,
-    /// Every event frame emitted so far, encoded once; index == seq.
+    /// Every event frame emitted so far, encoded once; index == seq. Kept
+    /// for replay to re-attaching clients until the final frame reaches an
+    /// attached connection; a later attach gets the final frame alone.
     events: Vec<Vec<u8>>,
     /// The final Report (or terminal Rejected) frame once produced.
     report_frame: Option<Vec<u8>>,
@@ -176,6 +180,17 @@ struct RequestState {
     /// converges: finished shards are never re-run (or re-charged) just
     /// to re-announce their outcome.
     finished: Vec<Option<ShardResult>>,
+}
+
+impl RequestState {
+    /// Keeps the request's final frame for late attachers and sends it to
+    /// `transport`; once it is sent without error, the buffered events go.
+    fn finish(&mut self, frame: Vec<u8>, transport: Option<&dyn Transport>) {
+        if transport.is_some_and(|t| t.send(&frame).is_ok()) {
+            self.events = Vec::new();
+        }
+        self.report_frame = Some(frame);
+    }
 }
 
 /// A running search daemon. Start one over an [`ArtifactStore`], connect
@@ -595,7 +610,9 @@ fn handle_command(
                         let _ = transport.send(frame);
                     }
                     if let Some(report) = &req.report_frame {
-                        let _ = transport.send(report);
+                        if transport.send(report).is_ok() {
+                            req.events = Vec::new();
+                        }
                     }
                 }
             }
@@ -680,10 +697,7 @@ fn run_round(
                 request_id,
                 reason: format!("artifact store error: {e}"),
             });
-            if let Some(t) = &transport {
-                let _ = t.send(&frame);
-            }
-            req.report_frame = Some(frame);
+            req.finish(frame, transport.as_deref());
             admission.complete(request_id);
         }
         Ok(report) => {
@@ -727,10 +741,7 @@ fn run_round(
                         slices: admission.charged(request_id),
                     },
                 });
-                if let Some(t) = &transport {
-                    let _ = t.send(&frame);
-                }
-                req.report_frame = Some(frame);
+                req.finish(frame, transport.as_deref());
                 admission.complete(request_id);
             }
         }

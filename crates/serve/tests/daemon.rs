@@ -260,6 +260,37 @@ fn tcp_client_runs_a_search_end_to_end() {
     server.shutdown();
 }
 
+/// Once the report reaches an attached connection, the daemon drops the
+/// request's buffered events: a later attach from sequence 0 on a second
+/// connection of the same tenant is answered with the report alone.
+#[test]
+fn attach_after_the_report_is_answered_with_the_report_alone() {
+    let temp = TempStore::new("late");
+    let server = Server::start(temp.open(), serve_config());
+    let mut client = server.connect();
+    client.hello("dave", 1, TICK).unwrap();
+    let task = TaskConfig::tiny(62);
+    let cfg = tiny_config(DeviceKind::JetsonTx2);
+    let (request, _) = client
+        .submit(&task, &cfg, &[DeviceKind::JetsonTx2], TICK)
+        .unwrap();
+    let mut events = 0u64;
+    let report = client
+        .wait_report(request, SEARCH, |_seq, _event| events += 1)
+        .unwrap();
+    assert!(events > 0, "events streamed before the report");
+
+    let mut late = server.connect();
+    late.hello("dave", 1, TICK).unwrap();
+    late.attach(request, "dave", 0).unwrap();
+    match late.next_event(request, TICK).unwrap() {
+        Ok((seq, event)) => panic!("event {seq} replayed after the report: {event:?}"),
+        Err(replayed) => assert_eq!(format!("{replayed:?}"), format!("{report:?}")),
+    }
+    drop((client, late));
+    server.shutdown();
+}
+
 /// Satellite: between requests, an over-budget store shrinks — the idle
 /// loop sweeps + prunes and broadcasts the combined report.
 #[test]

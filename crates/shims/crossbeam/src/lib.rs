@@ -1,56 +1,6 @@
-//! Offline shim for the `crossbeam::scope` API, backed by
-//! [`std::thread::scope`] (stabilised in Rust 1.63, so the external crate is
-//! no longer needed for plain scoped threads).
-//!
-//! Differences from real crossbeam: a panicking child thread propagates the
-//! panic out of [`scope`] (std semantics) instead of surfacing as `Err`, so
-//! the `Result` returned here is always `Ok`. Callers that `.expect()` the
-//! result behave identically either way.
-
-use std::any::Any;
-use std::thread::ScopedJoinHandle;
-
-/// Scoped-thread handle passed to the [`scope`] closure. Mirrors
-/// `crossbeam::thread::Scope`: `spawn` hands each child a reference to the
-/// scope so it can spawn siblings.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a child thread joined automatically at scope exit.
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || f(&Scope { inner }))
-    }
-}
-
-/// Runs `f` with a scope in which borrowing, non-`'static` threads can be
-/// spawned; all children are joined before `scope` returns.
-///
-/// # Errors
-///
-/// Never returns `Err` in this shim (see module docs); the signature keeps
-/// crossbeam compatibility.
-///
-/// # Panics
-///
-/// Panics if a spawned thread panicked (the payload is forwarded).
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
-
-/// `crossbeam::thread` module alias, matching the real crate's layout.
-pub mod thread {
-    pub use super::{scope, Scope};
-}
+//! Offline shim for `crossbeam::channel`, the one part of the external
+//! crate this workspace uses. Scoped threads come from
+//! [`std::thread::scope`] (stabilised in Rust 1.63).
 
 /// Offline shim for `crossbeam::channel`: multi-producer *multi-consumer*
 /// unbounded channels, backed by a `Mutex<VecDeque>` + `Condvar` queue.
@@ -328,10 +278,10 @@ mod tests {
         let rx2 = rx.clone();
         let total = 200u64;
         let consumed = std::sync::atomic::AtomicU64::new(0);
-        super::scope(|s| {
+        std::thread::scope(|s| {
             for rx in [rx, rx2] {
                 let consumed = &consumed;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     while rx.recv().is_ok() {
                         consumed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     }
@@ -341,8 +291,7 @@ mod tests {
                 tx.send(i).unwrap();
             }
             drop(tx);
-        })
-        .unwrap();
+        });
         // Every message is delivered to exactly one consumer.
         assert_eq!(consumed.load(std::sync::atomic::Ordering::SeqCst), total);
     }
@@ -377,8 +326,8 @@ mod tests {
     #[test]
     fn blocking_iter_ends_on_disconnect() {
         let (tx, rx) = super::channel::unbounded();
-        super::scope(|s| {
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 for i in 0..20 {
                     tx.send(i).unwrap();
                 }
@@ -386,8 +335,7 @@ mod tests {
             });
             let got: Vec<i32> = rx.iter().collect();
             assert_eq!(got, (0..20).collect::<Vec<_>>());
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -408,10 +356,10 @@ mod tests {
         let rx2 = rx.clone();
         let parked = Barrier::new(3);
         let consumed = AtomicU64::new(0);
-        super::scope(|s| {
+        std::thread::scope(|s| {
             for rx in [rx, rx2] {
                 let (consumed, parked) = (&consumed, &parked);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     parked.wait();
                     while rx.recv().is_ok() {
                         consumed.fetch_add(1, Ordering::SeqCst);
@@ -423,8 +371,7 @@ mod tests {
                 tx.send(i).unwrap();
             }
             drop(tx);
-        })
-        .unwrap();
+        });
         assert_eq!(consumed.load(Ordering::SeqCst), 100);
     }
 
@@ -462,16 +409,15 @@ mod tests {
     #[test]
     fn recv_timeout_wakes_on_send_before_deadline() {
         let (tx, rx) = super::channel::unbounded();
-        super::scope(|s| {
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 tx.send(77).unwrap();
             });
             // Far longer than the send delay: a condvar wakeup, not the
             // deadline, must deliver the message.
             assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(30)), Ok(77));
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -483,39 +429,5 @@ mod tests {
         drop(tx2);
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Err(super::channel::RecvError));
-    }
-
-    #[test]
-    fn scoped_threads_can_borrow_and_mutate_disjoint_chunks() {
-        let mut data = vec![0u64; 64];
-        super::scope(|s| {
-            for (i, chunk) in data.chunks_mut(16).enumerate() {
-                s.spawn(move |_| {
-                    for v in chunk.iter_mut() {
-                        *v = i as u64 + 1;
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert!(data.iter().all(|&v| v > 0));
-    }
-
-    #[test]
-    fn nested_spawn_through_scope_arg() {
-        let flag = std::sync::atomic::AtomicBool::new(false);
-        super::scope(|s| {
-            s.spawn(|inner| {
-                inner.spawn(|_| flag.store(true, std::sync::atomic::Ordering::SeqCst));
-            });
-        })
-        .unwrap();
-        assert!(flag.load(std::sync::atomic::Ordering::SeqCst));
-    }
-
-    #[test]
-    fn scope_returns_closure_value() {
-        let r = super::scope(|_| 41 + 1).unwrap();
-        assert_eq!(r, 42);
     }
 }

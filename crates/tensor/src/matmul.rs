@@ -15,11 +15,12 @@
 //!
 //! 1. **Threads** ([`Tensor::matmul`], [`matmul_bt`], [`matmul_at`]): use
 //!    the caller's kernel budget ([`crate::threads::kernel_threads`]) only
-//!    when `budget > 1` **and** the output has at least
-//!    [`PARALLEL_MIN_ROWS`] rows **and** the total multiply-add count is at
-//!    least [`PARALLEL_MIN_WORK`]; otherwise run single-threaded. Scoped
-//!    threads cost ~100 µs to spawn+join, so row count alone is the wrong
-//!    gate for skinny shapes.
+//!    when the output has at least [`PARALLEL_MIN_ROWS`] rows **and** the
+//!    total multiply-add count is at least [`PARALLEL_MIN_WORK`];
+//!    otherwise run single-threaded. Scoped threads cost ~100 µs to
+//!    spawn+join, so row count alone is the wrong gate for skinny shapes.
+//!    [`crate::threads::fan_out`] cuts the rows of `C` into one contiguous
+//!    run per thread.
 //! 2. **Register tiles**: each thread (or the single-threaded fall-through)
 //!    runs a tiled body over its rows. [`matmul_blocked`] (so
 //!    [`matmul_parallel`]'s row chunks too) and [`matmul_at`] share one
@@ -56,11 +57,11 @@
 //! `∞` in `B` produces `NaN` (IEEE), where the skip used to hide it. The
 //! `zero_times_special_values_propagate` test pins the new contract.
 
-use crate::simd;
-use crate::Tensor;
+use crate::threads::{fan_out, kernel_threads};
+use crate::{simd, Tensor};
 
-/// Rows-per-thread threshold below which the threaded kernels fall back to
-/// the single-threaded kernel.
+/// Fewest output rows (`m`, across all threads) for the threaded kernels
+/// to spawn threads; below it they run single-threaded.
 pub const PARALLEL_MIN_ROWS: usize = 128;
 
 /// Minimum total work (`m·k·n` multiply-adds) for the threaded kernels to
@@ -69,11 +70,16 @@ pub const PARALLEL_MIN_ROWS: usize = 128;
 /// spawn, so row count alone is the wrong gate.
 pub const PARALLEL_MIN_WORK: usize = 1 << 20;
 
-/// Whether the work-size gates allow threading `rows × work` across the
-/// given budget (step 1 of the module's decision tree).
+/// The threads a matmul with `rows` output rows and `work` multiply-adds
+/// runs on: the whole budget when the work-size gates pass (step 1 of the
+/// module's decision tree), otherwise one.
 #[inline]
-fn threads_pay_off(threads: usize, rows: usize, work: usize) -> bool {
-    threads > 1 && rows >= PARALLEL_MIN_ROWS && work >= PARALLEL_MIN_WORK
+fn gated(threads: usize, rows: usize, work: usize) -> usize {
+    if rows >= PARALLEL_MIN_ROWS && work >= PARALLEL_MIN_WORK {
+        threads
+    } else {
+        1
+    }
 }
 
 fn check_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
@@ -237,9 +243,9 @@ fn tile(panel: &[f32], bd: &[f32], band: &mut [f32], n: usize, j0: usize, tr: us
     }
 }
 
-/// Multi-threaded tiled matmul. Splits rows of `A` across `threads` OS
-/// threads via crossbeam's scoped threads; falls back to the single-threaded
-/// kernel below the work-size gates (see the module docs).
+/// Multi-threaded tiled matmul. Splits the rows of `C` across `threads`
+/// threads ([`fan_out`]); runs single-threaded below the
+/// work-size gates (see the module docs).
 ///
 /// # Panics
 ///
@@ -248,23 +254,11 @@ fn tile(panel: &[f32], bd: &[f32], band: &mut [f32], n: usize, j0: usize, tr: us
 pub fn matmul_parallel(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     assert!(threads > 0, "threads must be positive");
     let (m, k, n) = check_dims(a, b);
-    if !threads_pay_off(threads, m, m * k * n) {
-        return matmul_blocked(a, b);
-    }
     let mut c = vec![0.0f32; m * n];
-    let rows_per = m.div_ceil(threads);
     let (ad, bd) = (a.data(), b.data());
-    crossbeam::scope(|s| {
-        for (t, chunk) in c.chunks_mut(rows_per * n).enumerate() {
-            let i0 = t * rows_per;
-            let rows = chunk.len() / n;
-            let a_slice = &ad[i0 * k..(i0 + rows) * k];
-            s.spawn(move |_| {
-                tiled_dispatch(a_slice, Lhs::Rows, bd, chunk, k, n);
-            });
-        }
-    })
-    .expect("matmul worker thread panicked");
+    fan_out(&mut c, n, gated(threads, m, m * k * n), |i0, rows| {
+        tiled_dispatch(&ad[i0 * k..], Lhs::Rows, bd, rows, k, n);
+    });
     Tensor::from_vec(c, &[m, n])
 }
 
@@ -292,23 +286,10 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul_bt contraction dims differ");
     let (ad, bd) = (a.data(), b.data());
     let mut c = vec![0.0f32; m * n];
-    let threads = crate::threads::kernel_threads();
-    if !threads_pay_off(threads, m, m * k * n) {
-        matmul_bt_into(ad, bd, &mut c, k, n);
-    } else {
-        let rows_per = m.div_ceil(threads);
-        crossbeam::scope(|s| {
-            for (t, chunk) in c.chunks_mut(rows_per * n).enumerate() {
-                let i0 = t * rows_per;
-                let rows = chunk.len() / n;
-                let a_slice = &ad[i0 * k..(i0 + rows) * k];
-                s.spawn(move |_| {
-                    matmul_bt_into(a_slice, bd, chunk, k, n);
-                });
-            }
-        })
-        .expect("matmul_bt worker thread panicked");
-    }
+    let threads = gated(kernel_threads(), m, m * k * n);
+    fan_out(&mut c, n, threads, |i0, rows| {
+        matmul_bt_into(&ad[i0 * k..], bd, rows, k, n);
+    });
     Tensor::from_vec(c, &[m, n])
 }
 
@@ -391,21 +372,10 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul_at row counts differ");
     let (ad, bd) = (a.data(), b.data());
     let mut c = vec![0.0f32; m * n];
-    let threads = crate::threads::kernel_threads();
-    if !threads_pay_off(threads, m, m * k * n) {
-        tiled_dispatch(ad, Lhs::Cols(m), bd, &mut c, k, n);
-    } else {
-        let rows_per = m.div_ceil(threads);
-        crossbeam::scope(|s| {
-            for (t, chunk) in c.chunks_mut(rows_per * n).enumerate() {
-                let i0 = t * rows_per;
-                s.spawn(move |_| {
-                    tiled_dispatch(&ad[i0..], Lhs::Cols(m), bd, chunk, k, n);
-                });
-            }
-        })
-        .expect("matmul_at worker thread panicked");
-    }
+    let threads = gated(kernel_threads(), m, m * k * n);
+    fan_out(&mut c, n, threads, |i0, rows| {
+        tiled_dispatch(&ad[i0..], Lhs::Cols(m), bd, rows, k, n);
+    });
     Tensor::from_vec(c, &[m, n])
 }
 
@@ -419,12 +389,7 @@ impl Tensor {
     ///
     /// Panics if either operand is not 2-D or the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let budget = crate::threads::kernel_threads();
-        if budget > 1 {
-            matmul_parallel(self, other, budget)
-        } else {
-            matmul_blocked(self, other)
-        }
+        matmul_parallel(self, other, kernel_threads())
     }
 }
 

@@ -651,7 +651,6 @@ fn preempted_measured_shards_survive_busy_storms() {
     let mut fleet = engine_config(2, 1, None);
     fleet.oracle = OracleConfig {
         inject_busy_every: Some(1), // the storm: every request faults
-        ..OracleConfig::default()
     };
     let report = run_fresh(&fleet, None, &specs, None);
     let stats = report.oracle_stats.expect("measured mode has oracle stats");
