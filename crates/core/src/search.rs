@@ -6,7 +6,7 @@ use crate::eval::{CandidateScorer, EvalStats, Evaluator};
 use crate::objective::{CandidateMetrics, Objective};
 use crate::supernet::Supernet;
 use hgnas_device::{
-    DeviceKind, DevicePersona, DeviceProfile, ExecutionReport, MeasureError, Workload,
+    DeviceKind, DevicePersona, DeviceProfile, ExecutionReport, MeasureError, PersonaError, Workload,
 };
 use hgnas_ops::{lower_edgeconv, Architecture, DgcnnConfig, FunctionSet, OpType};
 use hgnas_pointcloud::{Batch, DatasetConfig, PointCloud, SynthNet40, Task, TaskKind, NUM_CLASSES};
@@ -436,14 +436,20 @@ impl SearchConfig {
                 return Err(ConfigError::Bound { name, value });
             }
         }
-        match &self.persona {
-            Some(p) if p.base_kind() != self.device => Err(ConfigError::PersonaDevice {
+        let Some(p) = &self.persona else {
+            return Ok(());
+        };
+        if p.base_kind() != self.device {
+            return Err(ConfigError::PersonaDevice {
                 persona: p.name.clone(),
                 base: p.base_kind(),
                 device: self.device,
-            }),
-            _ => Ok(()),
+            });
         }
+        p.validate().map_err(|error| ConfigError::PersonaProfile {
+            persona: p.name.clone(),
+            error,
+        })
     }
 }
 
@@ -489,6 +495,14 @@ pub enum ConfigError {
         /// The configured device.
         device: DeviceKind,
     },
+    /// A persona's profile must pass [`DevicePersona::validate`]: the
+    /// objective prices energy and memory against it.
+    PersonaProfile {
+        /// The persona's name.
+        persona: String,
+        /// The field out of range.
+        error: PersonaError,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -519,6 +533,9 @@ impl fmt::Display for ConfigError {
                 base.name(),
                 device.name()
             ),
+            ConfigError::PersonaProfile { persona, error } => {
+                write!(f, "persona '{persona}': {error}")
+            }
         }
     }
 }

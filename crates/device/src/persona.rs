@@ -42,6 +42,18 @@ impl DevicePersona {
     pub fn is_builtin(&self) -> bool {
         self.name == builtin_slug(self.profile.kind) && self.profile == self.profile.kind.profile()
     }
+
+    /// Checks the profile is one the simulator and the search objective
+    /// can price: positive class rates, memory factor, available memory
+    /// and power; non-negative dispatch overhead and base memory.
+    /// [`parse_spec`] applies the same check.
+    ///
+    /// # Errors
+    ///
+    /// [`PersonaError::Profile`] naming the first field out of range.
+    pub fn validate(&self) -> Result<(), PersonaError> {
+        validate_profile(&self.profile)
+    }
 }
 
 /// Stable registry slug for a built-in device.
@@ -62,6 +74,8 @@ pub enum PersonaError {
     Duplicate(String),
     /// The spec text failed to parse; the payload says where and why.
     Spec(String),
+    /// A profile field is out of range; the payload names it.
+    Profile(String),
     /// Calibration was asked to fit against unusable samples.
     Calibration(String),
 }
@@ -71,6 +85,7 @@ impl fmt::Display for PersonaError {
         match self {
             PersonaError::Duplicate(name) => write!(f, "persona {name:?} already registered"),
             PersonaError::Spec(msg) => write!(f, "bad persona spec: {msg}"),
+            PersonaError::Profile(msg) => write!(f, "profile out of range: {msg}"),
             PersonaError::Calibration(msg) => write!(f, "calibration failed: {msg}"),
         }
     }
@@ -127,8 +142,8 @@ impl PersonaRegistry {
     ///
     /// # Errors
     ///
-    /// [`PersonaError::Spec`] on a malformed spec, [`PersonaError::Duplicate`]
-    /// if the name is taken.
+    /// As [`parse_spec`], and [`PersonaError::Duplicate`] if the name is
+    /// taken.
     pub fn register_spec(&mut self, spec: &str) -> Result<&DevicePersona, PersonaError> {
         let persona = parse_spec(spec)?;
         let name = persona.name.clone();
@@ -197,7 +212,9 @@ impl Default for PersonaRegistry {
 ///
 /// # Errors
 ///
-/// [`PersonaError::Spec`] describing the offending line.
+/// [`PersonaError::Spec`] describing the offending line, or
+/// [`PersonaError::Profile`] when the resulting profile fails
+/// [`DevicePersona::validate`].
 pub fn parse_spec(spec: &str) -> Result<DevicePersona, PersonaError> {
     let mut name: Option<String> = None;
     let mut profile: Option<DeviceProfile> = None;
@@ -288,13 +305,30 @@ fn apply_override(
 fn validate_profile(p: &DeviceProfile) -> Result<(), PersonaError> {
     for r in &p.rates {
         if !(r.gflops > 0.0 && r.gbps > 0.0) {
-            return Err(PersonaError::Spec("rates must be positive".into()));
+            return Err(PersonaError::Profile("rates must be positive".into()));
         }
     }
-    if !(p.overhead_us >= 0.0 && p.avail_mem_mb > 0.0 && p.power_w > 0.0) {
-        return Err(PersonaError::Spec(
-            "overhead/avail_mem/power out of range".into(),
-        ));
+    let non_negative = [
+        ("overhead_us", p.overhead_us),
+        ("base_mem_mb", p.base_mem_mb),
+    ];
+    if let Some((name, v)) = non_negative
+        .into_iter()
+        .find(|&(_, v)| v.is_nan() || v < 0.0)
+    {
+        return Err(PersonaError::Profile(format!(
+            "{name} = {v} must be non-negative"
+        )));
+    }
+    let positive = [
+        ("mem_factor", p.mem_factor),
+        ("avail_mem_mb", p.avail_mem_mb),
+        ("power_w", p.power_w),
+    ];
+    if let Some((name, v)) = positive.into_iter().find(|&(_, v)| v.is_nan() || v <= 0.0) {
+        return Err(PersonaError::Profile(format!(
+            "{name} = {v} must be positive"
+        )));
     }
     Ok(())
 }
@@ -479,6 +513,42 @@ mod tests {
             parse_spec("name = x\nbase = v100\nfrobnicate = 1.0"),
             Err(PersonaError::Spec(m)) if m.contains("unknown key")
         ));
+        assert!(matches!(
+            parse_spec("name = x\nbase = v100\npower_w = 0"),
+            Err(PersonaError::Profile(m)) if m.contains("power_w")
+        ));
+    }
+
+    #[test]
+    fn validate_names_the_first_field_out_of_range() {
+        for kind in DeviceKind::ALL {
+            let builtin = DevicePersona {
+                name: builtin_slug(kind).into(),
+                profile: kind.profile(),
+            };
+            assert_eq!(builtin.validate(), Ok(()), "{kind:?}");
+        }
+        type Edit = fn(&mut DeviceProfile);
+        let edits: [(&str, Edit); 6] = [
+            ("rates", |p| p.rates[0].gbps = 0.0),
+            ("overhead_us", |p| p.overhead_us = -1.0),
+            ("base_mem_mb", |p| p.base_mem_mb = f64::NAN),
+            ("mem_factor", |p| p.mem_factor = 0.0),
+            ("avail_mem_mb", |p| p.avail_mem_mb = -8.0),
+            ("power_w", |p| p.power_w = 0.0),
+        ];
+        for (field, edit) in edits {
+            let mut persona = DevicePersona {
+                name: "edited".into(),
+                profile: DeviceKind::JetsonTx2.profile(),
+            };
+            edit(&mut persona.profile);
+            assert!(
+                matches!(persona.validate(), Err(PersonaError::Profile(ref m)) if m.contains(field)),
+                "{field}: {:?}",
+                persona.validate()
+            );
+        }
     }
 
     #[test]

@@ -14,13 +14,13 @@ use crate::artifacts::{search_fingerprint, ArtifactKey, ArtifactStore, StoreErro
 use crate::engine::{Engine, ShardSpec};
 use crate::events::{FleetEvent, ShardId};
 use crate::oracle::{OracleConfig, OracleStats};
-use crossbeam::channel::Sender;
 use hgnas_core::{ConfigError, SearchConfig, SearchOutcome, Strategy, TaskConfig, TaskError};
 use hgnas_device::{DeviceKind, DevicePersona};
 use hgnas_ops::OpType;
 use hgnas_pointcloud::TaskKind;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::mpsc::Sender;
 
 /// One named {task × objective × persona} cell of a fleet: a complete
 /// task + search configuration pair with a display label. When

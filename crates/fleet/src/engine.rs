@@ -6,7 +6,10 @@
 //! the next ready shard (work-stealing at shard granularity — an idle
 //! worker always takes the oldest runnable shard), runs it for a *time
 //! slice* of [`FleetConfig::preemption_stride`] generations, checkpoints it
-//! at the boundary, and re-queues it behind its peers. Because
+//! at the boundary, and re-queues it behind its peers. The caller of
+//! [`Engine::run`] is worker 0 and scoped threads run the others, so a
+//! one-shard call spawns no thread; a worker that panics stops the others
+//! and its panic reaches the caller. Because
 //! checkpoint/resume is bit-identical (the core contract every prior PR
 //! locked in), preemption is transparent: any (shard count × thread budget
 //! × stride) cell produces per-shard results bit-identical to a serial
@@ -49,7 +52,6 @@ use crate::codec::CodecError;
 use crate::driver::{FleetConfig, ParetoPoint};
 use crate::events::{FleetEvent, SessionAction, ShardId};
 use crate::oracle::{MeasurementOracle, OracleConfig, OracleStats};
-use crossbeam::channel::Sender;
 use hgnas_core::{
     pareto_front_nd, Checkpoint, Genome, Hgnas, LatencyMode, MeasureBackend, PretrainedPredictor,
     RunOptions, ScoredCandidate, SearchConfig, SearchOutcome, SessionState, Strategy, TaskConfig,
@@ -60,6 +62,7 @@ use hgnas_predictor::LatencyPredictor;
 use hgnas_tensor::threads::{share, with_kernel_threads};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One unit of schedulable work: a full HGNAS search of `task` under
@@ -642,6 +645,17 @@ enum Job {
     Stop,
 }
 
+/// Runs its closure when dropped while its thread unwinds.
+struct OnUnwind<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnUnwind<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
+        }
+    }
+}
+
 /// What one call to `run_slice` did.
 enum SliceOutcome {
     /// The shard ran to completion.
@@ -777,8 +791,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `pending` is empty, names a shard outside `specs`, or a
-    /// worker thread panics.
+    /// Panics if `pending` is empty or names a shard outside `specs`, and
+    /// re-raises a worker's panic once the other workers have stopped.
     pub fn run(
         &mut self,
         request: u64,
@@ -807,108 +821,119 @@ impl Engine {
             .collect();
         let threads = self.threads.max(1);
         let workers = threads.min(n);
-        let (tx, rx) = crossbeam::channel::unbounded::<Job>();
+        let (tx, rx) = mpsc::channel();
         for j in 0..n {
             let _ = tx.send(Job::Slice(j));
         }
+        let rx = Mutex::new(rx);
         let remaining = AtomicUsize::new(n);
         let executed = AtomicU64::new(0);
         let budget = grant.map(AtomicU64::new);
         let failure: Mutex<Option<StoreError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
-
-        let this = &*self;
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let rx = rx.clone();
-                let tx = tx.clone();
-                let events = events.clone();
-                let (states, remaining, executed, budget, failure, abort) =
-                    (&states, &remaining, &executed, &budget, &failure, &abort);
-                // workers <= threads, so every share is >= 1.
-                let kernel_budget = share(threads, workers, w);
-                s.spawn(move || {
-                    let finish_one = || {
-                        if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            for _ in 0..workers {
-                                let _ = tx.send(Job::Stop);
-                            }
-                        }
-                    };
-                    // Exit on a Stop pill or channel teardown alike.
-                    while let Ok(Job::Slice(j)) = rx.recv() {
-                        // Locked before the budget is charged: a deferred
-                        // slice can be re-queued before its worker has
-                        // refunded its unit, and that worker holds this
-                        // lock until it has.
-                        let mut st = states[j].lock().unwrap();
-                        // The drain flag is checked *before* the budget
-                        // decrement so a drained call leaves the remaining
-                        // grant intact (nothing is charged for slices that
-                        // never ran).
-                        let stopping = abort.load(Ordering::SeqCst)
-                            || this.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst));
-                        let budget_left = !stopping
-                            && budget.as_ref().is_none_or(|b| {
-                                b.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                                    v.checked_sub(1)
-                                })
-                                .is_ok()
-                            });
-                        if stopping || !budget_left {
-                            // Parked: leaves the rotation with its latest
-                            // checkpoint persisted/retained.
-                            finish_one();
-                            continue;
-                        }
-                        let i = pending[j];
-                        let ran = this.run_slice(
-                            (request, i),
-                            (&tx, j),
-                            &specs[i],
-                            &mut st,
-                            kernel_budget,
-                            events.as_ref(),
-                        );
-                        match ran {
-                            Ok(SliceOutcome::Finished) => {
-                                drop(st);
-                                executed.fetch_add(1, Ordering::SeqCst);
-                                finish_one();
-                            }
-                            Ok(SliceOutcome::Preempted) => {
-                                drop(st);
-                                executed.fetch_add(1, Ordering::SeqCst);
-                                let _ = tx.send(Job::Slice(j));
-                            }
-                            Ok(SliceOutcome::Deferred) => {
-                                // The slice did no work and waits, parked,
-                                // for its prefix: hand its budget unit back
-                                // before releasing its state, so a deferral
-                                // can never starve a budgeted call of real
-                                // slices.
-                                if let Some(b) = budget.as_ref() {
-                                    b.fetch_add(1, Ordering::SeqCst);
-                                }
-                                drop(st);
-                            }
-                            Err(e) => {
-                                emit(
-                                    events.as_ref(),
-                                    FleetEvent::ShardFailed {
-                                        shard: i,
-                                        device: specs[i].config.device,
-                                        error: e.to_string(),
-                                    },
-                                );
-                                failure.lock().unwrap().get_or_insert(e);
-                                abort.store(true, Ordering::SeqCst);
-                                drop(st);
-                                finish_one();
-                            }
-                        }
+        let stop_workers = || {
+            for _ in 0..workers {
+                let _ = tx.send(Job::Stop);
+            }
+        };
+        let finish_one = || {
+            if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                stop_workers();
+            }
+        };
+        let events = events.as_ref();
+        let work = |kernel_budget: usize| {
+            // A worker that unwinds stops the others, so its panic reaches
+            // the caller instead of leaving them blocked on the queue.
+            let _on_unwind = OnUnwind(|| {
+                abort.store(true, Ordering::SeqCst);
+                stop_workers();
+            });
+            loop {
+                // Its own statement, so the queue lock is released before
+                // the slice runs and idle workers wait on it meanwhile.
+                let job = rx.lock().expect("held only around recv").recv();
+                // Exit on a Stop pill or channel teardown alike.
+                let Ok(Job::Slice(j)) = job else { break };
+                // Locked before the budget is charged: a deferred slice can
+                // be re-queued before its worker has refunded its unit, and
+                // that worker holds this lock until it has.
+                let mut st = states[j].lock().unwrap();
+                // The drain flag is checked *before* the budget decrement so
+                // a drained call leaves the remaining grant intact (nothing
+                // is charged for slices that never ran).
+                let stopping = abort.load(Ordering::SeqCst)
+                    || self.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst));
+                let budget_left = !stopping
+                    && budget.as_ref().is_none_or(|b| {
+                        b.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
+                            .is_ok()
+                    });
+                if stopping || !budget_left {
+                    // Parked: leaves the rotation with its latest checkpoint
+                    // persisted/retained.
+                    finish_one();
+                    continue;
+                }
+                let i = pending[j];
+                let ran = self.run_slice(
+                    (request, i),
+                    (&tx, j),
+                    &specs[i],
+                    &mut st,
+                    kernel_budget,
+                    events,
+                );
+                match ran {
+                    Ok(SliceOutcome::Finished) => {
+                        drop(st);
+                        executed.fetch_add(1, Ordering::SeqCst);
+                        finish_one();
                     }
-                });
+                    Ok(SliceOutcome::Preempted) => {
+                        drop(st);
+                        executed.fetch_add(1, Ordering::SeqCst);
+                        let _ = tx.send(Job::Slice(j));
+                    }
+                    Ok(SliceOutcome::Deferred) => {
+                        // The slice did no work and waits, parked, for its
+                        // prefix: hand its budget unit back before releasing
+                        // its state, so a deferral can never starve a
+                        // budgeted call of real slices.
+                        if let Some(b) = budget.as_ref() {
+                            b.fetch_add(1, Ordering::SeqCst);
+                        }
+                        drop(st);
+                    }
+                    Err(e) => {
+                        emit(
+                            events,
+                            FleetEvent::ShardFailed {
+                                shard: i,
+                                device: specs[i].config.device,
+                                error: e.to_string(),
+                            },
+                        );
+                        failure.lock().unwrap().get_or_insert(e);
+                        abort.store(true, Ordering::SeqCst);
+                        drop(st);
+                        finish_one();
+                    }
+                }
+            }
+        };
+        // The calling thread is worker 0; workers <= threads, so every
+        // share is >= 1.
+        std::thread::scope(|s| {
+            let work = &work;
+            let handles: Vec<_> = (1..workers)
+                .map(|w| s.spawn(move || work(share(threads, workers, w))))
+                .collect();
+            work(share(threads, workers, 0));
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
 

@@ -3,23 +3,25 @@
 //!
 //! The engine emits a [`FleetEvent`] whenever a shard makes observable
 //! progress (started, generation boundary, Pareto-front change, preempted,
-//! finished, failed). Events travel over a `crossbeam::channel` shim
-//! channel, so a consumer can live on any thread; [`StreamingReporter`]
-//! is the built-in consumer, folding events into per-shard rows and
-//! rendering a live snapshot table at any point — the streaming
-//! counterpart of [`crate::FleetReport::summary_table`].
+//! finished, failed). Events travel over a `std::sync::mpsc` channel
+//! whose sender every engine worker borrows; the caller of
+//! [`crate::Engine::run`] is worker 0, so a live consumer runs on another
+//! thread (or drains the unbounded queue after the call returns).
+//! [`StreamingReporter`] is the built-in consumer, folding events into
+//! per-shard rows and rendering a live snapshot table at any point — the
+//! streaming counterpart of [`crate::FleetReport::summary_table`].
 
 use crate::driver::ParetoPoint;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hgnas_device::DeviceKind;
 use std::fmt::Write as _;
+use std::sync::mpsc::{self, Receiver, Sender};
 
 /// An unbounded [`FleetEvent`] channel: hand the sender to
 /// [`crate::run_fleet_with_events`] (or [`crate::Engine::run`]) and drain
 /// the receiver from a consumer thread. The stream ends when the fleet run
 /// returns and drops its sender.
 pub fn channel() -> (Sender<FleetEvent>, Receiver<FleetEvent>) {
-    unbounded()
+    mpsc::channel()
 }
 
 /// Index of a shard in its request's spec list — the report order, and

@@ -6,14 +6,16 @@ use hgnas_core::{
     Checkpoint, ConfigError, Hgnas, LatencyMode, RunOptions, SearchConfig, SearchOutcome, Strategy,
     TaskConfig, TaskError,
 };
-use hgnas_device::DeviceKind;
+use hgnas_device::{DeviceKind, DevicePersona};
 use hgnas_fleet::{
     predictor_fingerprint, run_fleet, search_fingerprint, ArtifactKey, ArtifactStore, CodecError,
-    FleetConfig, FleetError, OracleConfig, StoreError,
+    Engine, FleetConfig, FleetError, OracleConfig, ShardSpec, StoreError,
 };
 use hgnas_predictor::PredictorConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 fn tiny_config(device: DeviceKind, mode: LatencyMode) -> SearchConfig {
     let mut cfg = SearchConfig::fast(device);
@@ -859,6 +861,62 @@ fn invalid_shards_are_rejected_before_any_shard_runs() {
         0,
         "a rejected request must not touch the store"
     );
+}
+
+/// A zero-power persona with an energy weight γ is stopped at the door,
+/// by name. `Engine::run` itself validates nothing, so there the shard
+/// panics in `Objective::with_energy`; with two workers that panic must
+/// reach the caller instead of leaving the other worker blocked on the
+/// ready queue.
+#[test]
+fn a_panicking_shard_stops_every_worker_and_reaches_the_caller() {
+    let task = TaskConfig::tiny(1);
+    let healthy = tiny_config(DeviceKind::JetsonTx2, LatencyMode::Predictor);
+    let mut zero_power = healthy.clone();
+    let mut profile = DeviceKind::JetsonTx2.profile();
+    profile.power_w = 0.0;
+    zero_power.persona = Some(DevicePersona {
+        name: "zero-power".into(),
+        profile,
+    });
+    zero_power.gamma = 0.2;
+    let mut fleet = FleetConfig::new(vec![DeviceKind::JetsonTx2]);
+    fleet.threads = 2;
+
+    let err = run_fleet(&task, &zero_power, &fleet, None).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            FleetError::Config {
+                shard: 0,
+                error: ConfigError::PersonaProfile { persona, .. },
+            } if persona == "zero-power"
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("power_w"), "{err}");
+
+    let specs = [
+        ShardSpec::new(task.clone(), healthy),
+        ShardSpec::new(task, zero_power),
+    ];
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let call = std::thread::spawn(move || {
+        let _done = done_tx;
+        let _ = Engine::new(&fleet, None).run(0, &specs, &[0, 1], None, None);
+    });
+    assert_eq!(
+        done_rx.recv_timeout(Duration::from_secs(120)),
+        Err(RecvTimeoutError::Disconnected),
+        "the engine call neither returned nor panicked within 120 s"
+    );
+    let payload = call.join().expect_err("the zero-power shard panics");
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or_default();
+    assert!(msg.contains("energy reference must be positive"), "{msg}");
 }
 
 /// Golden fingerprint values: fingerprints are a persistence format

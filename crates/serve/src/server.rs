@@ -13,10 +13,13 @@
 //! runs one admission *round* at a time: the fair-share controller picks a
 //! request, and one budgeted `Engine::run` call runs the request's
 //! unfinished shards under a `slices_per_round` grant against the shared
-//! artifact store. Unfinished shards park inside the engine with their
-//! in-memory checkpoints and predictors, and the engine's session cache
-//! keeps their deterministic prefixes warm, so a request sliced into many
-//! rounds builds each prefix once, exactly like a direct `run_fleet`.
+//! artifact store. That call runs on a scoped thread of the round, which
+//! is the engine's worker 0 (a one-shard round spawns nothing else),
+//! while the engine thread streams the round's events. Unfinished shards
+//! park inside the engine with their in-memory checkpoints and
+//! predictors, and the engine's session cache keeps their deterministic
+//! prefixes warm, so a request sliced into many rounds builds each prefix
+//! once, exactly like a direct `run_fleet`.
 //! Every slice boundary still persists a checkpoint, so a drained daemon's
 //! successor resumes from the store. Every
 //! [`FleetEvent`](hgnas_fleet::FleetEvent) is encoded once, buffered (for
@@ -31,7 +34,6 @@
 use crate::admission::{AdmissionController, TenantUsage};
 use crate::client::SearchClient;
 use crate::transport::{duplex, TcpTransport, Transport, TransportError};
-use crossbeam::channel::{self, RecvTimeoutError};
 use hgnas_fleet::wire::{self, ClientFrame, ServerFrame, WireReport, WireShardReport};
 use hgnas_fleet::{
     event_channel, persona_predictor_fingerprint, prefix_fingerprint, search_fingerprint,
@@ -41,6 +43,7 @@ use hgnas_fleet::{
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -228,7 +231,7 @@ impl RequestState {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    cmd_tx: channel::Sender<Command>,
+    cmd_tx: Sender<Command>,
     engine: Option<JoinHandle<DrainReport>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     listeners: Mutex<Vec<JoinHandle<()>>>,
@@ -246,7 +249,7 @@ impl Server {
             next_conn: AtomicU64::new(1),
             conns: Mutex::new(HashMap::new()),
         });
-        let (cmd_tx, cmd_rx) = channel::unbounded();
+        let (cmd_tx, cmd_rx) = mpsc::channel();
         let engine = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || engine_loop(&shared, &cmd_rx))
@@ -353,7 +356,7 @@ impl Drop for Server {
 /// thread.
 fn serve_transport(
     shared: &Arc<Shared>,
-    cmd_tx: &channel::Sender<Command>,
+    cmd_tx: &Sender<Command>,
     conn_threads: &Mutex<Vec<JoinHandle<()>>>,
     transport: Arc<dyn Transport>,
 ) {
@@ -372,7 +375,7 @@ fn serve_transport(
 /// forwards scheduling work to the engine.
 fn conn_loop(
     shared: &Arc<Shared>,
-    cmd_tx: &channel::Sender<Command>,
+    cmd_tx: &Sender<Command>,
     conn_id: u64,
     transport: &Arc<dyn Transport>,
 ) {
@@ -497,7 +500,7 @@ fn conn_loop(
 }
 
 /// The engine: admission rounds, event fan-out, idle GC, drain.
-fn engine_loop(shared: &Arc<Shared>, cmd_rx: &channel::Receiver<Command>) -> DrainReport {
+fn engine_loop(shared: &Arc<Shared>, cmd_rx: &Receiver<Command>) -> DrainReport {
     let mut requests: HashMap<u64, RequestState> = HashMap::new();
     let mut admission = AdmissionController::new();
     let mut engine = Engine::new(&shared.cfg.fleet_config(), Some(shared.store.clone()))

@@ -3,9 +3,11 @@
 //!
 //! Two backends share one [`Transport`] trait:
 //!
-//! - [`duplex`]: an in-process pair over the crossbeam shim's channels —
+//! - [`duplex`]: an in-process pair over `std::sync::mpsc` channels —
 //!   zero-copy `Vec<u8>` handoff, used by tests, benches and co-located
-//!   clients.
+//!   clients. Each end's inbox sits behind a `Mutex` so the end is
+//!   `Sync`; a receiver blocked on it holds that lock, and `close` wakes
+//!   it without taking the lock.
 //! - [`TcpTransport`]: a `std::net::TcpStream` carrying each frame behind
 //!   a little-endian `u32` length prefix, for clients on other processes
 //!   or hosts. Nagle's algorithm is off and prefix and frame leave in one
@@ -15,11 +17,17 @@
 //! Both deliver whole frames or nothing: a TCP read timeout mid-frame
 //! keeps the partial bytes buffered, so the next receive resumes where
 //! the wire left off.
+//!
+//! In the daemon one end is used from three threads at once: the
+//! connection thread blocks in [`Transport::recv_timeout`], the engine
+//! thread sends event frames while the round's `Engine::run` runs the
+//! engine's worker 0 on a scoped thread, and `Server::shutdown` closes
+//! the end from the caller's thread.
 
-use crossbeam::channel::{self, RecvTimeoutError};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -82,30 +90,30 @@ pub trait Transport: Send + Sync {
 /// sentinel (real frames are never empty — the header alone is 11 bytes).
 pub struct DuplexTransport {
     /// Frames to the peer.
-    out: channel::Sender<Vec<u8>>,
-    /// Frames from the peer.
-    inbox: channel::Receiver<Vec<u8>>,
+    out: Sender<Vec<u8>>,
+    /// Frames from the peer, locked for the whole of a receive.
+    inbox: Mutex<Receiver<Vec<u8>>>,
     /// Self-wake handle into our own inbox, so `close` can unblock a
     /// receiver parked on this very end.
-    self_wake: channel::Sender<Vec<u8>>,
+    self_wake: Sender<Vec<u8>>,
     /// Shared by both ends: either side closing closes the pair.
     closed: Arc<AtomicBool>,
 }
 
 /// Creates a connected in-process transport pair (client end, server end).
 pub fn duplex() -> (DuplexTransport, DuplexTransport) {
-    let (a_tx, a_rx) = channel::unbounded();
-    let (b_tx, b_rx) = channel::unbounded();
+    let (a_tx, a_rx) = mpsc::channel();
+    let (b_tx, b_rx) = mpsc::channel();
     let closed = Arc::new(AtomicBool::new(false));
     let client = DuplexTransport {
         out: a_tx.clone(),
-        inbox: b_rx,
+        inbox: Mutex::new(b_rx),
         self_wake: b_tx.clone(),
         closed: Arc::clone(&closed),
     };
     let server = DuplexTransport {
         out: b_tx,
-        inbox: a_rx,
+        inbox: Mutex::new(a_rx),
         self_wake: a_tx,
         closed,
     };
@@ -131,7 +139,12 @@ impl Transport for DuplexTransport {
         } else {
             timeout
         };
-        match self.inbox.recv_timeout(timeout) {
+        let received = self
+            .inbox
+            .lock()
+            .expect("held only around recv_timeout")
+            .recv_timeout(timeout);
+        match received {
             Ok(frame) if frame.is_empty() => {
                 // Close sentinel: re-arm it so sibling receivers (if the
                 // transport is shared) wake too, then report closed.
@@ -330,6 +343,28 @@ mod tests {
             client.recv_timeout(Duration::from_secs(5)),
             Err(TransportError::Closed)
         );
+    }
+
+    #[test]
+    fn duplex_close_wakes_a_receiver_already_blocked_on_that_end() {
+        let (_client, server) = duplex();
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| {
+                let t = std::time::Instant::now();
+                (server.recv_timeout(Duration::from_secs(10)), t.elapsed())
+            });
+            // A receiver holds the inbox lock for as long as it waits.
+            while !blocked.is_finished() && server.inbox.try_lock().is_ok() {
+                std::thread::yield_now();
+            }
+            server.close();
+            let (got, waited) = blocked.join().unwrap();
+            assert_eq!(got, Err(TransportError::Closed));
+            assert!(
+                waited < Duration::from_secs(5),
+                "close took {waited:?} to wake the receiver"
+            );
+        });
     }
 
     #[test]

@@ -154,7 +154,7 @@ fn invalid_search_config_is_rejected_and_the_daemon_keeps_serving() {
     client.hello("grace", 1, TICK).unwrap();
     let cfg = tiny_config(DeviceKind::JetsonTx2);
     type Edit = fn(&mut SearchConfig);
-    let edits: [(&str, Edit); 8] = [
+    let edits: [(&str, Edit); 9] = [
         ("population", |c| c.ea_stage1.population = 0),
         ("population", |c| c.ea_stage2.population = 0),
         ("mutation probability", |c| c.ea_stage2.mutation_prob = 1.5),
@@ -170,6 +170,15 @@ fn invalid_search_config_is_rejected_and_the_daemon_keeps_serving() {
         ("constraint_ms", |c| c.constraint_ms = Some(0.0)),
         ("max_energy_mj", |c| c.max_energy_mj = Some(f64::NAN)),
         ("weight beta", |c| c.beta = f64::INFINITY),
+        ("power_w", |c| {
+            let mut profile = DeviceProfile::builtin(DeviceKind::JetsonTx2);
+            profile.power_w = 0.0;
+            c.persona = Some(DevicePersona {
+                name: "zero-power".into(),
+                profile,
+            });
+            c.gamma = 0.2;
+        }),
     ];
     for (what, edit) in edits {
         let mut bad = cfg.clone();
