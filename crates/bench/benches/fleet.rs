@@ -62,7 +62,7 @@ fn run_engine(
     fleet.session_memory_budget = session_memory_budget;
     let all: Vec<usize> = (0..specs.len()).collect();
     Engine::new(&fleet, None)
-        .run(0, specs, &all, None, None)
+        .run(0, specs, &all, None, threads, None)
         .expect("storeless run")
 }
 

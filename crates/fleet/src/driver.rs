@@ -166,10 +166,11 @@ pub struct FleetConfig {
     /// Persist a checkpoint every N generations (1 = every boundary).
     /// Ignored without an artifact store (events still fire per boundary).
     pub checkpoint_every: usize,
-    /// Total kernel-thread budget the engine multiplexes shards over:
-    /// `min(threads, shards)` workers split it between them (0 is treated
-    /// as 1). Defaults to the host's available parallelism. Results are
-    /// bit-identical at any budget.
+    /// Total kernel-thread budget [`run_fleet`]'s engine call multiplexes
+    /// shards over: `min(threads, shards)` workers split it between them
+    /// (0 is treated as 1). [`Engine::new`] does not read it; each
+    /// [`Engine::run`] names its own budget. Defaults to the host's
+    /// available parallelism. Results are bit-identical at any budget.
     pub threads: usize,
     /// Generations per engine time slice; `0` (the default) runs every
     /// shard to completion unpreempted. Results are bit-identical either
@@ -479,7 +480,8 @@ pub fn run_fleet_with_events(
         }
     }
     let all: Vec<ShardId> = (0..specs.len()).collect();
-    let report = Engine::new(fleet, store.cloned()).run(0, &specs, &all, None, events)?;
+    let report =
+        Engine::new(fleet, store.cloned()).run(0, &specs, &all, None, fleet.threads, events)?;
     let reports = report
         .shards
         .into_iter()

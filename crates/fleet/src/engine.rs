@@ -14,34 +14,39 @@
 //! locked in), preemption is transparent: any (shard count × thread budget
 //! × stride) cell produces per-shard results bit-identical to a serial
 //! [`Hgnas::run_with`] of the same options. Each worker hands its slice its
-//! [`share`] of the kernel thread budget
-//! ([`FleetConfig::threads`]), so shards across workers and matmuls inside
-//! a shard never oversubscribe the machine; `eval_threads` is
-//! bit-transparent, so the split never changes results either.
+//! [`share`] of the call's kernel thread budget, so shards across workers
+//! and matmuls inside a shard never oversubscribe the budget;
+//! `eval_threads` is bit-transparent, so the split never changes results
+//! either.
 //!
 //! An [`Engine`] lives across calls. Each [`Engine::run`] serves shards of
-//! one request, optionally under a slice grant; shards the grant does not
-//! finish **park inside the engine** — in-memory checkpoint, latency
-//! predictor and counters, keyed by (request, shard index) — and the next
-//! call resumes them without a store round-trip. The engine also owns the
-//! measurement oracles (one per device profile) and the **session
-//! cache**: each deterministic prefix (dataset + Stage 1 + supernet
-//! pre-training), keyed by [`prefix_fingerprint`], so every shard whose
-//! prefix-relevant inputs match — whatever its device, objective weights or
-//! Stage-2 seed, and whichever call runs it — shares one resident (or
-//! spilled) session. Builds are **single-flight**: while one worker builds
-//! a prefix, any other slice wanting it defers — it parks on the build (its
-//! budget unit refunded) until the build lands and re-queues it, and its
-//! worker takes other work, so a prefix build overlaps other shards' search
-//! slices instead of serialising the fleet.
-//! At the end of every call the engine drops the sessions and oracles no
-//! parked shard still needs. Checkpoints still reach the artifact store
-//! at every slice boundary, so a fresh engine over the same store resumes a
-//! parked shard bit-identically (daemon drain, mid-run kill).
+//! one request under its own kernel budget, optionally under a slice
+//! grant, and calls for different requests may run at once from different
+//! threads: they share the session cache, the oracles and the parked
+//! shards, and each call's workers take only its own shards. Shards a
+//! grant does not finish **park inside the engine** — in-memory
+//! checkpoint, latency predictor and counters, keyed by (request, shard
+//! index) — and the next call resumes them without a store round-trip.
+//! The engine also owns the measurement oracles (one per device profile)
+//! and the **session cache**: each deterministic prefix (dataset, Stage 1
+//! and supernet pre-training), keyed by [`prefix_fingerprint`], so every
+//! shard whose prefix-relevant inputs match — whatever its device,
+//! objective weights or Stage-2 seed, and whichever call runs it — shares
+//! one resident (or spilled) session. Builds are **single-flight**: while
+//! one worker builds a prefix, any other slice wanting it defers — it
+//! parks on the build (its budget unit refunded) until the build lands and
+//! re-queues it, and its worker takes other work, so a prefix build
+//! overlaps other shards' search slices instead of serialising the fleet.
+//! At the end of every call the engine drops the sessions and oracles that
+//! no parked shard and no shard of another call in flight still needs.
+//! Checkpoints still reach the artifact store at every slice boundary, so
+//! a fresh engine over the same store resumes a parked shard
+//! bit-identically (daemon drain, mid-run kill).
 //!
 //! [`crate::run_fleet`] is a fresh engine serving one request to
-//! completion; the `hgnas-serve` daemon keeps one engine for its lifetime
-//! and runs each admission round as one budgeted call. Progress streams
+//! completion under [`FleetConfig::threads`]; the `hgnas-serve` daemon
+//! keeps one engine for its lifetime and runs each admission round as one
+//! budgeted call, rounds of different requests at once. Progress streams
 //! out as [`FleetEvent`]s numbered by the request's own shard indices.
 
 use crate::artifacts::{
@@ -671,9 +676,6 @@ enum SliceOutcome {
 
 /// The long-lived fleet engine. See the module docs.
 pub struct Engine {
-    /// Total kernel-thread budget, split over the workers (0 is treated
-    /// as 1).
-    threads: usize,
     /// Generations per time slice; `0` runs every shard unpreempted.
     preemption_stride: usize,
     /// Checkpoint cadence within a slice (0 is treated as 1).
@@ -682,11 +684,26 @@ pub struct Engine {
     store: Option<ArtifactStore>,
     stop: Option<Arc<AtomicBool>>,
     sessions: SessionCache,
+    /// What the calls share besides the session cache. Taken before the
+    /// cache's own lock wherever both are held.
+    live: Mutex<Live>,
+    phases: PhaseClock,
+}
+
+/// What locking [`Engine::live`] expects: it is held only to look up and
+/// update its maps, so no panic leaves it poisoned.
+const LIVE_LOCK: &str = "the engine's live state is only held for map updates";
+
+/// The engine's state shared by the calls in flight.
+#[derive(Default)]
+struct Live {
     /// Oracles by device profile, started on first use.
     oracles: Vec<(DeviceProfile, MeasurementOracle)>,
     /// Unfinished shards between calls.
     parked: HashMap<ShardKey, ShardState>,
-    phases: PhaseClock,
+    /// The prefix fingerprints and measured profiles of the shards of each
+    /// call in flight, by request: what another call's end must keep.
+    running: HashMap<u64, (Vec<u64>, Vec<DeviceProfile>)>,
 }
 
 /// Builds the Pareto front from a checkpoint's score cache: every valid
@@ -738,30 +755,30 @@ fn checkpoint_pareto(cp: &Checkpoint) -> Vec<ParetoPoint> {
     front
 }
 
-fn emit(events: Option<&Sender<FleetEvent>>, ev: FleetEvent) {
-    if let Some(tx) = events {
-        // A consumer that hung up is not the engine's problem.
-        let _ = tx.send(ev);
+/// Where a call's workers hand their events, if anywhere.
+type Sink<'a> = Option<&'a (dyn Fn(FleetEvent) + Sync)>;
+
+fn emit(events: Sink<'_>, ev: FleetEvent) {
+    if let Some(sink) = events {
+        sink(ev);
     }
 }
 
 impl Engine {
-    /// An engine with `fleet`'s thread budget, preemption stride,
-    /// checkpoint cadence, oracle tuning and session memory budget (the
-    /// fleet's device and scenario lists are per request, see
-    /// [`Engine::run`]). `store` enables predictor/checkpoint/score-cache
-    /// persistence, session spills and store-based resume.
+    /// An engine with `fleet`'s preemption stride, checkpoint cadence,
+    /// oracle tuning and session memory budget (the fleet's thread budget,
+    /// device and scenario lists are per call, see [`Engine::run`]).
+    /// `store` enables predictor/checkpoint/score-cache persistence,
+    /// session spills and store-based resume.
     pub fn new(fleet: &FleetConfig, store: Option<ArtifactStore>) -> Self {
         Engine {
-            threads: fleet.threads,
             preemption_stride: fleet.preemption_stride,
             checkpoint_every: fleet.checkpoint_every,
             oracle: fleet.oracle.clone(),
             store,
             stop: None,
             sessions: SessionCache::new(fleet.session_memory_budget),
-            oracles: Vec::new(),
-            parked: HashMap::new(),
+            live: Mutex::default(),
             phases: PhaseClock::default(),
         }
     }
@@ -776,12 +793,16 @@ impl Engine {
     }
 
     /// Runs the `pending` shards of request `request` (indices into
-    /// `specs`, the request's shards in report order) until each finishes
-    /// or, with a `grant`, until `grant` slices have run. Unfinished
-    /// shards park in the engine and resume from there on a later call
-    /// with the same request id; results come back in `pending` order.
-    /// `events` streams [`FleetEvent`]s, numbered by `specs` index, to a
-    /// consumer on another thread.
+    /// `specs`, the request's shards in report order) with a kernel budget
+    /// of `threads` (0 is treated as 1) until each finishes or, with a
+    /// `grant`, until `grant` slices have run. Unfinished shards park in
+    /// the engine and resume from there on a later call with the same
+    /// request id; results come back in `pending` order. `events` streams
+    /// [`FleetEvent`]s, numbered by `specs` index, to a consumer on another
+    /// thread.
+    ///
+    /// Calls for different requests may run at once, each on its own
+    /// thread and under its own budget; see [`Engine::run_with_sink`].
     ///
     /// # Errors
     ///
@@ -791,35 +812,95 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `pending` is empty or names a shard outside `specs`, and
-    /// re-raises a worker's panic once the other workers have stopped.
+    /// Panics if `pending` is empty or names a shard outside `specs`, or if
+    /// another call for `request` is in flight, and re-raises a worker's
+    /// panic once the other workers have stopped.
     pub fn run(
-        &mut self,
+        &self,
         request: u64,
         specs: &[ShardSpec],
         pending: &[ShardId],
         grant: Option<u64>,
+        threads: usize,
         events: Option<Sender<FleetEvent>>,
+    ) -> Result<EngineReport, StoreError> {
+        let send = events.map(|tx| {
+            move |ev| {
+                // A consumer that hung up is not the engine's problem.
+                let _ = tx.send(ev);
+            }
+        });
+        let sink = send.as_ref().map(|f| f as &(dyn Fn(FleetEvent) + Sync));
+        self.run_with_sink(request, specs, pending, grant, threads, sink)
+    }
+
+    /// [`Engine::run`] handing each event to `sink` instead of a channel,
+    /// from whichever of the call's workers emitted it: the daemon tags
+    /// each event with its request there.
+    ///
+    /// Concurrent calls share the session cache (a prefix one call is
+    /// building parks the other call's slices that want it), the oracles
+    /// and the parked shards. A call's end keeps what any shard parked or
+    /// in another call in flight needs, so no call rebuilds its prefix or
+    /// loses its oracle because another call ended.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::run`].
+    pub fn run_with_sink(
+        &self,
+        request: u64,
+        specs: &[ShardSpec],
+        pending: &[ShardId],
+        grant: Option<u64>,
+        threads: usize,
+        sink: Option<&(dyn Fn(FleetEvent) + Sync)>,
     ) -> Result<EngineReport, StoreError> {
         assert!(
             !pending.is_empty(),
             "an engine call needs at least one shard"
         );
-        for &i in pending {
-            let cfg = &specs[i].config;
-            let p = cfg.device_profile();
-            if cfg.latency_mode == LatencyMode::Measured && !self.oracles.iter().any(|o| o.0 == p) {
-                let oracle =
-                    MeasurementOracle::start_profiles(std::slice::from_ref(&p), &self.oracle);
-                self.oracles.push((p, oracle));
+        let needs = (
+            pending
+                .iter()
+                .map(|&i| prefix_fingerprint(&specs[i].task, &specs[i].config))
+                .collect::<Vec<_>>(),
+            pending
+                .iter()
+                .map(|&i| &specs[i].config)
+                .filter(|cfg| cfg.latency_mode == LatencyMode::Measured)
+                .map(SearchConfig::device_profile)
+                .collect::<Vec<_>>(),
+        );
+        let states: Vec<Mutex<ShardState>> = {
+            let mut live = self.live.lock().expect(LIVE_LOCK);
+            for p in &needs.1 {
+                if !live.oracles.iter().any(|o| o.0 == *p) {
+                    let oracle =
+                        MeasurementOracle::start_profiles(std::slice::from_ref(p), &self.oracle);
+                    live.oracles.push((p.clone(), oracle));
+                }
             }
-        }
+            assert!(
+                live.running.insert(request, needs).is_none(),
+                "one call per request at a time"
+            );
+            pending
+                .iter()
+                .map(|&i| Mutex::new(live.parked.remove(&(request, i)).unwrap_or_default()))
+                .collect()
+        };
+        // A call that unwinds is no longer in flight.
+        let _unregister = OnUnwind(|| {
+            let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+            live.running.remove(&request);
+        });
         let n = pending.len();
-        let states: Vec<Mutex<ShardState>> = pending
-            .iter()
-            .map(|&i| Mutex::new(self.parked.remove(&(request, i)).unwrap_or_default()))
-            .collect();
-        let threads = self.threads.max(1);
+        let threads = threads.max(1);
         let workers = threads.min(n);
         let (tx, rx) = mpsc::channel();
         for j in 0..n {
@@ -841,7 +922,6 @@ impl Engine {
                 stop_workers();
             }
         };
-        let events = events.as_ref();
         let work = |kernel_budget: usize| {
             // A worker that unwinds stops the others, so its panic reaches
             // the caller instead of leaving them blocked on the queue.
@@ -882,7 +962,7 @@ impl Engine {
                     &specs[i],
                     &mut st,
                     kernel_budget,
-                    events,
+                    sink,
                 );
                 match ran {
                     Ok(SliceOutcome::Finished) => {
@@ -907,7 +987,7 @@ impl Engine {
                     }
                     Err(e) => {
                         emit(
-                            events,
+                            sink,
                             FleetEvent::ShardFailed {
                                 shard: i,
                                 device: specs[i].config.device,
@@ -937,7 +1017,9 @@ impl Engine {
             }
         });
 
-        let oracle_stats = self
+        let failure = failure.into_inner().unwrap();
+        let mut live = self.live.lock().expect(LIVE_LOCK);
+        let oracle_stats = live
             .oracles
             .iter()
             .map(|(_, o)| o.stats())
@@ -946,7 +1028,7 @@ impl Engine {
                 retries: a.retries + b.retries,
                 injected_faults: a.injected_faults + b.injected_faults,
             });
-        let failure = failure.into_inner().unwrap();
+        live.running.remove(&request);
         let mut shards = Vec::with_capacity(n);
         for (&i, st) in pending.iter().zip(states) {
             let st = st.into_inner().unwrap();
@@ -954,15 +1036,29 @@ impl Engine {
                 shards.push(done);
             } else if failure.is_none() {
                 shards.push(st.parked_result(i, &specs[i]));
-                self.parked.insert((request, i), st);
+                live.parked.insert((request, i), st);
             }
         }
-        // Keep only what a parked shard will resume with.
-        let live: HashSet<u64> = self.parked.values().filter_map(|s| s.prefix).collect();
-        self.sessions.retain(&live);
-        let parked = &self.parked;
-        self.oracles
-            .retain(|(p, _)| parked.values().any(|s| s.measured.as_ref() == Some(p)));
+        // Keep only what a parked shard will resume with or another call in
+        // flight is running with. Still under the lock, so a call starting
+        // meanwhile either is in `running` already or finds the cache
+        // already trimmed.
+        let Live {
+            oracles,
+            parked,
+            running,
+        } = &mut *live;
+        let keep: HashSet<u64> = parked
+            .values()
+            .filter_map(|s| s.prefix)
+            .chain(running.values().flat_map(|r| r.0.iter().copied()))
+            .collect();
+        self.sessions.retain(&keep);
+        oracles.retain(|(p, _)| {
+            parked.values().any(|s| s.measured.as_ref() == Some(p))
+                || running.values().any(|r| r.1.contains(p))
+        });
+        drop(live);
         if let Some(e) = failure {
             return Err(e);
         }
@@ -985,7 +1081,7 @@ impl Engine {
         spec: &ShardSpec,
         st: &mut ShardState,
         kernel_budget: usize,
-        events: Option<&Sender<FleetEvent>>,
+        events: Sink<'_>,
     ) -> Result<SliceOutcome, StoreError> {
         let shard = key.1;
         let store = self.store.as_ref();
@@ -1242,12 +1338,16 @@ impl Engine {
         let mut backend: Option<Arc<dyn MeasureBackend>> = None;
         if hgnas.config().latency_mode == LatencyMode::Measured {
             let profile = hgnas.config().device_profile();
-            let (_, oracle) = self
-                .oracles
-                .iter()
-                .find(|(p, _)| *p == profile)
-                .expect("run starts an oracle per measured profile");
-            backend = Some(Arc::new(oracle.client_for(&profile)));
+            let client = {
+                let live = self.live.lock().expect(LIVE_LOCK);
+                let (_, oracle) = live
+                    .oracles
+                    .iter()
+                    .find(|(p, _)| *p == profile)
+                    .expect("run starts an oracle per measured profile");
+                oracle.client_for(&profile)
+            };
+            backend = Some(Arc::new(client));
             st.measured = Some(profile);
         }
         // Search time is run_with's wall-clock minus whatever the sink

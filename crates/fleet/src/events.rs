@@ -4,9 +4,13 @@
 //! The engine emits a [`FleetEvent`] whenever a shard makes observable
 //! progress (started, generation boundary, Pareto-front change, preempted,
 //! finished, failed). Events travel over a `std::sync::mpsc` channel
-//! whose sender every engine worker borrows; the caller of
+//! whose sender every worker of the call borrows; the caller of
 //! [`crate::Engine::run`] is worker 0, so a live consumer runs on another
-//! thread (or drains the unbounded queue after the call returns).
+//! thread (or drains the unbounded queue after the call returns). Calls of
+//! different requests may run at once on one engine, each with its own
+//! stream; [`crate::Engine::run_with_sink`] hands events to a callback
+//! instead, which the daemon uses to tag each event with its request on
+//! one channel shared by every round in flight.
 //! [`StreamingReporter`] is the built-in consumer, folding events into
 //! per-shard rows and rendering a live snapshot table at any point — the
 //! streaming counterpart of [`crate::FleetReport::summary_table`].

@@ -903,7 +903,7 @@ fn a_panicking_shard_stops_every_worker_and_reaches_the_caller() {
     let (done_tx, done_rx) = mpsc::channel::<()>();
     let call = std::thread::spawn(move || {
         let _done = done_tx;
-        let _ = Engine::new(&fleet, None).run(0, &specs, &[0, 1], None, None);
+        let _ = Engine::new(&fleet, None).run(0, &specs, &[0, 1], None, fleet.threads, None);
     });
     assert_eq!(
         done_rx.recv_timeout(Duration::from_secs(120)),

@@ -8,12 +8,13 @@
 //!   [`Transport`] trait (frames carry their own CRC; TCP adds a u32
 //!   length prefix for stream reassembly).
 //! - [`admission`] — the [`AdmissionController`]: deterministic weighted
-//!   fair-share queueing of admitted requests by tenant priority and
-//!   slice charge.
+//!   fair-share queueing of admitted requests by tenant priority and the
+//!   tenant's slice charge.
 //! - [`server`] — the [`Server`] daemon: per-connection reader threads, a
-//!   single engine thread running budgeted rounds on one long-lived
-//!   [`hgnas_fleet::Engine`], event buffering for disconnect/re-attach,
-//!   idle-loop artifact-store GC, and graceful drain.
+//!   single engine thread keeping budgeted rounds of different requests in
+//!   flight at once on one long-lived [`hgnas_fleet::Engine`], event
+//!   buffering for disconnect/re-attach, idle-loop artifact-store GC, and
+//!   graceful drain.
 //! - [`client`] — the blocking [`SearchClient`].
 //!
 //! The core contract: a search served by the daemon — through admission,

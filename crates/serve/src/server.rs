@@ -3,30 +3,40 @@
 //!
 //! # Architecture
 //!
-//! One **engine thread** owns all scheduling state. Each connection gets a
-//! **reader thread** that decodes client frames and forwards commands to
-//! the engine over a channel; an optional **accept thread** feeds TCP
-//! connections into the same path, so in-process and remote clients are
-//! indistinguishable past the transport.
+//! One **engine thread** owns all scheduling state: the request table and
+//! the admission controller. Each connection gets a **reader thread** that
+//! decodes client frames and forwards commands to the engine thread; an
+//! optional **accept thread** feeds TCP connections into the same path, so
+//! in-process and remote clients are indistinguishable past the transport.
+//! One channel into the engine thread carries the connections' commands,
+//! every round's events tagged with its request, and each round's
+//! completion, which arrives after its last event.
 //!
 //! The engine thread keeps one [`Engine`] for the daemon's lifetime and
-//! runs one admission *round* at a time: the fair-share controller picks a
-//! request, and one budgeted `Engine::run` call runs the request's
-//! unfinished shards under a `slices_per_round` grant against the shared
-//! artifact store. That call runs on a scoped thread of the round, which
-//! is the engine's worker 0 (a one-shard round spawns nothing else),
-//! while the engine thread streams the round's events. Unfinished shards
-//! park inside the engine with their in-memory checkpoints and
-//! predictors, and the engine's session cache keeps their deterministic
-//! prefixes warm, so a request sliced into many rounds builds each prefix
-//! once, exactly like a direct `run_fleet`.
+//! keeps up to `threads` admission *rounds* in flight on it, each for a
+//! different request. A round is one budgeted `Engine::run` call over the
+//! request's unfinished shards under a `slices_per_round` grant against the
+//! shared artifact store, on a scoped thread of its own that is the call's
+//! worker 0. When a kernel thread is free, the fair-share controller picks
+//! among the requests with no round in flight, and the round takes its
+//! share of the free threads as its kernel budget: all of them when no
+//! other request waits, else an even split among the waiting requests, so
+//! the budgets in flight never sum past `threads` and a lone client runs
+//! exactly as with one round at a time. Unfinished shards park inside the
+//! engine with their in-memory checkpoints and predictors, and the
+//! engine's session cache keeps their deterministic prefixes warm, so a
+//! request sliced into many rounds builds each prefix once, exactly like a
+//! direct `run_fleet`.
 //! Every slice boundary still persists a checkpoint, so a drained daemon's
 //! successor resumes from the store. Every
-//! [`FleetEvent`](hgnas_fleet::FleetEvent) is encoded once, buffered (for
-//! re-attach after a disconnect) and streamed to the attached connection;
-//! the buffer goes once the request's final frame reaches a connection.
+//! [`FleetEvent`](hgnas_fleet::FleetEvent) is encoded once on the engine
+//! thread, buffered (for re-attach after a disconnect) and streamed to the
+//! attached connection; the buffer goes once the request's final frame
+//! reaches a connection, and the engine thread forgets a delivered
+//! request once 64 later ones were delivered.
 //! The report a request eventually gets is bit-identical to `run_fleet` of
-//! the same configs — however many rounds contention sliced it into.
+//! the same configs — however many rounds contention sliced it into, and
+//! whatever ran beside them.
 //!
 //! Submits are validated at the door: a task the search would panic on is
 //! answered with `Rejected` and never reaches the shared engine.
@@ -36,14 +46,15 @@ use crate::client::SearchClient;
 use crate::transport::{duplex, TcpTransport, Transport, TransportError};
 use hgnas_fleet::wire::{self, ClientFrame, ServerFrame, WireReport, WireShardReport};
 use hgnas_fleet::{
-    event_channel, persona_predictor_fingerprint, prefix_fingerprint, search_fingerprint,
-    shard_specs, ArtifactKey, ArtifactStore, Engine, FleetConfig, OracleConfig, PrefixKey,
-    PruneReport, ShardId, ShardResult, ShardSpec, PROTOCOL_VERSION,
+    persona_predictor_fingerprint, prefix_fingerprint, search_fingerprint, shard_specs,
+    ArtifactKey, ArtifactStore, Engine, EngineReport, FleetConfig, FleetEvent, OracleConfig,
+    PrefixKey, PruneReport, ShardId, ShardResult, ShardSpec, StoreError, PROTOCOL_VERSION,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -51,7 +62,10 @@ use std::time::Duration;
 /// Daemon settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Kernel-thread budget of the daemon's engine (0 is treated as 1).
+    /// Kernel-thread budget of the daemon's engine (0 is treated as 1),
+    /// shared by the rounds in flight: each round of a different request
+    /// takes its share when it starts, so up to `threads` requests run at
+    /// once.
     pub threads: usize,
     /// Generations per preemption slice (`0` disables preemption, which
     /// also makes every request run to completion in its first round —
@@ -62,8 +76,9 @@ pub struct ServeConfig {
     /// Measurement-oracle tuning.
     pub oracle: OracleConfig,
     /// Engine slices granted per admission round when preemption is
-    /// on. Smaller grants interleave tenants more finely; the grant is
-    /// charged to the owning tenant's fair-share account.
+    /// on. Smaller grants interleave tenants more finely when more
+    /// requests are runnable than `threads` lets run at once; the grant's
+    /// slices are charged to the owning tenant's fair-share account.
     pub slices_per_round: u64,
     /// Byte budget of the engine's session cache (see
     /// [`FleetConfig::session_memory_budget`]).
@@ -146,6 +161,25 @@ enum Command {
     Shutdown,
 }
 
+/// What reaches the engine thread, all over its one channel, so the
+/// request table and the admission controller have a single owner.
+// Submit carries whole task/search configs; messages are one-shot.
+#[allow(clippy::large_enum_variant)]
+enum Msg {
+    /// A connection's command.
+    Command(Command),
+    /// An event of the round in flight for `request_id`.
+    Event { request_id: u64, event: FleetEvent },
+    /// The round for `request_id`, which held `budget` kernel threads,
+    /// ended; it arrives after the round's last event. A panic in the round
+    /// is carried here, and the engine thread re-raises it.
+    RoundDone {
+        request_id: u64,
+        budget: usize,
+        result: std::thread::Result<Result<EngineReport, StoreError>>,
+    },
+}
+
 /// State shared between the server handle, connection threads and the
 /// engine.
 struct Shared {
@@ -159,14 +193,18 @@ struct Shared {
     conns: Mutex<HashMap<u64, Arc<dyn Transport>>>,
 }
 
+/// How many delivered requests the engine thread remembers. A client
+/// whose connection dropped just as its report went out re-attaches
+/// within moments, while dozens of other requests finish in that time at
+/// most; remembering every delivered request instead grows the daemon by
+/// its final frame for its whole lifetime.
+const RETAINED_REPORTS: usize = 64;
+
 /// Engine-side per-request state.
 struct RequestState {
     tenant: String,
-    specs: Vec<ShardSpec>,
-    k: usize,
-    classes: usize,
     /// The connection currently streaming this request's events, if any.
-    conn: Option<u64>,
+    conn: Option<(u64, Arc<dyn Transport>)>,
     /// Next event sequence number. Equals `events.len()` until the final
     /// frame reaches an attached connection, which empties `events`.
     seq: u64,
@@ -174,8 +212,27 @@ struct RequestState {
     /// for replay to re-attaching clients until the final frame reaches an
     /// attached connection; a later attach gets the final frame alone.
     events: Vec<Vec<u8>>,
-    /// The final Report (or terminal Rejected) frame once produced.
-    report_frame: Option<Vec<u8>>,
+    /// The artifact and session keys of the request's shards, computed at
+    /// submit: what the idle GC keeps while the request is remembered.
+    keys: (Vec<ArtifactKey>, Vec<PrefixKey>),
+    progress: Progress,
+}
+
+/// How far a request has got.
+enum Progress {
+    /// Unfinished: what its next round needs.
+    Running(Work),
+    /// The final Report (or terminal Rejected) frame, and whether it has
+    /// reached a connection.
+    Done { frame: Vec<u8>, delivered: bool },
+}
+
+/// An unfinished request's shards and results so far.
+struct Work {
+    specs: Arc<[ShardSpec]>,
+    /// The request task's `k` and class count, for the report.
+    k: usize,
+    classes: usize,
     rounds: u64,
     /// Shards that already ran to completion in an earlier round, by
     /// request-local index. Later rounds schedule only the `None` slots,
@@ -186,13 +243,72 @@ struct RequestState {
 }
 
 impl RequestState {
-    /// Keeps the request's final frame for late attachers and sends it to
-    /// `transport`; once it is sent without error, the buffered events go.
-    fn finish(&mut self, frame: Vec<u8>, transport: Option<&dyn Transport>) {
-        if transport.is_some_and(|t| t.send(&frame).is_ok()) {
-            self.events = Vec::new();
+    /// Sends `frame` to the attached connection; whether it got there. A
+    /// dead connection is just a detached client.
+    fn send(&self, frame: &[u8]) -> bool {
+        self.conn
+            .as_ref()
+            .is_some_and(|(_, t)| t.send(frame).is_ok())
+    }
+
+    /// Numbers, buffers and streams one event of the request.
+    fn stream(&mut self, request_id: u64, event: FleetEvent) {
+        let frame = wire::encode_server(&ServerFrame::Event {
+            request_id,
+            seq: self.seq,
+            event,
+        });
+        self.seq += 1;
+        self.send(&frame);
+        self.events.push(frame);
+    }
+}
+
+/// The requests the engine thread knows: the unfinished ones, the finished
+/// ones whose final frame has not reached a connection yet (kept until one
+/// attaches), and the last [`RETAINED_REPORTS`] whose final frame has.
+#[derive(Default)]
+struct Requests {
+    map: HashMap<u64, RequestState>,
+    /// Delivered requests, oldest first.
+    delivered: VecDeque<u64>,
+}
+
+impl Requests {
+    /// Ends request `id` with its final frame and sends it to the attached
+    /// connection, if any.
+    fn finish(&mut self, id: u64, frame: Vec<u8>) {
+        let Some(req) = self.map.get_mut(&id) else {
+            return;
+        };
+        let sent = req.send(&frame);
+        req.progress = Progress::Done {
+            frame,
+            delivered: false,
+        };
+        if sent {
+            self.deliver(id);
         }
-        self.report_frame = Some(frame);
+    }
+
+    /// Records that `id`'s final frame reached a connection: its buffered
+    /// events go, and past [`RETAINED_REPORTS`] delivered requests the
+    /// oldest is forgotten, so a later attach to it is `unknown request`.
+    fn deliver(&mut self, id: u64) {
+        let Some(req) = self.map.get_mut(&id) else {
+            return;
+        };
+        req.events = Vec::new();
+        match &mut req.progress {
+            Progress::Done { delivered, .. } if !*delivered => *delivered = true,
+            _ => return,
+        }
+        self.delivered.push_back(id);
+        if self.delivered.len() > RETAINED_REPORTS {
+            if let Some(old) = self.delivered.pop_front() {
+                self.map.remove(&old);
+            }
+        }
     }
 }
 
@@ -231,7 +347,7 @@ impl RequestState {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    cmd_tx: Sender<Command>,
+    cmd_tx: Sender<Msg>,
     engine: Option<JoinHandle<DrainReport>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     listeners: Mutex<Vec<JoinHandle<()>>>,
@@ -251,8 +367,8 @@ impl Server {
         });
         let (cmd_tx, cmd_rx) = mpsc::channel();
         let engine = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || engine_loop(&shared, &cmd_rx))
+            let (shared, tx) = (Arc::clone(&shared), cmd_tx.clone());
+            std::thread::spawn(move || engine_loop(&shared, &cmd_rx, &tx))
         };
         Server {
             shared,
@@ -308,13 +424,13 @@ impl Server {
         Ok(local)
     }
 
-    /// Gracefully drains the daemon: the in-flight round parks at its
+    /// Gracefully drains the daemon: every round in flight parks at its
     /// next slice boundary (checkpoints persisted), every connection
     /// receives a [`ServerFrame::Drain`] listing parked requests, and all
     /// daemon threads are joined.
     pub fn shutdown(mut self) -> DrainReport {
         self.shared.stop.store(true, Ordering::SeqCst);
-        let _ = self.cmd_tx.send(Command::Shutdown);
+        let _ = self.cmd_tx.send(Msg::Command(Command::Shutdown));
         let report = self
             .engine
             .take()
@@ -344,7 +460,7 @@ impl Drop for Server {
         // everything so threads can exit; `shutdown` is the real path.
         if self.engine.is_some() {
             self.shared.stop.store(true, Ordering::SeqCst);
-            let _ = self.cmd_tx.send(Command::Shutdown);
+            let _ = self.cmd_tx.send(Msg::Command(Command::Shutdown));
             for (_, t) in self.shared.conns.lock().unwrap().drain() {
                 t.close();
             }
@@ -356,7 +472,7 @@ impl Drop for Server {
 /// thread.
 fn serve_transport(
     shared: &Arc<Shared>,
-    cmd_tx: &Sender<Command>,
+    cmd_tx: &Sender<Msg>,
     conn_threads: &Mutex<Vec<JoinHandle<()>>>,
     transport: Arc<dyn Transport>,
 ) {
@@ -375,7 +491,7 @@ fn serve_transport(
 /// forwards scheduling work to the engine.
 fn conn_loop(
     shared: &Arc<Shared>,
-    cmd_tx: &Sender<Command>,
+    cmd_tx: &Sender<Msg>,
     conn_id: u64,
     transport: &Arc<dyn Transport>,
 ) {
@@ -439,7 +555,7 @@ fn conn_loop(
                     }));
                     interests += 1;
                     if cmd_tx
-                        .send(Command::Submit {
+                        .send(Msg::Command(Command::Submit {
                             request_id,
                             conn: conn_id,
                             tenant: name,
@@ -447,7 +563,7 @@ fn conn_loop(
                             k: task.k,
                             classes: task.classes(),
                             specs,
-                        })
+                        }))
                         .is_err()
                     {
                         break;
@@ -464,12 +580,12 @@ fn conn_loop(
                     }
                     interests += 1;
                     if cmd_tx
-                        .send(Command::Attach {
+                        .send(Msg::Command(Command::Attach {
                             request_id,
                             conn: conn_id,
                             tenant: name,
                             from_seq,
-                        })
+                        }))
                         .is_err()
                     {
                         break;
@@ -495,50 +611,96 @@ fn conn_loop(
         }
     }
     shared.conns.lock().unwrap().remove(&conn_id);
-    let _ = cmd_tx.send(Command::Disconnect { conn: conn_id });
+    let _ = cmd_tx.send(Msg::Command(Command::Disconnect { conn: conn_id }));
     transport.close();
 }
 
 /// The engine: admission rounds, event fan-out, idle GC, drain.
-fn engine_loop(shared: &Arc<Shared>, cmd_rx: &Receiver<Command>) -> DrainReport {
-    let mut requests: HashMap<u64, RequestState> = HashMap::new();
+///
+/// Rounds run on scoped threads, one per round in flight, each taking its
+/// share of the kernel budget when it starts: the whole free budget when
+/// no other request waits, else an even split of it among the waiting
+/// requests. The budgets of the rounds in flight never sum past `threads`.
+fn engine_loop(shared: &Arc<Shared>, rx: &Receiver<Msg>, tx: &Sender<Msg>) -> DrainReport {
+    let mut requests = Requests::default();
     let mut admission = AdmissionController::new();
-    let mut engine = Engine::new(&shared.cfg.fleet_config(), Some(shared.store.clone()))
+    let engine = Engine::new(&shared.cfg.fleet_config(), Some(shared.store.clone()))
         .with_stop(Arc::clone(&shared.stop));
+    let threads = shared.cfg.threads.max(1);
+    // Kernel threads no round in flight holds.
+    let mut free = threads;
     let mut gc_pending = false;
     let mut draining = false;
-    loop {
-        // Absorb every queued command between rounds so attach/disconnect
-        // land before the next round picks its streaming target.
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            if handle_command(shared, &mut requests, &mut admission, cmd) {
-                draining = true;
+    std::thread::scope(|scope| loop {
+        if !draining {
+            while free > 0 {
+                let Some(id) = admission.next() else { break };
+                let Some((specs, pending)) = requests.map.get(&id).and_then(next_round) else {
+                    admission.complete(id);
+                    continue;
+                };
+                let budget = free.div_ceil(admission.waiting().min(free));
+                admission.start(id);
+                free -= budget;
+                let grant =
+                    (shared.cfg.preemption_stride > 0).then(|| shared.cfg.slices_per_round.max(1));
+                let (engine, tx) = (&engine, tx.clone());
+                scope.spawn(move || {
+                    let emit = |event| {
+                        let _ = tx.send(Msg::Event {
+                            request_id: id,
+                            event,
+                        });
+                    };
+                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        engine.run_with_sink(id, &specs, &pending, grant, budget, Some(&emit))
+                    }));
+                    let _ = tx.send(Msg::RoundDone {
+                        request_id: id,
+                        budget,
+                        result,
+                    });
+                });
             }
-        }
-        if draining || shared.stop.load(Ordering::SeqCst) {
+        } else if free == threads {
+            // Draining, and every round in flight has parked.
             break;
         }
-        if let Some(id) = admission.next() {
-            run_round(shared, &mut engine, &mut requests, &mut admission, id);
-            if !admission.has_pending() {
-                gc_pending = true;
-            }
-            continue;
-        }
-        if gc_pending {
+        if gc_pending && !admission.has_pending() {
             run_gc(shared, &requests);
             gc_pending = false;
         }
-        match cmd_rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(cmd) => {
-                if handle_command(shared, &mut requests, &mut admission, cmd) {
-                    draining = true;
+        let Ok(first) = rx.recv_timeout(Duration::from_millis(200)) else {
+            draining |= shared.stop.load(Ordering::SeqCst);
+            continue;
+        };
+        // Absorb every queued message before the next pick, so the budget
+        // is shared among every request submitted so far.
+        for msg in std::iter::once(first).chain(rx.try_iter()) {
+            match msg {
+                Msg::Command(cmd) => {
+                    draining |= handle_command(shared, &mut requests, &mut admission, cmd);
+                }
+                Msg::Event { request_id, event } => {
+                    if let Some(req) = requests.map.get_mut(&request_id) {
+                        req.stream(request_id, event);
+                    }
+                }
+                Msg::RoundDone {
+                    request_id,
+                    budget,
+                    result,
+                } => {
+                    free += budget;
+                    // A round that panicked ends the engine loop.
+                    let result = result.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                    end_round(&mut requests, &mut admission, request_id, result);
+                    gc_pending |= !admission.has_pending();
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
         }
-    }
+        draining |= shared.stop.load(Ordering::SeqCst);
+    });
     // Drain: tell every connection which requests parked.
     let parked = admission.pending();
     let frame = wire::encode_server(&ServerFrame::Drain {
@@ -553,10 +715,55 @@ fn engine_loop(shared: &Arc<Shared>, cmd_rx: &Receiver<Command>) -> DrainReport 
     }
 }
 
+/// The shards and the unfinished shard indices of a request's next
+/// round; `None` when it has nothing left to run.
+fn next_round(req: &RequestState) -> Option<(Arc<[ShardSpec]>, Vec<ShardId>)> {
+    let Progress::Running(work) = &req.progress else {
+        return None;
+    };
+    // Only shards without a finished result get scheduled: a finished
+    // shard's outcome is carried in `work.finished`, so re-running it from
+    // its final checkpoint would burn round budget without progress —
+    // with more shards than `slices_per_round` that burn is unbounded
+    // (no round could ever re-finish them all at once).
+    let pending: Vec<ShardId> = work
+        .finished
+        .iter()
+        .enumerate()
+        .filter_map(|(i, f)| f.is_none().then_some(i))
+        .collect();
+    (!pending.is_empty()).then(|| (Arc::clone(&work.specs), pending))
+}
+
+/// The artifact and session keys of `specs`' shards: what the idle GC must
+/// not sweep while their request is remembered.
+fn live_keys(specs: &[ShardSpec]) -> (Vec<ArtifactKey>, Vec<PrefixKey>) {
+    let mut artifacts = Vec::with_capacity(2 * specs.len());
+    let mut sessions = Vec::with_capacity(specs.len());
+    for spec in specs {
+        artifacts.push(ArtifactKey {
+            device: spec.config.device,
+            fingerprint: search_fingerprint(&spec.task, &spec.config),
+        });
+        artifacts.push(ArtifactKey {
+            device: spec.config.device,
+            fingerprint: persona_predictor_fingerprint(
+                &spec.task.predictor_context(),
+                &spec.config.predictor,
+                spec.config.persona.as_ref(),
+            ),
+        });
+        sessions.push(PrefixKey {
+            fingerprint: prefix_fingerprint(&spec.task, &spec.config),
+        });
+    }
+    (artifacts, sessions)
+}
+
 /// Applies one command; returns `true` when the engine should drain.
 fn handle_command(
     shared: &Arc<Shared>,
-    requests: &mut HashMap<u64, RequestState>,
+    requests: &mut Requests,
     admission: &mut AdmissionController,
     cmd: Command,
 ) -> bool {
@@ -571,19 +778,27 @@ fn handle_command(
             specs,
         } => {
             admission.admit(request_id, &tenant, priority);
-            requests.insert(
+            let transport = shared
+                .conns
+                .lock()
+                .expect("the connection table is only held for map updates")
+                .get(&conn)
+                .cloned();
+            requests.map.insert(
                 request_id,
                 RequestState {
                     tenant,
-                    finished: specs.iter().map(|_| None).collect(),
-                    specs,
-                    k,
-                    classes,
-                    conn: Some(conn),
+                    conn: transport.map(|t| (conn, t)),
                     seq: 0,
                     events: Vec::new(),
-                    report_frame: None,
-                    rounds: 0,
+                    keys: live_keys(&specs),
+                    progress: Progress::Running(Work {
+                        finished: specs.iter().map(|_| None).collect(),
+                        specs: specs.into(),
+                        k,
+                        classes,
+                        rounds: 0,
+                    }),
                 },
             );
         }
@@ -603,26 +818,26 @@ fn handle_command(
                     reason: reason.to_string(),
                 }));
             };
-            match requests.get_mut(&request_id) {
+            match requests.map.get_mut(&request_id) {
                 None => reject("unknown request"),
                 Some(req) if req.tenant != tenant => reject("tenant mismatch"),
                 Some(req) => {
-                    req.conn = Some(conn);
                     let start = usize::try_from(from_seq).unwrap_or(usize::MAX);
                     for frame in req.events.iter().skip(start.min(req.events.len())) {
                         let _ = transport.send(frame);
                     }
-                    if let Some(report) = &req.report_frame {
-                        if transport.send(report).is_ok() {
-                            req.events = Vec::new();
+                    req.conn = Some((conn, Arc::clone(&transport)));
+                    if let Progress::Done { frame, .. } = &req.progress {
+                        if transport.send(frame).is_ok() {
+                            requests.deliver(request_id);
                         }
                     }
                 }
             }
         }
         Command::Disconnect { conn } => {
-            for req in requests.values_mut() {
-                if req.conn == Some(conn) {
+            for req in requests.map.values_mut() {
+                if req.conn.as_ref().is_some_and(|(c, _)| *c == conn) {
                     req.conn = None;
                 }
             }
@@ -632,151 +847,90 @@ fn handle_command(
     false
 }
 
-/// Runs one admission round for `request_id`: a budgeted engine call over
-/// the request's unfinished shards, streaming + buffering every event.
-fn run_round(
-    shared: &Arc<Shared>,
-    engine: &mut Engine,
-    requests: &mut HashMap<u64, RequestState>,
+/// Folds a finished round of `request_id` into its request: records the
+/// shards it finished and, once every shard has, builds the report.
+fn end_round(
+    requests: &mut Requests,
     admission: &mut AdmissionController,
     request_id: u64,
+    result: Result<EngineReport, StoreError>,
 ) {
-    let Some(req) = requests.get_mut(&request_id) else {
+    let Some(RequestState {
+        progress: Progress::Running(work),
+        ..
+    }) = requests.map.get_mut(&request_id)
+    else {
         admission.complete(request_id);
         return;
     };
-    if req.report_frame.is_some() {
-        admission.complete(request_id);
-        return;
-    }
-    // Only shards without a finished result get scheduled: a finished
-    // shard's outcome is carried in `req.finished`, so re-running it from
-    // its final checkpoint would burn round budget without progress —
-    // with more shards than `slices_per_round` that burn is unbounded
-    // (no round could ever re-finish them all at once).
-    let pending: Vec<ShardId> = req
-        .finished
-        .iter()
-        .enumerate()
-        .filter_map(|(i, f)| f.is_none().then_some(i))
-        .collect();
-    if pending.is_empty() {
-        admission.complete(request_id);
-        return;
-    }
-    let grant = (shared.cfg.preemption_stride > 0).then(|| shared.cfg.slices_per_round.max(1));
-    let transport = req
-        .conn
-        .and_then(|c| shared.conns.lock().unwrap().get(&c).cloned());
-    let (tx, rx) = event_channel();
-    let result = {
-        let specs = &req.specs;
-        let pending = &pending;
-        std::thread::scope(|s| {
-            let handle = s.spawn(move || engine.run(request_id, specs, pending, grant, Some(tx)));
-            for event in rx.iter() {
-                let frame = wire::encode_server(&ServerFrame::Event {
-                    request_id,
-                    seq: req.seq,
-                    event,
-                });
-                req.seq += 1;
-                if let Some(t) = &transport {
-                    // A dead connection is just a detached client; the
-                    // buffer keeps its place for re-attach.
-                    let _ = t.send(&frame);
-                }
-                req.events.push(frame);
-            }
-            handle.join().expect("engine thread panicked")
-        })
-    };
-    req.rounds += 1;
-    match result {
-        Err(e) => {
-            // Store failure: terminal for the request, reported like a
-            // rejection and replayed to late attachers.
-            let frame = wire::encode_server(&ServerFrame::Rejected {
-                request_id,
-                reason: format!("artifact store error: {e}"),
-            });
-            req.finish(frame, transport.as_deref());
-            admission.complete(request_id);
-        }
+    work.rounds += 1;
+    let frame = match result {
+        // Store failure: terminal for the request, reported like a
+        // rejection and replayed to late attachers.
+        Err(e) => wire::encode_server(&ServerFrame::Rejected {
+            request_id,
+            reason: format!("artifact store error: {e}"),
+        }),
         Ok(report) => {
             admission.charge(request_id, report.slices);
             for s in report.shards.into_iter().filter(|s| s.outcome.is_some()) {
                 let i = s.shard;
-                req.finished[i] = Some(s);
+                work.finished[i] = Some(s);
             }
-            if req.finished.iter().all(Option::is_some) {
-                // Engine counters are cumulative across rounds, so each
-                // finished result already carries the shard's totals.
-                // Scenario shards may differ from the request-level task,
-                // so each carries its own decode geometry.
-                let shards = req
-                    .finished
-                    .iter_mut()
-                    .zip(&req.specs)
-                    .map(|(f, spec)| {
-                        let s = f.take().expect("checked finished");
-                        WireShardReport {
-                            scenario: s.scenario,
-                            k: spec.task.k,
-                            out_classes: spec.task.out_classes(),
-                            device: s.device,
-                            outcome: s.outcome.expect("checked finished"),
-                            pareto: s.pareto,
-                            warm_predictor: s.warm_predictor,
-                            resumed_from_generation: s.resumed_from_generation,
-                            slices: s.slices,
-                            prefix_builds: s.prefix_builds,
-                        }
-                    })
-                    .collect();
-                let frame = wire::encode_server(&ServerFrame::Report {
-                    request_id,
-                    report: WireReport {
-                        k: req.k,
-                        classes: req.classes,
-                        shards,
-                        rounds: req.rounds,
-                        slices: admission.charged(request_id),
-                    },
-                });
-                req.finish(frame, transport.as_deref());
-                admission.complete(request_id);
+            if work.finished.iter().any(Option::is_none) {
+                return;
             }
+            // Engine counters are cumulative across rounds, so each
+            // finished result already carries the shard's totals. Scenario
+            // shards may differ from the request-level task, so each
+            // carries its own decode geometry.
+            let shards = work
+                .finished
+                .iter_mut()
+                .zip(work.specs.iter())
+                .map(|(f, spec)| {
+                    let s = f.take().expect("checked finished");
+                    WireShardReport {
+                        scenario: s.scenario,
+                        k: spec.task.k,
+                        out_classes: spec.task.out_classes(),
+                        device: s.device,
+                        outcome: s.outcome.expect("checked finished"),
+                        pareto: s.pareto,
+                        warm_predictor: s.warm_predictor,
+                        resumed_from_generation: s.resumed_from_generation,
+                        slices: s.slices,
+                        prefix_builds: s.prefix_builds,
+                    }
+                })
+                .collect();
+            wire::encode_server(&ServerFrame::Report {
+                request_id,
+                report: WireReport {
+                    k: work.k,
+                    classes: work.classes,
+                    shards,
+                    rounds: work.rounds,
+                    slices: admission.charged(request_id),
+                },
+            })
         }
-    }
+    };
+    admission.complete(request_id);
+    requests.finish(request_id, frame);
 }
 
-/// Idle-loop GC: sweep fingerprints no request owns, prune to the byte
-/// budget, broadcast the combined report.
-fn run_gc(shared: &Arc<Shared>, requests: &HashMap<u64, RequestState>) {
+/// Idle-loop GC: sweep fingerprints no remembered request owns, prune to
+/// the byte budget, broadcast the combined report.
+fn run_gc(shared: &Arc<Shared>, requests: &Requests) {
     let Some(budget) = shared.cfg.store_budget_bytes else {
         return;
     };
     let mut live = Vec::new();
     let mut live_sessions = Vec::new();
-    for req in requests.values() {
-        for spec in &req.specs {
-            live.push(ArtifactKey {
-                device: spec.config.device,
-                fingerprint: search_fingerprint(&spec.task, &spec.config),
-            });
-            live.push(ArtifactKey {
-                device: spec.config.device,
-                fingerprint: persona_predictor_fingerprint(
-                    &spec.task.predictor_context(),
-                    &spec.config.predictor,
-                    spec.config.persona.as_ref(),
-                ),
-            });
-            live_sessions.push(PrefixKey {
-                fingerprint: prefix_fingerprint(&spec.task, &spec.config),
-            });
-        }
+    for req in requests.map.values() {
+        live.extend_from_slice(&req.keys.0);
+        live_sessions.extend_from_slice(&req.keys.1);
     }
     let mut total = PruneReport::default();
     if let Ok(r) = shared.store.sweep_stale(&live, &live_sessions) {
@@ -792,5 +946,93 @@ fn run_gc(shared: &Arc<Shared>, requests: &HashMap<u64, RequestState>) {
     let frame = wire::encode_server(&ServerFrame::Pruned { report: total });
     for t in shared.conns.lock().unwrap().values() {
         let _ = t.send(&frame);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn finished(conn: Option<(u64, Arc<dyn Transport>)>) -> RequestState {
+        RequestState {
+            tenant: "t".to_string(),
+            conn,
+            seq: 1,
+            events: vec![vec![1]],
+            keys: (Vec::new(), Vec::new()),
+            progress: Progress::Running(Work {
+                specs: Arc::new([]),
+                k: 0,
+                classes: 0,
+                rounds: 1,
+                finished: Vec::new(),
+            }),
+        }
+    }
+
+    /// The engine thread remembers the last `RETAINED_REPORTS` delivered
+    /// requests; an older one is forgotten, so attaching to it is answered
+    /// `unknown request`, while a report no connection has received yet
+    /// stays however many others are delivered.
+    #[test]
+    fn a_delivered_request_past_the_bound_is_forgotten() {
+        let (client, server_end) = duplex();
+        let server_end: Arc<dyn Transport> = Arc::new(server_end);
+        let mut requests = Requests::default();
+        requests.map.insert(1, finished(None));
+        requests.finish(1, vec![7]);
+        let last = RETAINED_REPORTS as u64 + 2;
+        for id in 2..=last {
+            requests
+                .map
+                .insert(id, finished(Some((9, Arc::clone(&server_end)))));
+            requests.finish(id, vec![7]);
+            assert!(requests.map[&id].events.is_empty(), "delivered: events go");
+            assert_eq!(client.recv_timeout(Duration::from_secs(5)), Ok(vec![7]));
+        }
+        assert!(!requests.map.contains_key(&2), "the oldest delivered went");
+        assert!((3..=last).all(|id| requests.map.contains_key(&id)));
+        assert!(
+            requests.map.contains_key(&1),
+            "an undelivered report waits for an attach"
+        );
+        assert_eq!(requests.map[&1].events, vec![vec![1]]);
+
+        let dir =
+            std::env::temp_dir().join(format!("hgnas-serve-retention-{}", std::process::id()));
+        let shared = Arc::new(Shared {
+            cfg: ServeConfig::default(),
+            store: ArtifactStore::open(&dir).expect("store dir"),
+            stop: Arc::default(),
+            next_request: AtomicU64::new(1),
+            next_conn: AtomicU64::new(1),
+            conns: Mutex::new(HashMap::from([(9, server_end)])),
+        });
+        let mut admission = AdmissionController::new();
+        let mut attach = |requests: &mut Requests, request_id| {
+            let cmd = Command::Attach {
+                request_id,
+                conn: 9,
+                tenant: "t".to_string(),
+                from_seq: 0,
+            };
+            handle_command(&shared, requests, &mut admission, cmd);
+        };
+        attach(&mut requests, 2);
+        let frame = client.recv_timeout(Duration::from_secs(5)).expect("answer");
+        match wire::decode_server(&frame).expect("server frame") {
+            ServerFrame::Rejected { reason, .. } => assert_eq!(reason, "unknown request"),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        // The undelivered request gets its buffered event and its final
+        // frame, so it now counts as delivered, and the oldest remembered
+        // delivered request goes.
+        attach(&mut requests, 1);
+        assert_eq!(client.recv_timeout(Duration::from_secs(5)), Ok(vec![1]));
+        assert_eq!(client.recv_timeout(Duration::from_secs(5)), Ok(vec![7]));
+        assert!(requests.map[&1].events.is_empty());
+        assert!(!requests.map.contains_key(&3));
+        assert_eq!(requests.map.len(), RETAINED_REPORTS);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,9 +20,10 @@
 //!
 //! In the daemon one end is used from three threads at once: the
 //! connection thread blocks in [`Transport::recv_timeout`], the engine
-//! thread sends event frames while the round's `Engine::run` runs the
-//! engine's worker 0 on a scoped thread, and `Server::shutdown` closes
-//! the end from the caller's thread.
+//! thread sends the event and report frames of the connection's requests
+//! (their rounds run on scoped threads of their own, which send nothing to
+//! a transport), and `Server::shutdown` closes the end from the caller's
+//! thread.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};

@@ -49,9 +49,11 @@ fn main() {
         },
     );
 
-    // Two tenants contend for the daemon: alice (priority 3) shards over
-    // two devices, bob (priority 1) over one. The fair-share admission
-    // controller interleaves their scheduling rounds 3:1.
+    // Two tenants share the daemon: alice (priority 3) shards over two
+    // devices, bob (priority 1) over one. With a budget of 2 threads their
+    // rounds run side by side, one thread each; the fair-share controller
+    // weighs priorities (3:1 in slices) once more requests are runnable
+    // than the budget runs at once.
     let mut alice = server.connect();
     alice.hello("alice", 3, TICK).expect("hello");
     let (alice_req, alice_shards) = alice

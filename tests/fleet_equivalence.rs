@@ -18,6 +18,7 @@ use hgnas::predictor::PredictorConfig;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 fn tiny_config(device: DeviceKind, mode: LatencyMode) -> SearchConfig {
     let mut cfg = SearchConfig::fast(device);
@@ -88,7 +89,7 @@ fn run_fresh(
 ) -> EngineReport {
     let all: Vec<usize> = (0..specs.len()).collect();
     Engine::new(fleet, store.cloned())
-        .run(0, specs, &all, grant, None)
+        .run(0, specs, &all, grant, fleet.threads, None)
         .expect("engine call")
 }
 
@@ -560,7 +561,7 @@ fn long_lived_engine_builds_each_prefix_once_across_granted_calls() {
         .map(|&(d, s)| shard(&task, d, s, LatencyMode::Predictor))
         .collect();
     let temp = TempStore::new("long-lived");
-    let mut engine = Engine::new(&engine_config(2, 1, Some(0)), Some(temp.open()));
+    let engine = Engine::new(&engine_config(2, 1, Some(0)), Some(temp.open()));
 
     let mut finished: Vec<Option<hgnas::fleet::ShardResult>> = specs.iter().map(|_| None).collect();
     let mut calls_with_evictions = 0;
@@ -571,7 +572,7 @@ fn long_lived_engine_builds_each_prefix_once_across_granted_calls() {
             .collect();
         let (tx, rx) = event_channel();
         let report = engine
-            .run(7, &specs, &pending, Some(3), Some(tx))
+            .run(7, &specs, &pending, Some(3), 2, Some(tx))
             .expect("granted call");
         calls += 1;
         assert_eq!(report.shards.len(), pending.len());
@@ -631,6 +632,73 @@ fn long_lived_engine_builds_each_prefix_once_across_granted_calls() {
         builds.values().all(|&b| b == 1),
         "each prefix built exactly once across calls: {builds:?}"
     );
+}
+
+/// Two calls at once on one engine, for different requests, the way the
+/// daemon runs two tenants' rounds: request 1 is a measured shard run in
+/// granted calls of one slice each (stride 1), request 2 two predictor
+/// shards sharing one prefix in one call, each call under a kernel budget
+/// of 1. The two start together, and request 1's calls end while request
+/// 2's longer call is in flight; that end must keep the session and the
+/// oracle of the call in flight, so every prefix is built once and every
+/// outcome stays bit-identical to serial. Repeated on fresh engines so the
+/// calls overlap in different places.
+#[test]
+fn concurrent_calls_on_one_engine_match_serial() {
+    let task = TaskConfig::tiny(61);
+    let measured = [shard(
+        &task,
+        DeviceKind::JetsonTx2,
+        3,
+        LatencyMode::Measured,
+    )];
+    let predicted = [
+        shard(&task, DeviceKind::Rtx3080, 4, LatencyMode::Predictor),
+        shard(&task, DeviceKind::RaspberryPi3B, 4, LatencyMode::Predictor),
+    ];
+    let mut refs = References::new(task.clone());
+    for _ in 0..3 {
+        let engine = Engine::new(&engine_config(2, 1, None), None);
+        let start = Barrier::new(2);
+        let (alone, pair) = std::thread::scope(|s| {
+            let alone = s.spawn(|| {
+                start.wait();
+                let mut calls = 0;
+                loop {
+                    let report = engine
+                        .run(1, &measured, &[0], Some(1), 1, None)
+                        .expect("granted call");
+                    calls += 1;
+                    let r = report.shards.into_iter().next().expect("one shard");
+                    if r.outcome.is_some() {
+                        return (r, calls);
+                    }
+                }
+            });
+            let pair = s.spawn(|| {
+                start.wait();
+                engine
+                    .run(2, &predicted, &[0, 1], None, 1, None)
+                    .expect("ungranted call")
+            });
+            (alone.join().unwrap(), pair.join().unwrap())
+        });
+        let (alone, calls) = alone;
+        assert_eq!(calls, 3, "stride 1 over 3 generations, one slice a call");
+        assert_outcomes_bit_identical(
+            alone.outcome.as_ref().expect("finished"),
+            refs.get(DeviceKind::JetsonTx2, 3, LatencyMode::Measured),
+        );
+        assert_eq!(alone.prefix_builds, 1, "the measured shard's prefix");
+        for (r, spec) in pair.shards.iter().zip(&predicted) {
+            assert_outcomes_bit_identical(
+                r.outcome.as_ref().expect("an ungranted call finishes"),
+                refs.get(spec.config.device, 4, LatencyMode::Predictor),
+            );
+        }
+        let builds: u64 = pair.shards.iter().map(|r| r.prefix_builds).sum();
+        assert_eq!(builds, 1, "the shared prefix, built once for both shards");
+    }
 }
 
 /// Fault injection: a transient `MeasureError::Busy` storm (every request
