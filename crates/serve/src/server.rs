@@ -548,11 +548,9 @@ fn conn_loop(
                         reject(0, &reason);
                         continue;
                     }
+                    // The engine thread sends `Accepted` once the request is
+                    // in its table, so no attach can beat the request there.
                     let request_id = shared.next_request.fetch_add(1, Ordering::SeqCst);
-                    let _ = transport.send(&wire::encode_server(&ServerFrame::Accepted {
-                        request_id,
-                        shards: specs.len(),
-                    }));
                     interests += 1;
                     if cmd_tx
                         .send(Msg::Command(Command::Submit {
@@ -784,6 +782,12 @@ fn handle_command(
                 .expect("the connection table is only held for map updates")
                 .get(&conn)
                 .cloned();
+            if let Some(t) = &transport {
+                let _ = t.send(&wire::encode_server(&ServerFrame::Accepted {
+                    request_id,
+                    shards: specs.len(),
+                }));
+            }
             requests.map.insert(
                 request_id,
                 RequestState {
